@@ -214,9 +214,25 @@ def _cmd_extend(args) -> int:
     return 0 if ok else 1
 
 
+def _report(args, rows, lines, noun: str, **header) -> int:
+    """Print the reference rows as JSON, or as `lines` and a status line;
+    exit status 1 when any row is off."""
+    failures = sum(not row["ok"] for row in rows)
+    if args.json:
+        print(json.dumps({**header, "rows": rows, "ok": failures == 0}))
+    else:
+        for line in lines:
+            print(line)
+        print("status:", "ok" if failures == 0 else f"{failures} {noun} off")
+    return 1 if failures else 0
+
+
+def _mismatch(row, expected) -> str:
+    return "" if row["ok"] else f"   MISMATCH expected {expected}"
+
+
 def _reproduce_table1(args) -> int:
     q, s, t = reference.TABLE1_PARAMS
-    failures = 0
     rows = []
     for u in reference.TABLE1_U_VALUES:
         X = ybcore.make_affine(q, s, t, u)
@@ -225,91 +241,44 @@ def _reproduce_table1(args) -> int:
                                    vknots.parse_braid(reference.KISHINO_WORDS[name]))
             for name in reference.KNOT_NAMES)
         expected = reference.TABLE1_COUNTS[u]
-        ok = counts == expected
-        failures += 0 if ok else 1
         rows.append({"u": u, "counts": list(counts),
-                     "expected": list(expected), "ok": ok})
-    if args.json:
-        print(json.dumps({"q": q, "s": s, "t": t, "rows": rows,
-                          "ok": failures == 0}))
-    else:
-        print("coloring counts, affine q=15 s=4 t=11")
-        print("u    " + "".join(f"{name:>6}" for name in reference.KNOT_NAMES))
-        for row in rows:
-            line = f"{row['u']:<5}" + "".join(f"{c:>6}" for c in row["counts"])
-            if not row["ok"]:
-                line += f"   MISMATCH expected {tuple(row['expected'])}"
-            print(line)
-        print("status:", "ok" if failures == 0 else f"{failures} row(s) off")
-    return 1 if failures else 0
+                     "expected": list(expected), "ok": counts == expected})
+    lines = ["coloring counts, affine q=15 s=4 t=11",
+             "u    " + "".join(f"{name:>6}" for name in reference.KNOT_NAMES)]
+    lines += [f"{row['u']:<5}" + "".join(f"{c:>6}" for c in row["counts"])
+              + _mismatch(row, tuple(row["expected"])) for row in rows]
+    return _report(args, rows, lines, "row(s)", q=q, s=s, t=t)
 
 
-def _reproduce_torus(args) -> int:
-    top = 16 if args.max_n is None else args.max_n
-    X = reference.z4_biquandle()
-    psi = reference.z4_cocycle()
-    failures = 0
+def _reproduce_values(args, X, psi, cases, width: int) -> int:
+    """State sums of the (word, expected value) cases against X and psi."""
     rows = []
-    for n in range(1, top + 1):
-        value = vknots.state_sum(X, psi, vknots.parse_braid(f"s1^{n}"))
-        expected = reference.torus_value(n)
-        ok = value.value == expected
-        failures += 0 if ok else 1
-        rows.append({"word": f"s1^{n}", "value": value.value.to_json(),
+    for word, expected in cases:
+        value = vknots.state_sum(X, psi, vknots.parse_braid(word))
+        rows.append({"word": word, "value": value.value.to_json(),
                      "rendered": value.render(),
-                     "expected": expected.render(), "ok": ok})
-    mirror = vknots.state_sum(X, psi, vknots.parse_braid("s1^-4"))
-    ok = mirror.value == reference.MIRROR_TORUS_4_VALUE
-    failures += 0 if ok else 1
-    rows.append({"word": "s1^-4", "value": mirror.value.to_json(),
-                 "rendered": mirror.render(),
-                 "expected": reference.MIRROR_TORUS_4_VALUE.render(),
-                 "ok": ok})
-    if args.json:
-        print(json.dumps({"rows": rows, "ok": failures == 0}))
-    else:
-        for row in rows:
-            line = f"{row['word']:<8} {row['rendered']}"
-            if not row["ok"]:
-                line += f"   MISMATCH expected {row['expected']}"
-            print(line)
-        print("status:", "ok" if failures == 0 else f"{failures} value(s) off")
-    return 1 if failures else 0
-
-
-def _reproduce_z3(args) -> int:
-    top = 6 if args.max_n is None else args.max_n
-    X = reference.z3_biquandle()
-    psi = reference.z3_cocycle(1, 0, 0)
-    failures = 0
-    rows = []
-    for n in range(0, top + 1):
-        text = (" ".join(["s1"] * n) + " v1").strip()
-        value = vknots.state_sum(X, psi, vknots.parse_braid(text))
-        expected = reference.z3_family_value(n)
-        ok = value.value == expected
-        failures += 0 if ok else 1
-        rows.append({"word": text, "value": value.value.to_json(),
-                     "rendered": value.render(),
-                     "expected": expected.render(), "ok": ok})
-    if args.json:
-        print(json.dumps({"rows": rows, "ok": failures == 0}))
-    else:
-        for row in rows:
-            line = f"{row['word']:<24} {row['rendered']}"
-            if not row["ok"]:
-                line += f"   MISMATCH expected {row['expected']}"
-            print(line)
-        print("status:", "ok" if failures == 0 else f"{failures} value(s) off")
-    return 1 if failures else 0
+                     "expected": expected.render(),
+                     "ok": value.value == expected})
+    lines = [f"{row['word']:<{width}} {row['rendered']}"
+             + _mismatch(row, row["expected"]) for row in rows]
+    return _report(args, rows, lines, "value(s)")
 
 
 def _cmd_reproduce(args) -> int:
     if args.what == "table1":
         return _reproduce_table1(args)
     if args.what == "torus":
-        return _reproduce_torus(args)
-    return _reproduce_z3(args)
+        top = 16 if args.max_n is None else args.max_n
+        cases = [(f"s1^{n}", reference.torus_value(n))
+                 for n in range(1, top + 1)]
+        cases.append(("s1^-4", reference.MIRROR_TORUS_4_VALUE))
+        return _reproduce_values(args, reference.z4_biquandle(),
+                                 reference.z4_cocycle(), cases, 8)
+    top = 6 if args.max_n is None else args.max_n
+    cases = [((" ".join(["s1"] * n) + " v1").strip(),
+              reference.z3_family_value(n)) for n in range(0, top + 1)]
+    return _reproduce_values(args, reference.z3_biquandle(),
+                             reference.z3_cocycle(1, 0, 0), cases, 24)
 
 
 def build_parser() -> argparse.ArgumentParser:

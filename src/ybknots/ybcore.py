@@ -253,10 +253,8 @@ def make_affine(q: int, s: int, t: int, u: int = 1) -> FiniteYBSet:
     y = np.arange(q, dtype=np.int64).reshape(1, q)
     r1 = ((1 - p.s) * x + p.u * p.s * y) % q
     r2 = (u_inv * p.t * x + (1 - p.t) * y) % q
-    made = FiniteYBSet(np.broadcast_to(r1, (q, q)), np.broadcast_to(r2, (q, q)),
+    return FiniteYBSet(np.broadcast_to(r1, (q, q)), np.broadcast_to(r2, (q, q)),
                        label=f"affine(q={q},s={p.s},t={p.t},u={p.u})")
-    made.params = p
-    return made
 
 
 def make_block(q: int, s: int, t: int) -> FiniteYBSet:

@@ -1,20 +1,24 @@
 """Cubical homology of a Yang-Baxter set.
 
-An n-tuple of colors placed on the initial path of the n-cube propagates
-to every edge: each square face relates its two input edges (x on the
-earlier direction, y on the later one) to its output edges through
-(R1(x, y), R2(x, y)).  The boundary of the colored cube is the signed sum
-of its 2n facets, each read along its own initial path; dualizing gives
-the coboundary on Z_m-valued cochains, cocycle spaces, cohomology groups,
-and the obstruction cocycle measuring the failure of a mod-p cocycle to
-lift to Z_{p^2}.
+An n-tuple of colors on the initial path of the n-cube propagates to
+every edge through the square faces.  Which edges a face can color never
+depends on the colors, so `_schedule` replays the propagation once per n
+as steps over dense edge slots, with the slots and signs of the 2n
+facets.  Array gathers apply it to many cubes at once, in fixed-size
+slabs, giving a facet table: the readings of each cube's facets.  Their
+signed sum is the boundary; the same table gives the coboundary of
+Z_m-valued cochains (a signed gather-sum), the coboundary matrix (a
+signed scatter-add), cocycle spaces, cohomology groups, and the
+obstruction cocycle measuring the failure of a mod-p cocycle to lift to
+Z_{p^2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .modalg import IntegerMatrix, kernel_mod, quotient_invariant_factors, solve
 from .ybcore import CochainTable, FiniteYBSet
 
 DEFAULT_MAX_CELLS = 200000
+_SLAB_ENTRIES = 500000  # edge-table entries colored at once
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,76 +54,118 @@ class CubeEdge:
 
 @dataclass(frozen=True, slots=True)
 class CubeColoring:
-    """Total assignment of colors to the n * 2^(n-1) edges of the n-cube."""
+    """Colors of the n * 2^(n-1) edges of the n-cube, by schedule slot."""
 
     dimension: int
-    colors: dict
+    colors: tuple
 
     def color(self, direction: int, corner: int) -> int:
-        return self.colors[CubeEdge(direction, corner)]
+        edges = _schedule(self.dimension).edges
+        return self.colors[edges.index(CubeEdge(direction, corner))]
 
     def initial_path(self) -> tuple[int, ...]:
-        return tuple(self.color(i, (1 << (i - 1)) - 1)
-                     for i in range(1, self.dimension + 1))
+        return self.colors[:self.dimension]
+
+
+class _Schedule(NamedTuple):
+    edges: tuple            # CubeEdge of each slot: initial path, assigns
+    assign: tuple           # (out, in1, in2, part): out = R_part(in1, in2)
+    compare: np.ndarray     # 4 x k: out, in1, in2, part; out must match
+    facets: np.ndarray      # 2n x (n-1): slots read by facet 2(axis-1)+side
+    signs: np.ndarray       # 2n: sign of facet 2(axis-1)+side
 
 
 @lru_cache(maxsize=None)
-def _faces(n: int):
-    """All (i, j, base) with i < j and base ranging over the other n-2
-    coordinate bits: the square faces of the n-cube."""
-    faces = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            free = [b for b in range(n) if b not in (i - 1, j - 1)]
-            for bits in range(1 << (n - 2)) if n >= 2 else []:
-                base = 0
-                for pos, b in enumerate(free):
-                    if (bits >> pos) & 1:
-                        base |= 1 << b
-                faces.append((i, j, base))
-    return tuple(faces)
+def _schedule(n: int) -> _Schedule:
+    """Steps and facets of the n-cube.
+
+    The edge in direction i on the initial path (earlier coordinates 1,
+    later ones 0) holds the i-th color.  On the square face (i, j, base),
+    i < j, the input edges are (i, base) and (j, base + 2^(i-1)) and the
+    outputs are (j, base) = R1 and (i, base + 2^(j-1)) = R2 of the input
+    pair.  The faces are swept in order until none is left that can fire;
+    a face fires once both inputs are colored, assigning each uncolored
+    output and comparing each colored one.  Sweeping again only repeats
+    a fired face's steps on the same colors, so each face fires once.
+    """
+    index = {CubeEdge(i, (1 << (i - 1)) - 1): i - 1 for i in range(1, n + 1)}
+    pending = [(i, j, base) for i in range(1, n + 1)
+               for j in range(i + 1, n + 1) for base in range(1 << n)
+               if not base & (1 << (i - 1) | 1 << (j - 1))]
+    assign, compare = [], []
+    while pending:
+        waiting = []
+        for i, j, base in pending:
+            in1 = index.get(CubeEdge(i, base))
+            in2 = index.get(CubeEdge(j, base | 1 << (i - 1)))
+            if in1 is None or in2 is None:
+                waiting.append((i, j, base))
+                continue
+            for part, edge in enumerate((CubeEdge(j, base),
+                                         CubeEdge(i, base | 1 << (j - 1)))):
+                if edge in index:
+                    compare.append((index[edge], in1, in2, part))
+                else:
+                    index[edge] = len(index)
+                    assign.append((index[edge], in1, in2, part))
+        if len(waiting) == len(pending):
+            break
+        pending = waiting
+    if len(index) < n << (n - 1):
+        raise ColoringIncomplete(f"{len(index)} of {n << (n - 1)} edges colored")
+    # the edges that face_tuple reads
+    facets = [[index[CubeEdge(d, (1 << (d - 1)) - 1 & ~(1 << (axis - 1))
+                              | side << (axis - 1))]
+               for d in range(1, n + 1) if d != axis]
+              for axis in range(1, n + 1) for side in (0, 1)]
+    signs = [(-1) ** (n - axis + side)
+             for axis in range(1, n + 1) for side in (0, 1)]
+    return _Schedule(tuple(index), tuple(assign),
+                     np.array(compare, dtype=np.intp).reshape(-1, 4).T,
+                     np.array(facets, dtype=np.intp).reshape(2 * n, n - 1),
+                     np.array(signs, dtype=np.int64))
+
+
+def _edge_table(X: FiniteYBSet, tuples: np.ndarray) -> np.ndarray:
+    """Edge colors (columns) of the cubes colored by the rows of `tuples`.
+    A conflict raises ColoringInconsistent for the first conflicting row
+    at its first failing compare, as a cube-by-cube sweep would."""
+    sched = _schedule(tuples.shape[1])
+    tables = np.stack((X.r1, X.r2))
+    # column-major: every step reads and writes whole columns
+    table = np.empty((len(tuples), len(sched.edges)), np.int64, order="F")
+    table[:, :tuples.shape[1]] = tuples
+    for out, in1, in2, part in sched.assign:
+        table[:, out] = tables[part][table[:, in1], table[:, in2]]
+    out, in1, in2, part = sched.compare
+    bad = tables[part, table[:, in1], table[:, in2]] != table[:, out]
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ColoringInconsistent(sched.edges[out[np.argmax(bad[row])]])
+    return table
+
+
+def _facet_slabs(X: FiniteYBSet, n: int):
+    """Yield (rows, columns) over the cubes colored by X^n, in order:
+    columns[r] holds the index in X^(n-1) (lexicographic) of each facet
+    reading of the cube of tuple number rows[r]."""
+    sched = _schedule(n)
+    total = X.size ** n
+    weights = X.size ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    step = max(1, _SLAB_ENTRIES // len(sched.edges))
+    for start in range(0, total, step):
+        rows = np.arange(start, min(start + step, total))
+        tuples = np.stack(np.unravel_index(rows, (X.size,) * n), axis=1)
+        yield rows, _edge_table(X, tuples)[:, sched.facets] @ weights
 
 
 def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
-    """Propagate the initial-path colors over the whole n-cube.
-
-    The edge in direction i on the initial path (earlier coordinates 1,
-    later ones 0) gets initial[i-1].  On the face (i, j, base) the input
-    edges are (i, base) and (j, base + 2^(i-1)) and the outputs are
-    (j, base) = R1 and (i, base + 2^(j-1)) = R2 of the input pair.
-    Raises ColoringInconsistent on a conflict and ColoringIncomplete if
-    the fixpoint leaves edges uncolored; neither happens when X satisfies
-    the Yang-Baxter equation.
-    """
-    n = len(initial)
-    r1, r2 = X.r1, X.r2
-    colors: dict[CubeEdge, int] = {}
-    for i in range(1, n + 1):
-        colors[CubeEdge(i, (1 << (i - 1)) - 1)] = int(initial[i - 1])
-    faces = _faces(n)
-    changed = True
-    while changed:
-        changed = False
-        for i, j, base in faces:
-            cin1 = colors.get(CubeEdge(i, base))
-            if cin1 is None:
-                continue
-            cin2 = colors.get(CubeEdge(j, base | (1 << (i - 1))))
-            if cin2 is None:
-                continue
-            for edge, value in (
-                    (CubeEdge(j, base), int(r1[cin1, cin2])),
-                    (CubeEdge(i, base | (1 << (j - 1))), int(r2[cin1, cin2]))):
-                have = colors.get(edge)
-                if have is None:
-                    colors[edge] = value
-                    changed = True
-                elif have != value:
-                    raise ColoringInconsistent(edge)
-    if len(colors) < n * (1 << (n - 1)):
-        raise ColoringIncomplete(
-            f"{len(colors)} of {n * (1 << (n - 1))} edges colored")
-    return CubeColoring(n, colors)
+    """Propagate the initial-path colors over the whole n-cube.  Raises
+    ColoringInconsistent on a conflict and ColoringIncomplete if edges
+    stay uncolored; neither happens when X satisfies the Yang-Baxter
+    equation."""
+    row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))
+    return CubeColoring(len(initial), tuple(row[0].tolist()))
 
 
 def face_tuple(coloring: CubeColoring, axis: int, side: int) -> tuple[int, ...]:
@@ -130,17 +177,8 @@ def face_tuple(coloring: CubeColoring, axis: int, side: int) -> tuple[int, ...]:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    remaining = [d for d in range(1, n + 1) if d != axis]
-    out = []
-    corner = side << (axis - 1)
-    for d in remaining:
-        out.append(coloring.color(d, corner))
-        corner |= 1 << (d - 1)
-    return tuple(out)
-
-
-def _face_sign(n: int, axis: int, side: int) -> int:
-    return -1 if (n - axis + side) % 2 else 1
+    return tuple(coloring.colors[slot]
+                 for slot in _schedule(n).facets[2 * (axis - 1) + side])
 
 
 @dataclass(frozen=True)
@@ -167,10 +205,6 @@ class FormalChain:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FormalChain)
-                and self.arity == other.arity and self.terms == other.terms)
-
     def render(self) -> str:
         """Text like '+1·(0,1) -2·(2,0)', terms in lexicographic order."""
         if not self.terms:
@@ -195,12 +229,12 @@ def boundary(X: FiniteYBSet, tup) -> FormalChain:
     n = len(tup)
     if n < 1:
         raise ValueError("boundary needs at least a 1-tuple")
-    coloring = color_cube(X, tup)
+    sched = _schedule(n)
+    row = _edge_table(X, np.array([tup], dtype=np.int64))[0]
     terms: dict = {}
-    for k in range(1, n + 1):
-        for side in (0, 1):
-            ft = face_tuple(coloring, k, side)
-            terms[ft] = terms.get(ft, 0) + _face_sign(n, k, side)
+    for facet, sign in zip(row[sched.facets].tolist(), sched.signs.tolist()):
+        face = tuple(facet)
+        terms[face] = terms.get(face, 0) + sign
     return FormalChain(n - 1, {t: c for t, c in terms.items() if c})
 
 
@@ -214,20 +248,10 @@ def coboundary(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     """(delta f)(w) = sum of sign * f(facet reading) over the facets of
     the cube colored by w, as a table on X^(arity+1)."""
     _check_cochain(X, f)
-    n1 = f.arity + 1
-    farr = f.as_array()
-    m = f.modulus
-    size = X.size
-    values = np.empty(size ** n1, dtype=np.int64)
-    for idx, w in enumerate(np.ndindex((size,) * n1)):
-        coloring = color_cube(X, w)
-        total = 0
-        for k in range(1, n1 + 1):
-            for side in (0, 1):
-                total += _face_sign(n1, k, side) * int(
-                    farr[face_tuple(coloring, k, side)])
-        values[idx] = total % m
-    return CochainTable(n1, size, m, values)
+    signs = _schedule(f.arity + 1).signs
+    return CochainTable(f.arity + 1, X.size, f.modulus, np.concatenate(
+        [f.values[columns] @ signs
+         for _, columns in _facet_slabs(X, f.arity + 1)]))
 
 
 def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
@@ -237,18 +261,12 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     among the facet readings of the row tuple's cube."""
     if n < 0:
         raise ValueError("arity must be non-negative")
-    size = X.size
-    rows = size ** (n + 1)
-    cols = size ** n
-    entries = [[0] * cols for _ in range(rows)]
-    for ridx, w in enumerate(np.ndindex((size,) * (n + 1))):
-        row = entries[ridx]
-        for face, coeff in boundary(X, w).terms.items():
-            cidx = 0
-            for x in face:
-                cidx = cidx * size + x
-            row[cidx] += coeff
-    return IntegerMatrix._wrap(entries)
+    signs = _schedule(n + 1).signs
+    # entries are bounded by the 2(n+1) facets, so int8 holds them
+    out = np.zeros((X.size ** (n + 1), X.size ** n), dtype=np.int8)
+    for rows, columns in _facet_slabs(X, n + 1):
+        np.add.at(out, (rows.reshape(-1, 1), columns), signs)
+    return IntegerMatrix._wrap(out.tolist())
 
 
 def is_cocycle(X: FiniteYBSet, f: CochainTable) -> bool:
@@ -286,14 +304,11 @@ def cocycle_space(X: FiniteYBSet, n: int, m: int,
         if n != 2:
             raise ValueError("the type-one condition applies to arity 2")
         witness = X.biquandle_witness()
-        rows = [row[:] for row in matrix.entries]
-        size = X.size
-        for a in range(size):
-            for pair in ((witness.x_of[a], a), (a, witness.y_of[a])):
-                row = [0] * matrix.cols
-                row[pair[0] * size + pair[1]] = 1
-                rows.append(row)
-        matrix = IntegerMatrix._wrap(rows)
+        a = np.arange(X.size)
+        fixed = np.zeros((2 * X.size, matrix.cols), dtype=np.int64)
+        fixed[2 * a, np.array(witness.x_of) * X.size + a] = 1
+        fixed[2 * a + 1, a * X.size + np.array(witness.y_of)] = 1
+        matrix = IntegerMatrix._wrap(matrix.entries + fixed.tolist())
     return [CochainTable(n, X.size, m, g) for g in kernel_mod(matrix, m)]
 
 
@@ -310,10 +325,7 @@ class CohomologyReport:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
     def to_json(self) -> dict:
         return {"arity": self.arity, "modulus": self.modulus,
@@ -325,10 +337,7 @@ class CohomologyReport:
 
 
 def _span_order(gens, m: int) -> int:
-    out = 1
-    for f in quotient_invariant_factors(gens, [], m):
-        out *= f
-    return out
+    return prod(quotient_invariant_factors(gens, [], m))
 
 
 def cohomology_group(X: FiniteYBSet, n: int, m: int,
@@ -348,11 +357,9 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     kernel = kernel_mod(coboundary_matrix(X, n), m)
     image = []
     if n >= 2:
-        previous = coboundary_matrix(X, n - 1)
-        for j in range(previous.cols):
-            col = [previous.entries[i][j] % m for i in range(previous.rows)]
-            if any(col):
-                image.append(col)
+        previous = coboundary_matrix(X, n - 1).entries
+        columns = np.array(previous, dtype=np.int64).T % m
+        image = [col for col in columns.tolist() if any(col)]
     factors = quotient_invariant_factors(kernel, image, m)
     return CohomologyReport(
         arity=n,
@@ -386,24 +393,15 @@ def obstruction_cocycle(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     p = f.modulus
     if not _is_prime_power(p):
         raise ValueError(f"modulus {p} is not a prime power")
-    _check_cochain(X, f)
     if not is_cocycle(X, f):
         raise NotACocycle(
             f"input of arity {f.arity} is not a cocycle mod {p}")
-    n1 = f.arity + 1
-    farr = f.as_array()
-    size = X.size
-    square = p * p
-    values = np.empty(size ** n1, dtype=np.int64)
-    for idx, w in enumerate(np.ndindex((size,) * n1)):
-        coloring = color_cube(X, w)
-        total = 0
-        for k in range(1, n1 + 1):
-            for side in (0, 1):
-                total += _face_sign(n1, k, side) * int(
-                    farr[face_tuple(coloring, k, side)])
-        if total % p:
-            raise NotDivisible(
-                f"face sum {total} at {w} is not divisible by {p}")
-        values[idx] = (total % square) // p
-    return CochainTable(n1, size, p, values)
+    # delta of the lift s(a) = a, taken mod p^2
+    lifted = coboundary(X, CochainTable(f.arity, X.size, p * p, f.values))
+    bad = np.flatnonzero(lifted.values % p)
+    if bad.size:
+        w = tuple(int(x) for x in
+                  np.unravel_index(bad[0], (X.size,) * (f.arity + 1)))
+        raise NotDivisible(f"face sum {lifted.values[bad[0]]} at {w} "
+                           f"is not divisible by {p}")
+    return CochainTable(f.arity + 1, X.size, p, lifted.values // p)

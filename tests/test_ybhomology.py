@@ -9,6 +9,7 @@ import pytest
 
 from ybknots import (
     CochainTable,
+    CubeEdge,
     FiniteYBSet,
     FormalChain,
     IntegerMatrix,
@@ -27,6 +28,7 @@ from ybknots import (
     obstruction_cocycle,
     solve_mod,
     swap_set,
+    ybhomology,
 )
 from ybknots.errors import (
     ColoringInconsistent,
@@ -102,6 +104,14 @@ def test_boundary_matches_closed_forms(name, maker, mod):
         assert boundary(X, (x, y, z)).terms == _collect(_d3_terms(X, x, y, z))
     for tup in itertools.product(range(n), repeat=4):
         assert boundary(X, tup).terms == _collect(_d4_terms(X, *tup))
+    # the matrix shares the facet table with boundary: check it on its own
+    for arity, terms in ((1, _d2_terms), (2, _d3_terms), (3, _d4_terms)):
+        rows = coboundary_matrix(X, arity).entries
+        cubes = itertools.product(range(n), repeat=arity + 1)
+        for row, tup in zip(rows, cubes, strict=True):
+            faces = itertools.product(range(n), repeat=arity)
+            assert {t: c for t, c in zip(faces, row, strict=True) if c} == \
+                _collect(terms(X, *tup))
 
 
 def test_boundary_of_singleton_vanishes():
@@ -183,11 +193,53 @@ def test_square_coloring_frozen():
 def test_cube_coloring_consistency_check():
     bad = FiniteYBSet([[(x + y) % 3 for y in range(3)] for x in range(3)],
                       [[x for _ in range(3)] for x in range(3)])
-    with pytest.raises(ColoringInconsistent):
-        color_cube(bad, (1, 0, 0))
+    edge = CubeEdge(direction=3, corner=0)
+    message = "conflicting colors at edge CubeEdge(direction=3, corner=0)"
+    for attempt in (lambda: color_cube(bad, (1, 0, 0)),
+                    lambda: coboundary_matrix(bad, 2)):
+        with pytest.raises(ColoringInconsistent) as caught:
+            attempt()
+        assert caught.value.edge == edge and str(caught.value) == message
     # two-dimensional cubes never see the failing overlap
     col = color_cube(bad, (1, 0))
     assert col.dimension == 2
+
+
+def _first_conflict(X, n):
+    for tup in itertools.product(range(X.size), repeat=n):
+        try:
+            color_cube(X, tup)
+        except ColoringInconsistent as exc:
+            return exc.edge
+    return None
+
+
+@pytest.mark.parametrize("slab", [None, 1], ids=["default-slab", "cube-slab"])
+def test_slabs_keep_outputs_and_first_conflict(monkeypatch, slab):
+    z4 = z4_biquandle()
+    f = CochainTable.from_function(2, 4, 4, lambda x, y: (3 * x + y) % 4)
+    expect = (coboundary_matrix(z4, 2), coboundary(z4, f))
+    if slab is not None:
+        monkeypatch.setattr(ybhomology, "_SLAB_ENTRIES", slab)
+    assert (coboundary_matrix(z4, 2), coboundary(z4, f)) == expect
+    rng = random.Random(3)
+    conflicts = set()
+    for _ in range(40):
+        bad = FiniteYBSet(
+            [[rng.randrange(3) for _ in range(3)] for _ in range(3)],
+            [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
+        # cube by cube, the first tuple whose cube conflicts decides
+        first = _first_conflict(bad, 3)
+        if first is None:
+            continue
+        conflicts.add(first)
+        g = CochainTable.zero(2, 3, 3)
+        for attempt in (lambda: coboundary_matrix(bad, 2),
+                        lambda: coboundary(bad, g)):
+            with pytest.raises(ColoringInconsistent) as caught:
+                attempt()
+            assert caught.value.edge == first
+    assert len(conflicts) > 1
 
 
 def test_formal_chain_render_and_json():
