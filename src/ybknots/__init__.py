@@ -35,7 +35,6 @@ from .ybcore import (
     BirackReport,
     CochainTable,
     FiniteYBSet,
-    OmegaElement,
     OmegaRing,
     extend,
     make_affine,

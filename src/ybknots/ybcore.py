@@ -25,9 +25,21 @@ from .errors import (
     NotAUnit,
     NotBiquandle,
     ProductNotZero,
+    ResourceBound,
 )
 
 _UNSET = object()
+
+# Largest n*n a solution constructor builds: one int64 table of this
+# many entries takes 128 MB.
+MAX_TABLE_ENTRIES = 2 ** 24
+
+
+def _check_table_size(constructor: str, n: int):
+    if n * n > MAX_TABLE_ENTRIES:
+        raise ResourceBound(
+            f"{constructor}: n^2 = {n * n} table entries exceeds the cap "
+            f"{MAX_TABLE_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +260,7 @@ class AffineParams:
 def make_affine(q: int, s: int, t: int, u: int = 1) -> FiniteYBSet:
     """Affine solution R(x, y) = ((1-s)x + u*s*y, t/u*x + (1-t)y) on Z_q."""
     p = AffineParams(q, s, t, u)
+    _check_table_size("make_affine", q)
     u_inv = pow(p.u, -1, q)
     x = np.arange(q, dtype=np.int64).reshape(q, 1)
     y = np.arange(q, dtype=np.int64).reshape(1, q)
@@ -269,6 +282,7 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     s %= q
     t %= q
     n = q * q
+    _check_table_size("make_block", n)
     i = np.arange(n, dtype=np.int64)
     x1 = (i // q).reshape(n, 1)
     x2 = (i % q).reshape(n, 1)
@@ -279,82 +293,13 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     return FiniteYBSet(r1, r2, label=f"block(q={q},s={s},t={t})")
 
 
-@dataclass(frozen=True)
-class OmegaElement:
-    """Element of Z_q[a, b] / (a*b, a^h, b^k).
-
-    Stored as a constant plus coefficient tuples for a^1..a^(h-1) and
-    b^1..b^(k-1); the two nilpotent directions never mix because ab = 0.
-    """
-
-    q: int
-    h: int
-    k: int
-    const: int
-    a_coeffs: tuple[int, ...]
-    b_coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.q < 2 or self.h < 1 or self.k < 1:
-            raise ValueError("need q >= 2 and h, k >= 1")
-        if len(self.a_coeffs) != self.h - 1 or len(self.b_coeffs) != self.k - 1:
-            raise ValueError("coefficient tuple lengths do not match h, k")
-        object.__setattr__(self, "const", self.const % self.q)
-        object.__setattr__(self, "a_coeffs",
-                           tuple(c % self.q for c in self.a_coeffs))
-        object.__setattr__(self, "b_coeffs",
-                           tuple(c % self.q for c in self.b_coeffs))
-
-    def _check(self, other: "OmegaElement"):
-        if (self.q, self.h, self.k) != (other.q, other.h, other.k):
-            raise ModulusMismatch(
-                f"ring mismatch: {(self.q, self.h, self.k)} vs "
-                f"{(other.q, other.h, other.k)}")
-
-    def __add__(self, other: "OmegaElement") -> "OmegaElement":
-        self._check(other)
-        return OmegaElement(
-            self.q, self.h, self.k,
-            self.const + other.const,
-            tuple(a + b for a, b in zip(self.a_coeffs, other.a_coeffs)),
-            tuple(a + b for a, b in zip(self.b_coeffs, other.b_coeffs)))
-
-    def __sub__(self, other: "OmegaElement") -> "OmegaElement":
-        self._check(other)
-        return OmegaElement(
-            self.q, self.h, self.k,
-            self.const - other.const,
-            tuple(a - b for a, b in zip(self.a_coeffs, other.a_coeffs)),
-            tuple(a - b for a, b in zip(self.b_coeffs, other.b_coeffs)))
-
-    def __neg__(self) -> "OmegaElement":
-        return OmegaElement(self.q, self.h, self.k, -self.const,
-                            tuple(-c for c in self.a_coeffs),
-                            tuple(-c for c in self.b_coeffs))
-
-    def __mul__(self, other: "OmegaElement") -> "OmegaElement":
-        self._check(other)
-        sa = (self.const,) + self.a_coeffs
-        oa = (other.const,) + other.a_coeffs
-        sb = (self.const,) + self.b_coeffs
-        ob = (other.const,) + other.b_coeffs
-        a_out = []
-        for d in range(1, self.h):
-            a_out.append(sum(sa[i] * oa[d - i] for i in range(d + 1)))
-        b_out = []
-        for d in range(1, self.k):
-            b_out.append(sum(sb[i] * ob[d - i] for i in range(d + 1)))
-        return OmegaElement(self.q, self.h, self.k,
-                            self.const * other.const,
-                            tuple(a_out), tuple(b_out))
-
-
 class OmegaRing:
-    """Index bookkeeping for the truncated ring Z_q[a, b]/(ab, a^h, b^k).
+    """Digit layout of the truncated ring Z_q[a, b]/(ab, a^h, b^k).
 
-    Elements are enumerated in lexicographic order on the digit string
-    (constant, a-coefficients by increasing degree, b-coefficients by
-    increasing degree), constant most significant.
+    An element is a column of `digits` residues: the constant, then the
+    a-coefficients by increasing degree, then the b-coefficients by
+    increasing degree.  Its index reads that column as a base-q number,
+    constant most significant.  Digit arrays carry the digit on axis 0.
     """
 
     def __init__(self, q: int, h: int, k: int):
@@ -365,62 +310,54 @@ class OmegaRing:
         self.k = k
         self.digits = h + k - 1
         self.size = q ** self.digits
+        # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
+        self.a_chain = list(range(h))
+        self.b_chain = [0] + list(range(h, h + k - 1))
 
-    def zero(self) -> OmegaElement:
-        return OmegaElement(self.q, self.h, self.k, 0,
-                            (0,) * (self.h - 1), (0,) * (self.k - 1))
+    def weights(self) -> np.ndarray:
+        return self.q ** np.arange(self.digits - 1, -1, -1, dtype=np.int64)
 
-    def gen_a(self) -> OmegaElement:
-        coeffs = [0] * (self.h - 1)
-        if coeffs:
-            coeffs[0] = 1
-        return OmegaElement(self.q, self.h, self.k, 0, tuple(coeffs),
-                            (0,) * (self.k - 1))
+    def digits_of(self, index) -> np.ndarray:
+        index = np.asarray(index, dtype=np.int64)
+        w = self.weights().reshape((-1,) + (1,) * index.ndim)
+        return index // w % self.q
 
-    def gen_b(self) -> OmegaElement:
-        coeffs = [0] * (self.k - 1)
-        if coeffs:
-            coeffs[0] = 1
-        return OmegaElement(self.q, self.h, self.k, 0,
-                            (0,) * (self.h - 1), tuple(coeffs))
+    def index_of(self, digits) -> np.ndarray:
+        return np.tensordot(self.weights(), np.asarray(digits) % self.q, 1)
 
-    def index(self, elem: OmegaElement) -> int:
-        idx = 0
-        for digit in (elem.const,) + elem.a_coeffs + elem.b_coeffs:
-            idx = idx * self.q + digit
-        return idx
+    @staticmethod
+    def _shift(chain, digits) -> np.ndarray:
+        out = np.zeros_like(digits)
+        out[chain[1:]] = digits[chain[:-1]]
+        return out
 
-    def element(self, index: int) -> OmegaElement:
-        digits = []
-        for _ in range(self.digits):
-            index, d = divmod(index, self.q)
-            digits.append(d)
-        digits.reverse()
-        return OmegaElement(self.q, self.h, self.k, digits[0],
-                            tuple(digits[1:self.h]),
-                            tuple(digits[self.h:]))
+    def times_a(self, digits) -> np.ndarray:
+        return self._shift(self.a_chain, digits)
 
-    def elements(self):
-        return [self.element(i) for i in range(self.size)]
+    def times_b(self, digits) -> np.ndarray:
+        return self._shift(self.b_chain, digits)
+
+    def sum_table(self, left, right) -> np.ndarray:
+        """Index table T[i, j] of left[:, i] + right[:, j], one digit at a
+        time so only (len(i), len(j)) arrays are formed."""
+        out = np.zeros((left.shape[1], right.shape[1]), dtype=np.int64)
+        for d, w in enumerate(self.weights().tolist()):
+            out += (left[d].reshape(-1, 1) + right[d]) % self.q * w
+        return out
 
 
 def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     """Solution on the truncated ring: with a = 1-s and b = 1-t nilpotent,
-    R(x, y) = (y + a*(x - y), x + b*(y - x))."""
+    R(x, y) = (y + a*(x - y), x + b*(y - x)), elements indexed as in
+    OmegaRing."""
     ring = OmegaRing(q, h, k)
-    gen_a = ring.gen_a()
-    gen_b = ring.gen_b()
-    elems = ring.elements()
-    n = ring.size
-    r1 = np.empty((n, n), dtype=np.int64)
-    r2 = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            r1[i, j] = ring.index(y + gen_a * (x - y))
-            r2[i, j] = ring.index(x + gen_b * (y - x))
-    made = FiniteYBSet(r1, r2, label=f"omega(q={q},h={h},k={k})")
-    made.omega = ring
-    return made
+    _check_table_size("make_omega", ring.size)
+    x = ring.digits_of(np.arange(ring.size))
+    ax, bx = ring.times_a(x), ring.times_b(x)
+    # split each component into a part in x plus a part in y
+    r1 = ring.sum_table(ax, x - ax)
+    r2 = ring.sum_table(x - bx, bx)
+    return FiniteYBSet(r1, r2, label=f"omega(q={q},h={h},k={k})")
 
 
 class CochainTable:
@@ -530,6 +467,7 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     _check_extension_cochain(psi2, X, m, "psi2")
     n = X.size
     big = m * n
+    _check_table_size("extend", big)
     a1 = np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
     x1 = np.arange(n, dtype=np.int64).reshape(1, n, 1, 1)
     a2 = np.arange(m, dtype=np.int64).reshape(1, 1, m, 1)
@@ -559,42 +497,28 @@ def omega_extension_check(q: int, h: int, k: int) -> bool:
     the constant).  Returns True when every pair matches.
     """
     big = make_omega(q, h + 1, k + 1)
-    small_ring = OmegaRing(q, h, k)
-    ring = big.omega
-
-    def split(elem: OmegaElement):
-        # (top a-coeff, top b-coeff, truncation to the small ring)
-        bar = OmegaElement(q, h, k, elem.const,
-                           elem.a_coeffs[:h - 1], elem.b_coeffs[:k - 1])
-        return elem.a_coeffs[-1], elem.b_coeffs[-1], bar
-
-    def low(elem: OmegaElement, kind: str) -> int:
-        coeffs = (elem.const,) + (elem.a_coeffs if kind == "a" else elem.b_coeffs)
-        deg = h - 1 if kind == "a" else k - 1
-        return coeffs[deg]
-
     small = make_omega(q, h, k)
-    elems = ring.elements()
-    for alpha in elems:
-        a_top, ab_top, abar = split(alpha)
-        for beta in elems:
-            b_top, bb_top, bbar = split(beta)
-            g1 = ring.element(int(big.r1[ring.index(alpha), ring.index(beta)]))
-            g2 = ring.element(int(big.r2[ring.index(alpha), ring.index(beta)]))
-            psi1 = (low(abar, "a") - low(bbar, "a")) % q
-            psi2 = (low(bbar, "b") - low(abar, "b")) % q
-            i1, j1, g1bar = split(g1)
-            i2, j2, g2bar = split(g2)
-            xb, yb = small_ring.index(abar), small_ring.index(bbar)
-            if (i1, j1) != ((b_top + psi1) % q, bb_top):
-                return False
-            if (i2, j2) != (a_top, (ab_top + psi2) % q):
-                return False
-            if small_ring.index(g1bar) != int(small.r1[xb, yb]):
-                return False
-            if small_ring.index(g2bar) != int(small.r2[xb, yb]):
-                return False
-    return True
+    ring = OmegaRing(q, h + 1, k + 1)
+    digit = ring.digits_of(np.arange(ring.size))
+    low_a, a_top = ring.a_chain[h - 1:]
+    low_b, b_top = ring.b_chain[k - 1:]
+    bar = OmegaRing(q, h, k).index_of(np.delete(digit, [a_top, b_top], 0))
+    # the elements whose two top coefficients vanish, in index order, are
+    # the small ring in its own order
+    lift = np.flatnonzero((digit[a_top] == 0) & (digit[b_top] == 0))
+    x = np.arange(ring.size).reshape(-1, 1)
+    y = x.reshape(1, -1)
+    psi1 = (digit[low_a][x] - digit[low_a][y]) % q
+    psi2 = (digit[low_b][y] - digit[low_b][x]) % q
+    w = ring.weights()
+    want1 = (lift[small.r1[bar[x], bar[y]]]
+             + (digit[a_top][y] + psi1) % q * w[a_top]
+             + digit[b_top][y] * w[b_top])
+    want2 = (lift[small.r2[bar[x], bar[y]]]
+             + digit[a_top][x] * w[a_top]
+             + (digit[b_top][x] + psi2) % q * w[b_top])
+    return bool(np.array_equal(big.r1, want1)
+                and np.array_equal(big.r2, want2))
 
 
 def swap_set(n: int) -> FiniteYBSet:

@@ -27,7 +27,6 @@ from .errors import (
     ColoringIncomplete,
     ColoringInconsistent,
     NotACocycle,
-    NotDivisible,
     ResourceBound,
 )
 from .modalg import IntegerMatrix, kernel_mod, quotient_invariant_factors, solve_mod
@@ -393,15 +392,10 @@ def obstruction_cocycle(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     p = f.modulus
     if not _is_prime_power(p):
         raise ValueError(f"modulus {p} is not a prime power")
-    if not is_cocycle(X, f):
+    # delta of the lift s(a) = a, taken mod p^2; mod p it is delta f
+    lifted = coboundary(X, CochainTable(f.arity, f.set_size, p * p,
+                                        f.values)).values
+    if (lifted % p).any():
         raise NotACocycle(
             f"input of arity {f.arity} is not a cocycle mod {p}")
-    # delta of the lift s(a) = a, taken mod p^2
-    lifted = coboundary(X, CochainTable(f.arity, X.size, p * p, f.values))
-    bad = np.flatnonzero(lifted.values % p)
-    if bad.size:
-        w = tuple(int(x) for x in
-                  np.unravel_index(bad[0], (X.size,) * (f.arity + 1)))
-        raise NotDivisible(f"face sum {lifted.values[bad[0]]} at {w} "
-                           f"is not divisible by {p}")
-    return CochainTable(f.arity + 1, X.size, p, lifted.values // p)
+    return CochainTable(f.arity + 1, X.size, p, lifted // p)

@@ -47,6 +47,12 @@ def test_verify_rejects_non_unit(capsys):
     assert "error: 2 is not a unit modulo 4" in err
 
 
+def test_verify_rejects_oversized_omega(capsys):
+    rc, _, err = run(capsys, "verify", "--omega", "2,40,40")
+    assert rc == 2
+    assert err.startswith("error: make_omega: n^2 = ")
+
+
 def test_verify_reports_equation_failure(capsys, tmp_path):
     bad = FiniteYBSet([[(x + y) % 3 for y in range(3)] for x in range(3)],
                       [[x for _ in range(3)] for x in range(3)])

@@ -10,12 +10,14 @@ import pytest
 from ybknots import (
     CochainTable,
     FiniteYBSet,
+    OmegaRing,
     extend,
     make_affine,
     make_block,
     make_omega,
     omega_extension_check,
     swap_set,
+    ybcore,
 )
 from ybknots.errors import (
     ArityMismatch,
@@ -23,6 +25,7 @@ from ybknots.errors import (
     NotAUnit,
     NotBiquandle,
     ProductNotZero,
+    ResourceBound,
 )
 from ybknots.reference import z3_biquandle, z4_biquandle
 
@@ -120,6 +123,31 @@ def test_block_tables_closed_form():
         assert out2 == (x1 + t * (x2 - y2)) % q * q + x2
 
 
+def _omega_digits(q, h, k, index):
+    """Coefficients (constant, a^1.., b^1..) of the element with this
+    index, constant most significant."""
+    digits = []
+    for _ in range(h + k - 1):
+        index, d = divmod(index, q)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def _omega_mul(q, h, x, y):
+    """Product in Z_q[a, b]/(ab, a^h, b^k) of coefficient tuples: the a-
+    and b-series are truncated convolutions that share the constant."""
+    def conv(u, v):
+        return [sum(u[i] * v[d - i] for i in range(d + 1)) % q
+                for d in range(len(u))]
+    a_part = conv(x[:h], y[:h])
+    b_part = conv(x[:1] + x[h:], y[:1] + y[h:])
+    return tuple(a_part) + tuple(b_part[1:])
+
+
+def _omega_add(q, x, y, sign=1):
+    return tuple((u + sign * v) % q for u, v in zip(x, y))
+
+
 @pytest.mark.parametrize("q,h,k", [(2, 1, 1), (2, 1, 2), (2, 2, 1),
                                    (2, 2, 2), (3, 1, 1), (3, 2, 1),
                                    (3, 1, 2), (3, 2, 2)])
@@ -128,30 +156,69 @@ def test_omega_family(q, h, k):
     assert X.size == q ** (h + k - 1)
     assert X.verify_ybe()
     assert X.verify_birack().invertible
-    ring = X.omega
-    a, b = ring.gen_a(), ring.gen_b()
-    assert a * b == ring.zero()
+    zero = (0,) * (h + k - 1)
+    a = tuple(int(h > 1 and i == 1) for i in range(h + k - 1))
+    b = tuple(int(k > 1 and i == h) for i in range(h + k - 1))
+    assert _omega_mul(q, h, a, b) == zero
     pa = a
     for _ in range(h - 1):
-        pa = pa * a
-    assert pa == ring.zero()  # a^h = 0
+        pa = _omega_mul(q, h, pa, a)
+    assert pa == zero  # a^h = 0
     pb = b
     for _ in range(k - 1):
-        pb = pb * b
-    assert pb == ring.zero()  # b^k = 0
-    for i, elem in enumerate(ring.elements()):
-        assert ring.index(elem) == i
-        assert ring.element(i) == elem
+        pb = _omega_mul(q, h, pb, b)
+    assert pb == zero  # b^k = 0
+    ring = OmegaRing(q, h, k)
+    index = np.arange(X.size)
+    digits = ring.digits_of(index)
+    assert [tuple(col) for col in digits.T.tolist()] == [
+        _omega_digits(q, h, k, i) for i in range(X.size)]
+    assert np.array_equal(ring.index_of(digits), index)
     # R(alpha, beta) = (beta + a(alpha-beta), alpha + b(beta-alpha))
     for i, j in itertools.product(range(X.size), repeat=2):
-        alpha, beta = ring.element(i), ring.element(j)
+        alpha, beta = _omega_digits(q, h, k, i), _omega_digits(q, h, k, j)
         o1, o2 = X.r(i, j)
-        assert ring.element(o1) == beta + a * (alpha - beta)
-        assert ring.element(o2) == alpha + b * (beta - alpha)
+        assert _omega_digits(q, h, k, o1) == _omega_add(
+            q, beta, _omega_mul(q, h, a, _omega_add(q, alpha, beta, -1)))
+        assert _omega_digits(q, h, k, o2) == _omega_add(
+            q, alpha, _omega_mul(q, h, b, _omega_add(q, beta, alpha, -1)))
 
 
 def test_omega_extension_tower_smoke():
     assert omega_extension_check(2, 1, 1)
+
+
+@pytest.mark.parametrize("q,h,k", [(3, 1, 1), (3, 2, 1)])
+def test_omega_extension_check_catches_flipped_psi1(monkeypatch, q, h, k):
+    # the (h+1, k+1) table with psi1 negated in its top a-coefficient
+    real = ybcore.make_omega
+
+    def flipped(q_, h_, k_):
+        X = real(q_, h_, k_)
+        if (h_, k_) != (h + 1, k + 1):
+            return X
+        ring = OmegaRing(q_, h_, k_)
+        digits = ring.digits_of(X.r1)
+        top = ring.a_chain[-1]
+        y_top = ring.digits_of(np.arange(X.size))[top]
+        # r1's top a-coefficient is y_top + psi1; make it y_top - psi1
+        digits[top] = (2 * y_top - digits[top]) % q_
+        return FiniteYBSet(ring.index_of(digits), X.r2)
+
+    assert omega_extension_check(q, h, k)
+    monkeypatch.setattr(ybcore, "make_omega", flipped)
+    assert not omega_extension_check(q, h, k)
+
+
+def test_constructors_cap_table_size():
+    with pytest.raises(ResourceBound, match="make_affine"):
+        make_affine(4097, 1, 1)
+    with pytest.raises(ResourceBound, match="make_block"):
+        make_block(65, 1, 1)
+    with pytest.raises(ResourceBound, match="make_omega"):
+        make_omega(2, 40, 40)
+    with pytest.raises(ResourceBound, match="extend"):
+        extend(swap_set(64), 65, CochainTable.zero(2, 64, 65))
 
 
 def test_swap_set():

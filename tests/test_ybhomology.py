@@ -401,6 +401,29 @@ def test_obstruction_frozen_values():
     assert is_cocycle(z3, psi3)
 
 
+def test_obstruction_colors_each_cube_once(monkeypatch):
+    z4 = z4_biquandle()
+    f = CochainTable.from_function(2, 4, 4,
+                                   lambda x, y: int((x, y) == (0, 1)))
+    calls = []
+    real = ybhomology._edge_table
+
+    def counting(X, tuples):
+        calls.append(len(tuples))
+        return real(X, tuples)
+
+    monkeypatch.setattr(ybhomology, "_edge_table", counting)
+    coboundary(z4, f)
+    one_pass = list(calls)
+    calls.clear()
+    with pytest.raises(NotACocycle):
+        obstruction_cocycle(z4, f)
+    assert calls == one_pass
+    calls.clear()
+    obstruction_cocycle(z4, z4_cocycle())
+    assert calls == one_pass
+
+
 def test_obstruction_validation():
     z4 = z4_biquandle()
     bad = CochainTable.from_function(1, 4, 4, lambda x: 1 if x == 0 else 0)
