@@ -93,7 +93,7 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._wrap(_identity(n))
 
     def __getitem__(self, key):
         i, j = key
@@ -133,6 +133,10 @@ class SmithForm:
     invariant_factors: tuple[int, ...]
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b == g and g >= 0."""
     old_r, r = a, b
@@ -148,33 +152,40 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _snf_core(a: list[list[int]], want_u: bool, want_v: bool):
-    """Diagonalize in place; returns (u, v, factors) with u/v None if unwanted.
+def _snf_core(a: list[list[int]], u=None, v=None) -> tuple[int, ...]:
+    """Diagonalize a in place and return its non-zero diagonal.
 
-    Pivot rule: smallest non-zero absolute value in the trailing submatrix,
-    first such entry in row-major order.  Deterministic by construction.
+    Every row operation is also applied to u (any matrix with as many rows
+    as a) and every column operation to v (as many columns as a), in
+    place: if U @ a @ V is the diagonal form, u becomes U @ u and v
+    becomes v @ V.  Pivot rule: smallest non-zero absolute value in the
+    trailing submatrix, first such entry in row-major order.
+    Deterministic by construction.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_u else None
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_v else None
+    row_mats = (a,) if u is None else (a, u)
+    col_mats = (a,) if v is None else (a, v)
 
-    def swap_rows(m, i, j):
-        m[i], m[j] = m[j], m[i]
+    def swap_rows(i, j):
+        for m in row_mats:
+            m[i], m[j] = m[j], m[i]
 
-    def row_axpy(m, i, j, q):
+    def row_axpy(i, j, q):
         # row i -= q * row j
-        ri, rj = m[i], m[j]
-        m[i] = [x - q * y for x, y in zip(ri, rj)]
+        for m in row_mats:
+            m[i] = [x - q * y for x, y in zip(m[i], m[j])]
 
-    def swap_cols(m, i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
+    def swap_cols(i, j):
+        for m in col_mats:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
 
-    def col_axpy(m, i, j, q):
+    def col_axpy(i, j, q):
         # col i -= q * col j
-        for row in m:
-            row[i] -= q * row[j]
+        for m in col_mats:
+            for row in m:
+                row[i] -= q * row[j]
 
     limit = min(rows, cols)
     t = 0
@@ -192,27 +203,19 @@ def _snf_core(a: list[list[int]], want_u: bool, want_v: bool):
         if best is None:
             break
         if pi != t:
-            swap_rows(a, t, pi)
-            if u is not None:
-                swap_rows(u, t, pi)
+            swap_rows(t, pi)
         if pj != t:
-            swap_cols(a, t, pj)
-            if v is not None:
-                swap_cols(v, t, pj)
+            swap_cols(t, pj)
         while True:
             restart = False
             for i in range(t + 1, rows):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
                     if q:
-                        row_axpy(a, i, t, q)
-                        if u is not None:
-                            row_axpy(u, i, t, q)
+                        row_axpy(i, t, q)
                     if a[i][t]:
                         # remainder is strictly smaller; promote it
-                        swap_rows(a, t, i)
-                        if u is not None:
-                            swap_rows(u, t, i)
+                        swap_rows(t, i)
                         restart = True
                         break
             if restart:
@@ -221,21 +224,16 @@ def _snf_core(a: list[list[int]], want_u: bool, want_v: bool):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
                     if q:
-                        col_axpy(a, j, t, q)
-                        if v is not None:
-                            col_axpy(v, j, t, q)
+                        col_axpy(j, t, q)
                     if a[t][j]:
-                        swap_cols(a, t, j)
-                        if v is not None:
-                            swap_cols(v, t, j)
+                        swap_cols(t, j)
                         restart = True
                         break
             if not restart:
                 break
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
+            for m in row_mats:
+                m[t] = [-x for x in m[t]]
         t += 1
 
     # Enforce the divisibility chain with local 2x2 Bezout steps.
@@ -248,25 +246,15 @@ def _snf_core(a: list[list[int]], want_u: bool, want_v: bool):
                 continue
             changed = True
             g, x, y = _egcd(di, dj)
-            col_axpy(a, i, i + 1, -1)
-            if v is not None:
-                col_axpy(v, i, i + 1, -1)
-            ri = a[i]
-            rj = a[i + 1]
-            a[i] = [x * p + y * q for p, q in zip(ri, rj)]
-            a[i + 1] = [(-dj // g) * p + (di // g) * q for p, q in zip(ri, rj)]
-            if u is not None:
-                ri, rj = u[i], u[i + 1]
-                u[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                u[i + 1] = [(-dj // g) * p + (di // g) * q
+            col_axpy(i, i + 1, -1)
+            for m in row_mats:
+                ri, rj = m[i], m[i + 1]
+                m[i] = [x * p + y * q for p, q in zip(ri, rj)]
+                m[i + 1] = [(-dj // g) * p + (di // g) * q
                             for p, q in zip(ri, rj)]
-            q = a[i][i + 1] // g
-            col_axpy(a, i + 1, i, q)
-            if v is not None:
-                col_axpy(v, i + 1, i, q)
+            col_axpy(i + 1, i, a[i][i + 1] // g)
 
-    factors = tuple(a[i][i] for i in range(t))
-    return u, v, factors
+    return tuple(a[i][i] for i in range(t))
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithForm:
@@ -277,29 +265,27 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     derived from it is reproducible.
     """
     work = [row[:] for row in A.entries]
-    u, v, factors = _snf_core(work, want_u=True, want_v=True)
+    u, v = _identity(A.rows), _identity(A.cols)
+    factors = _snf_core(work, u, v)
     return SmithForm(
-        U=IntegerMatrix(u),
+        U=IntegerMatrix._wrap(u),
         D=IntegerMatrix(work) if A.rows else IntegerMatrix.zeros(0, A.cols),
-        V=IntegerMatrix(v),
+        V=IntegerMatrix._wrap(v),
         invariant_factors=factors,
     )
 
 
-def _reduced_rows(A: IntegerMatrix, m: int, dedup: bool):
-    """Rows of A reduced to the symmetric range mod m; zero rows dropped,
-    and with dedup also repeated rows.  The solution set mod m is unchanged."""
+def _reduced_rows(A: IntegerMatrix, m: int):
+    """Rows of A reduced to the symmetric range mod m, with zero and
+    repeated rows dropped.  The solution set mod m is unchanged."""
     half = m // 2
     seen = set()
     out = []
     for row in A.entries:
         red = tuple((e % m) - m if (e % m) > half else (e % m) for e in row)
-        if not any(red):
+        if not any(red) or red in seen:
             continue
-        if dedup:
-            if red in seen:
-                continue
-            seen.add(red)
+        seen.add(red)
         out.append(list(red))
     return out
 
@@ -312,15 +298,20 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     d_i * w_i vanishes mod m, so column i of V scaled by m / gcd(d_i, m)
     generates the kernel.  Exact for composite m, where plain row
     reduction over a field is unavailable.
+
+    Because V is unimodular, the generators span a direct sum of cyclic
+    groups, and a generator g has order m // gcd(m, *g); the order of the
+    kernel is the product of these orders.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
     c = A.cols
     if c == 0:
         return []
-    work = _reduced_rows(A, m, dedup=True)
+    work = _reduced_rows(A, m)
     work += [[m if i == j else 0 for j in range(c)] for i in range(c)]
-    _, v, factors = _snf_core(work, want_u=False, want_v=True)
+    v = _identity(c)
+    factors = _snf_core(work, v=v)
     gens = []
     for i, d in enumerate(factors):
         mult = m // gcd(d, m)
@@ -338,79 +329,20 @@ def solve_mod(A: IntegerMatrix, b, m: int):
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
     work = [[e % m for e in row] for row in A.entries]
-    rows, cols = A.rows, A.cols
-    u, v, factors = _snf_core(work, want_u=True, want_v=True)
-    rank = len(factors)
-    y = [0] * cols
-    for i in range(rows):
-        ci = sum(ue * be for ue, be in zip(u[i], b)) % m
-        d = factors[i] if i < rank else 0
+    # U @ A @ V == D; row i of D @ y == U @ b reads d_i * y_i == (U @ b)_i
+    ub = [[e] for e in b]
+    v = _identity(A.cols)
+    factors = _snf_core(work, ub, v)
+    y = [0] * A.cols
+    for i, (ci,) in enumerate(ub):
+        d = factors[i] if i < len(factors) else 0
         g = gcd(d, m)
         if ci % g:
             return None
-        if i < cols and d:
-            sub = m // g
-            if sub > 1:
-                y[i] = (ci // g) * pow((d // g) % sub, -1, sub) % sub
+        sub = m // g
+        if sub > 1:
+            y[i] = ci // g * pow(d // g % sub, -1, sub) % sub
     return [sum(ve * ye for ve, ye in zip(row, y)) % m for row in v]
-
-
-def _column_lattice_basis(mat: list[list[int]], c: int, n: int):
-    """Lower-triangular basis (as columns) of the column lattice of a
-    c x n integer matrix of full row rank."""
-    a = [row[:] for row in mat]
-
-    def col_axpy(j, k, q):
-        for row in a:
-            row[j] -= q * row[k]
-
-    for r in range(c):
-        while True:
-            best = None
-            piv = -1
-            for j in range(r, n):
-                e = a[r][j]
-                if e and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = j
-            if best is None:
-                raise ValueError("matrix does not have full row rank")
-            if piv != r:
-                for row in a:
-                    row[r], row[piv] = row[piv], row[r]
-            done = True
-            for j in range(r + 1, n):
-                if a[r][j]:
-                    q = a[r][j] // a[r][r]
-                    if q:
-                        col_axpy(j, r, q)
-                    if a[r][j]:
-                        done = False
-            if done:
-                break
-        if a[r][r] < 0:
-            for row in a:
-                row[r] = -row[r]
-    return [[a[i][j] for i in range(c)] for j in range(c)]
-
-
-def _in_basis(basis: list[list[int]], target: list[int]):
-    """Coordinates of target in a lower-triangular column basis, or None
-    when target is not an integer combination."""
-    c = len(target)
-    residual = list(target)
-    coords = [0] * c
-    for r in range(c):
-        d = basis[r][r]
-        if residual[r] % d:
-            return None
-        w = residual[r] // d
-        coords[r] = w
-        if w:
-            col = basis[r]
-            for i in range(r, c):
-                residual[i] -= w * col[i]
-    return coords
 
 
 def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ...]:
@@ -430,22 +362,24 @@ def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ..
     if any(len(g) != c for g in kernel_gens + image_gens):
         raise ValueError("generator length mismatch")
 
-    lattice = [[g[i] for g in kernel_gens] + [m * int(i == j) for j in range(c)]
-               for i in range(c)]
-    basis = _column_lattice_basis(lattice, c, len(kernel_gens) + c)
-
+    # If U @ K @ V is diagonal with d_1, d_2, ..., then U maps the kernel
+    # lattice K Z^k + m Z^c onto the sum of the e_i Z, e_i = gcd(d_i, m)
+    # (e_i = m past the rank).  A vector x lies in it exactly when each
+    # (U @ x)_i is divisible by e_i, and the quotients are its coordinates.
+    # The image lattice contains m Z^c, whose coordinates are the
+    # (m / e_i) Z, so image coordinates are read mod m / e_i.
+    kernel = [[g[i] for g in kernel_gens] for i in range(c)]
+    image = [[g[i] for g in image_gens] for i in range(c)]
+    diagonal = _snf_core(kernel, image)
     relations = []
-    for gen in image_gens + [[m * int(i == j) for i in range(c)]
-                             for j in range(c)]:
-        coords = _in_basis(basis, gen)
-        if coords is None:
+    for i, row in enumerate(image):
+        e = gcd(diagonal[i], m) if i < len(diagonal) else m
+        if any(x % e for x in row):
             raise ImageNotContained(
                 "image generator outside the span of the kernel generators")
-        relations.append(coords)
-
-    work = [[rel[i] for rel in relations] for i in range(c)]
-    _, _, factors = _snf_core(work, want_u=False, want_v=False)
-    return tuple(f for f in factors if f != 1)
+        relations.append([x // e % (m // e) for x in row]
+                         + [m // e * int(i == j) for j in range(c)])
+    return tuple(f for f in _snf_core(relations) if f != 1)
 
 
 class GroupRingElement:

@@ -293,6 +293,15 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     return FiniteYBSet(r1, r2, label=f"block(q={q},s={s},t={t})")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _omega_digits(q: int, h: int, k: int) -> int:
+    if q < 2 or h < 1 or k < 1:
+        raise ValueError("need q >= 2 and h, k >= 1")
+    return h + k - 1
+
+
 class OmegaRing:
     """Digit layout of the truncated ring Z_q[a, b]/(ab, a^h, b^k).
 
@@ -303,13 +312,15 @@ class OmegaRing:
     """
 
     def __init__(self, q: int, h: int, k: int):
-        if q < 2 or h < 1 or k < 1:
-            raise ValueError("need q >= 2 and h, k >= 1")
         self.q = q
         self.h = h
         self.k = k
-        self.digits = h + k - 1
+        self.digits = _omega_digits(q, h, k)
         self.size = q ** self.digits
+        if self.size > _INT64_MAX:
+            raise ResourceBound(
+                f"OmegaRing: q^(h+k-1) = {self.size} elements exceed the "
+                f"int64 index range {_INT64_MAX}")
         # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
         self.a_chain = list(range(h))
         self.b_chain = [0] + list(range(h, h + k - 1))
@@ -350,8 +361,8 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     """Solution on the truncated ring: with a = 1-s and b = 1-t nilpotent,
     R(x, y) = (y + a*(x - y), x + b*(y - x)), elements indexed as in
     OmegaRing."""
+    _check_table_size("make_omega", q ** _omega_digits(q, h, k))
     ring = OmegaRing(q, h, k)
-    _check_table_size("make_omega", ring.size)
     x = ring.digits_of(np.arange(ring.size))
     ax, bx = ring.times_a(x), ring.times_b(x)
     # split each component into a part in x plus a part in y
@@ -525,6 +536,7 @@ def swap_set(n: int) -> FiniteYBSet:
     """The trivial solution R(x, y) = (y, x) on n elements."""
     if n < 1:
         raise ValueError("need at least one element")
+    _check_table_size("swap_set", n)
     i = np.arange(n, dtype=np.int64)
     r1 = np.broadcast_to(i.reshape(1, n), (n, n))
     r2 = np.broadcast_to(i.reshape(n, 1), (n, n))

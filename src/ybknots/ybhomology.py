@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -335,10 +335,6 @@ class CohomologyReport:
                 "cocycle_generators": [g.to_json() for g in self.generators]}
 
 
-def _span_order(gens, m: int) -> int:
-    return prod(quotient_invariant_factors(gens, [], m))
-
-
 def cohomology_group(X: FiniteYBSet, n: int, m: int,
                      max_cells: int | None = None) -> CohomologyReport:
     """Invariant factors of ker(delta^n) / im(delta^(n-1)) over Z_m.
@@ -360,12 +356,14 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
         columns = np.array(previous, dtype=np.int64).T % m
         image = [col for col in columns.tolist() if any(col)]
     factors = quotient_invariant_factors(kernel, image, m)
+    # kernel_mod's generators span a direct sum of cyclic groups
+    cocycle_order = prod(m // gcd(m, *g) for g in kernel)
     return CohomologyReport(
         arity=n,
         modulus=m,
         invariant_factors=factors,
-        cocycle_order=_span_order(kernel, m),
-        coboundary_order=_span_order(image, m),
+        cocycle_order=cocycle_order,
+        coboundary_order=cocycle_order // prod(factors),
         generators=tuple(CochainTable(n, X.size, m, g) for g in kernel),
     )
 

@@ -1,6 +1,7 @@
 """Exact integer linear algebra and group-ring arithmetic."""
 
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -78,6 +79,28 @@ def test_smith_properties(rows, cols):
             A.transpose()).invariant_factors == sf.invariant_factors
 
 
+# Exact transforms, pinned so that the sequence of row and column
+# operations cannot drift; diag(2, 3) needs the divisibility fix-up.
+SMITH_PINNED = [
+    ([[2, 0], [0, 3]],
+     [[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]]),
+    ([[4, 6], [6, 9]],
+     [[-1, 1], [3, -2]], [[1, 0], [0, 0]], [[-1, 3], [1, -2]]),
+    ([[6, 10, 15]],
+     [[1]], [[1, 0, 0]], [[-14, -5, 30], [7, 3, -15], [1, 0, -2]]),
+    ([[0, 2, 4], [3, 0, 6], [1, 1, 1]],
+     [[0, 0, 1], [2, 1, -3], [3, 2, -6]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 18]],
+     [[1, -1, 10], [0, 1, -11], [0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("a,U,D,V", SMITH_PINNED)
+def test_smith_pinned_transforms(a, U, D, V):
+    sf = smith_normal_form(IntegerMatrix(a))
+    assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+
+
 def test_smith_zero_and_identity():
     Z = IntegerMatrix.zeros(2, 3)
     assert smith_normal_form(Z).invariant_factors == ()
@@ -138,6 +161,20 @@ def test_solve_frozen_examples():
     assert solve_mod(IntegerMatrix([[2]]), [1], 4) is None
 
 
+def test_solve_pinned_solutions():
+    # the particular solution V @ y, pinned for composite moduli
+    cases = [
+        ([[2, 3], [4, 1]], [1, 5], 6, [2, 3]),
+        ([[6, 4, 2], [3, 0, 9]], [2, 3], 12, [0, 0, 7]),
+        ([[2, 0], [0, 3]], [4, 3], 12, [8, 9]),
+        ([[3, 6], [9, 3]], [6, 3], 12, [0, 1]),
+        ([[4, 2, 2], [2, 2, 0], [0, 2, 6]], [2, 4, 6], 8, [3, 3, 0]),
+        ([[2, 4]], [3], 8, None),
+    ]
+    for a, b, m, x in cases:
+        assert solve_mod(IntegerMatrix(a), b, m) == x
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 9])
 def test_solve_round_trip(m):
     rng = random.Random(50 + m)
@@ -163,6 +200,40 @@ def test_quotient_frozen_examples():
     assert quotient_invariant_factors(units, units, 6) == ()
     with pytest.raises(ImageNotContained):
         quotient_invariant_factors([[2, 0]], [[1, 0]], 4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12])
+def test_quotient_matches_brute_force(m):
+    # For a quotient Q = span K / span I with invariant factors a_i, the
+    # t-torsion {x in span K : t*x in span I} / span I has order
+    # prod gcd(t, a_i) for every t dividing m; t = m gives |Q|.
+    rng = random.Random(700 + m)
+    divisors = [t for t in range(1, m + 1) if m % t == 0]
+    outside = 0
+    for trial in range(16):
+        c = rng.randint(1, 3)
+        K = [[rng.randrange(m) for _ in range(c)]
+             for _ in range(rng.randint(0, 3))]
+        if trial % 4 == 3:
+            I = [[rng.randrange(m) for _ in range(c)]
+                 for _ in range(rng.randint(1, 2))]
+        else:
+            I = [[sum(rng.randint(-2, 2) * g[j] for g in K) % m
+                  for j in range(c)] for _ in range(rng.randint(0, 3))]
+        span_k, span_i = _span(K, m, c), _span(I, m, c)
+        if not span_i <= span_k:
+            outside += 1
+            with pytest.raises(ImageNotContained):
+                quotient_invariant_factors(K, I, m)
+            continue
+        factors = quotient_invariant_factors(K, I, m)
+        assert all(f > 1 and m % f == 0 for f in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        for t in divisors:
+            torsion = sum(tuple(t * v % m for v in x) in span_i
+                          for x in span_k)
+            assert torsion == len(span_i) * prod(gcd(t, a) for a in factors)
+    assert outside
 
 
 def test_residue():

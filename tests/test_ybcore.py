@@ -219,6 +219,22 @@ def test_constructors_cap_table_size():
         make_omega(2, 40, 40)
     with pytest.raises(ResourceBound, match="extend"):
         extend(swap_set(64), 65, CochainTable.zero(2, 64, 65))
+    with pytest.raises(ResourceBound, match="swap_set"):
+        swap_set(4097)
+    assert swap_set(4096).size == 4096
+
+
+def test_omega_ring_stays_in_int64():
+    # 2^62 elements: the largest power of two an int64 index reaches
+    ring = OmegaRing(2, 32, 31)
+    assert ring.weights()[0] == 2 ** 61
+    index = np.array([5, 2 ** 62 - 1])
+    assert np.array_equal(ring.index_of(ring.digits_of(index)), index)
+    for h, k in ((32, 32), (40, 40)):
+        with pytest.raises(ResourceBound, match=r"OmegaRing: q\^\(h\+k-1\)"):
+            OmegaRing(2, h, k)
+    with pytest.raises(ValueError):
+        OmegaRing(1, 40, 40)
 
 
 def test_swap_set():

@@ -37,6 +37,8 @@ from ybknots.errors import (
 )
 from ybknots.reference import z3_biquandle, z3_cocycle, z4_biquandle, z4_cocycle
 
+from test_modalg import _span
+
 SMALL_SETS = [
     ("z3", z3_biquandle, 3),
     ("z4", z4_biquandle, 4),
@@ -366,6 +368,22 @@ def test_cohomology_frozen_values():
     json.dumps(data)
     assert data["invariant_factors"] == [3, 3, 3]
     assert data["order"] == 27
+
+
+@pytest.mark.parametrize("maker,m", [(z3_biquandle, 3), (z4_biquandle, 4),
+                                     (z4_biquandle, 2)])
+def test_cohomology_orders_match_spans(maker, m):
+    # the orders are read off the kernel basis; count both spans instead
+    X = maker()
+    H = cohomology_group(X, 2, m)
+    width = X.size ** 2
+    cocycles = _span([g.values.tolist() for g in H.generators], m, width)
+    image = (np.array(coboundary_matrix(X, 1).entries).T % m).tolist()
+    coboundaries = _span(image, m, width)
+    assert coboundaries <= cocycles
+    assert H.cocycle_order == len(cocycles)
+    assert H.coboundary_order == len(coboundaries)
+    assert H.order == len(cocycles) // len(coboundaries)
 
 
 def test_cohomology_generators_are_cocycles():
