@@ -35,6 +35,7 @@ from .ybcore import (
     BirackReport,
     CochainTable,
     FiniteYBSet,
+    LinearForm,
     OmegaRing,
     extend,
     make_affine,

@@ -6,18 +6,39 @@ crossing through the inverse map, and a virtual crossing v_i transposes
 the positions.  Colorings of the closure are the fixed tuples of that
 action; the cocycle state sum weights each coloring by the crossings it
 passes through and collects the total in the group ring Z[Z_m].
+
+A solution with a declared linear form (`FiniteYBSet.linear`) has the
+word act as one matrix W on the stacked digit vectors of the strands,
+so its colorings are ker(W - I) over Z_q: they are counted from the
+kernel's generators and listed from them, never searched for.  Any
+other solution has every tuple of X^k traced through the word, in slabs.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, ModulusMismatch
-from .modalg import GroupRingElement
+from .errors import (
+    ArityMismatch,
+    BraidSyntaxError,
+    IndexOutOfRange,
+    ModulusMismatch,
+    ResourceBound,
+)
+from .modalg import GroupRingElement, IntegerMatrix, kernel_mod
 from .ybcore import CochainTable, FiniteYBSet
+
+# Most strand tuples traced for one call: |X|^k for a solution given by
+# its tables, the number of colorings for one with a linear form.
+MAX_TUPLES = 2 ** 24
+# strand colors traced at once; a slab's columns stay in cache, which
+# traced the 15^5 tuples of a 5-strand word about twice as fast as one
+# array holding all of them
+_SLAB_ENTRIES = 2 ** 16
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -147,21 +168,23 @@ def apply_word(X: FiniteYBSet, word: BraidWord, colors) -> tuple[int, ...]:
     return tuple(current)
 
 
-def _all_tuples(size: int, k: int) -> np.ndarray:
-    """X^k as rows in lexicographic order, first coordinate most
+def _check_tuples(stage: str, what: str, count: int):
+    if count > MAX_TUPLES:
+        raise ResourceBound(
+            f"{stage}: {what} = {count} exceeds the cap {MAX_TUPLES}")
+
+
+def _tuples(size: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of X^k in lexicographic order, first coordinate most
     significant."""
-    count = size ** k
-    index = np.arange(count, dtype=np.int64)
-    columns = [(index // size ** (k - 1 - pos)) % size for pos in range(k)]
-    if not columns:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.stack(columns, axis=1)
+    index = np.arange(lo, hi, dtype=np.int64)
+    return np.stack([index // size ** (k - 1 - pos) % size
+                     for pos in range(k)], axis=1)
 
 
-def _trace_word(X: FiniteYBSet, word: BraidWord, psi_array, modulus):
-    """Run every tuple through the word at once; returns (start, end,
+def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
+    """Run the rows of `start` through the word at once; returns (end,
     accumulated weights or None)."""
-    start = _all_tuples(X.size, word.strands)
     current = start.copy()
     weights = None if psi_array is None else np.zeros(len(start),
                                                      dtype=np.int64)
@@ -186,7 +209,94 @@ def _trace_word(X: FiniteYBSet, word: BraidWord, psi_array, modulus):
             current[:, i + 1] = nb
         else:
             current[:, [i, i + 1]] = current[:, [i + 1, i]]
-    return start, current, weights
+    return current, weights
+
+
+def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
+    """W over Z_q: the word's action on the k strands' digit vectors,
+    stacked strand by strand.
+
+    A positive crossing applies the form's matrix A to the digits of
+    strands i and i+1, a virtual crossing swaps them.  A negative crossing
+    applies A^-1, whose column j is the digits of Rbar(e_j), e_j the pair
+    with digit j set; Rbar is linear because R is.
+    """
+    form = X.linear
+    q, d = form.q, form.d
+    forward = np.array(form.matrix, dtype=np.int64)
+    if _needs_inverse(word):
+        units = q ** np.arange(d - 1, -1, -1)
+        pairs = [(u, 0) for u in units] + [(0, u) for u in units]
+        images = np.array([X.rbar(x, y) for x, y in pairs])
+        backward = (images[:, :, None] // units % q).reshape(2 * d, 2 * d).T
+    W = np.eye(d * word.strands, dtype=np.int64)
+    for g in word.generators:
+        i = (g.index - 1) * d
+        pair = slice(i, i + 2 * d)
+        if g.kind == POSITIVE:
+            W[pair] = forward @ W[pair] % q
+        elif g.kind == NEGATIVE:
+            W[pair] = backward @ W[pair] % q
+        else:
+            W[pair] = np.roll(W[pair], d, axis=0)
+    return W
+
+
+def _kernel(X: FiniteYBSet, word: BraidWord) -> tuple[list, list]:
+    """Generators of ker(W - I) over Z_q and their orders.  kernel_mod's
+    generators span a direct sum, so each coloring is one combination
+    sum c_i g_i with 0 <= c_i < order_i."""
+    q = X.linear.q
+    W = _word_matrix(X, word) - np.eye(X.linear.d * word.strands,
+                                       dtype=np.int64)
+    gens = kernel_mod(IntegerMatrix(W.tolist()), q)
+    return gens, [q // math.gcd(q, *g) for g in gens]
+
+
+def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
+    """Every element of ker(W - I) as a strand tuple, in lexicographic
+    order."""
+    q, d = X.linear.q, X.linear.d
+    gens, orders = _kernel(X, word)
+    total = math.prod(orders)
+    _check_tuples(stage, "colorings", total)
+    index = np.arange(total, dtype=np.int64)
+    vectors = np.zeros((total, d * word.strands), dtype=np.int64)
+    # mixed radix over the generator orders, the last generator fastest
+    for g, order in zip(gens[::-1], orders[::-1]):
+        vectors = (vectors + np.outer(index % order, g)) % q
+        index //= order
+    rows = vectors.reshape(total, word.strands, d) @ (
+        q ** np.arange(d - 1, -1, -1))
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
+                psi_array=None, modulus=None):
+    """The colorings of the closed word as rows in lexicographic order,
+    with their accumulated weights (None without a cochain)."""
+    if X.linear is not None:
+        start = _kernel_rows(stage, X, word)
+        end, weights = _trace_word(X, word, start, psi_array, modulus)
+        if not np.array_equal(end, start):
+            raise RuntimeError(
+                f"{stage}: a kernel element of W - I is not fixed by "
+                f"{word!r} on {X.label}")
+        return start, weights
+    k = word.strands
+    total = X.size ** k
+    _check_tuples(stage, f"|X|^k = {X.size}^{k}", total)
+    step = max(1, _SLAB_ENTRIES // k)
+    rows, weights = [], []
+    for lo in range(0, total, step):
+        start = _tuples(X.size, k, lo, min(lo + step, total))
+        end, slab_weights = _trace_word(X, word, start, psi_array, modulus)
+        fixed = (end == start).all(axis=1)
+        rows.append(start[fixed])
+        if slab_weights is not None:
+            weights.append(slab_weights[fixed])
+    return (np.concatenate(rows),
+            np.concatenate(weights) if weights else None)
 
 
 @dataclass(frozen=True)
@@ -204,15 +314,16 @@ class ColoringSet:
 
 def colorings(X: FiniteYBSet, word: BraidWord) -> ColoringSet:
     """Colorings of the closed braid: tuples with apply_word(t) == t."""
-    start, end, _ = _trace_word(X, word, None, None)
-    fixed = (end == start).all(axis=1)
-    found = tuple(tuple(int(v) for v in row) for row in start[fixed])
-    return ColoringSet(word, found)
+    rows, _ = _fixed_rows("colorings", X, word)
+    return ColoringSet(word, tuple(map(tuple, rows.tolist())))
 
 
 def count_colorings(X: FiniteYBSet, word: BraidWord) -> int:
-    start, end, _ = _trace_word(X, word, None, None)
-    return int((end == start).all(axis=1).sum())
+    """Number of colorings; with a linear form, the order of ker(W - I),
+    which enumerates nothing and so is not capped."""
+    if X.linear is not None:
+        return math.prod(_kernel(X, word)[1])
+    return len(_fixed_rows("count_colorings", X, word)[0])
 
 
 @dataclass(frozen=True)
@@ -255,9 +366,8 @@ def state_sum(X: FiniteYBSet, psi: CochainTable, word: BraidWord) -> InvariantVa
         raise ModulusMismatch(
             f"cochain set size {psi.set_size} does not match |X| = {X.size}")
     m = psi.modulus
-    start, end, weights = _trace_word(X, word, psi.as_array(), m)
-    fixed = (end == start).all(axis=1)
-    coefficients = np.bincount(weights[fixed] % m, minlength=m)
+    _, weights = _fixed_rows("state_sum", X, word, psi.as_array(), m)
+    coefficients = np.bincount(weights, minlength=m)
     return InvariantValue(GroupRingElement(m, [int(c) for c in coefficients]))
 
 

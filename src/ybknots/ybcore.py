@@ -10,6 +10,8 @@ three crossings:
 Constructors cover the affine one-dimensional family, the two-block
 upper-triangular family on Z_q^2, truncated polynomial rings with two
 nilpotent generators, and twisted abelian extensions of any base set.
+The first three are Z_q-linear and declare that form (`LinearForm`) on
+the solution they build; their tables are computed from it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,52 @@ def _check_table_size(constructor: str, n: int):
 
 
 @dataclass(frozen=True)
+class LinearForm:
+    """A solution on (Z_q)^d given by one 2d x 2d matrix over Z_q.
+
+    An element's index reads its d base-q digits, most significant first.
+    `matrix` maps the 2d digits of (x, y), x's first, to the 2d digits of
+    (R1(x, y), R2(x, y)); it is stored as a tuple of rows with entries
+    in 0..q-1.
+    """
+
+    q: int
+    d: int
+    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        matrix = tuple(tuple(int(e) % self.q for e in row)
+                       for row in self.matrix)
+        if len(matrix) != 2 * self.d or any(len(row) != 2 * self.d
+                                            for row in matrix):
+            raise ValueError(f"need a {2 * self.d} x {2 * self.d} matrix")
+        object.__setattr__(self, "matrix", matrix)
+
+
+def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
+    """R1 and R2 of a linear form as n x n index tables, built one output
+    digit at a time so only (n, n) arrays are formed."""
+    q, d = form.q, form.d
+    n = q ** d
+    # every value below fits in int32 (n <= 2^12 under the table cap),
+    # which halves the traffic of the (n, n) steps
+    digits = (np.arange(n, dtype=np.int32)[:, None]
+              // q ** np.arange(d - 1, -1, -1, dtype=np.int32) % q)
+    matrix = np.array(form.matrix, dtype=np.int32)
+    # column r: output digit r's part in x, and its part in y
+    in_x = digits @ matrix[:, :d].T % q
+    in_y = digits @ matrix[:, d:].T % q
+
+    def table(rows):
+        out = (in_x[:, rows[0], None] + in_y[:, rows[0]]) % q
+        for r in rows[1:]:
+            out = out * q + (in_x[:, r, None] + in_y[:, r]) % q
+        return out
+
+    return table(range(d)), table(range(d, 2 * d))
+
+
+@dataclass(frozen=True)
 class BirackReport:
     """Invertibility summary for a YB set."""
 
@@ -65,7 +113,8 @@ class FiniteYBSet:
 
     The tables are frozen at construction; verification methods cache
     their answers and, when R is invertible, populate the inverse tables
-    used for negative crossings.
+    used for negative crossings.  `linear` is the Z_q-linear form the
+    solution was built from, or None for a solution given by its tables.
     """
 
     def __init__(self, r1, r2, label: str | None = None):
@@ -90,6 +139,17 @@ class FiniteYBSet:
         self._rbar1 = None
         self._rbar2 = None
         self._witness = None
+        self._linear = None
+
+    @classmethod
+    def _from_linear(cls, form: LinearForm, label: str) -> "FiniteYBSet":
+        made = cls(*_linear_tables(form), label=label)
+        made._linear = form
+        return made
+
+    @property
+    def linear(self) -> LinearForm | None:
+        return self._linear
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return int(self.r1[x, y]), int(self.r2[x, y])
@@ -262,12 +322,9 @@ def make_affine(q: int, s: int, t: int, u: int = 1) -> FiniteYBSet:
     p = AffineParams(q, s, t, u)
     _check_table_size("make_affine", q)
     u_inv = pow(p.u, -1, q)
-    x = np.arange(q, dtype=np.int64).reshape(q, 1)
-    y = np.arange(q, dtype=np.int64).reshape(1, q)
-    r1 = ((1 - p.s) * x + p.u * p.s * y) % q
-    r2 = (u_inv * p.t * x + (1 - p.t) * y) % q
-    return FiniteYBSet(np.broadcast_to(r1, (q, q)), np.broadcast_to(r2, (q, q)),
-                       label=f"affine(q={q},s={p.s},t={p.t},u={p.u})")
+    form = LinearForm(q, 1, ((1 - p.s, p.u * p.s), (u_inv * p.t, 1 - p.t)))
+    return FiniteYBSet._from_linear(
+        form, f"affine(q={q},s={p.s},t={p.t},u={p.u})")
 
 
 def make_block(q: int, s: int, t: int) -> FiniteYBSet:
@@ -281,16 +338,14 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
         raise ValueError(f"q must be at least 2, got {q}")
     s %= q
     t %= q
-    n = q * q
-    _check_table_size("make_block", n)
-    i = np.arange(n, dtype=np.int64)
-    x1 = (i // q).reshape(n, 1)
-    x2 = (i % q).reshape(n, 1)
-    y1 = (i // q).reshape(1, n)
-    y2 = (i % q).reshape(1, n)
-    r1 = ((y1 + s * (y2 - x2)) % q) * q + np.broadcast_to(y2, (n, n))
-    r2 = ((x1 + t * (x2 - y2)) % q) * q + np.broadcast_to(x2, (n, n))
-    return FiniteYBSet(r1, r2, label=f"block(q={q},s={s},t={t})")
+    _check_table_size("make_block", q * q)
+    # columns x1 x2 y1 y2; rows R1 = (y1 + s(y2 - x2), y2),
+    # R2 = (x1 + t(x2 - y2), x2)
+    form = LinearForm(q, 2, ((0, -s, 1, s),
+                             (0, 0, 0, 1),
+                             (1, t, 0, -t),
+                             (0, 1, 0, 0)))
+    return FiniteYBSet._from_linear(form, f"block(q={q},s={s},t={t})")
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -336,26 +391,6 @@ class OmegaRing:
     def index_of(self, digits) -> np.ndarray:
         return np.tensordot(self.weights(), np.asarray(digits) % self.q, 1)
 
-    @staticmethod
-    def _shift(chain, digits) -> np.ndarray:
-        out = np.zeros_like(digits)
-        out[chain[1:]] = digits[chain[:-1]]
-        return out
-
-    def times_a(self, digits) -> np.ndarray:
-        return self._shift(self.a_chain, digits)
-
-    def times_b(self, digits) -> np.ndarray:
-        return self._shift(self.b_chain, digits)
-
-    def sum_table(self, left, right) -> np.ndarray:
-        """Index table T[i, j] of left[:, i] + right[:, j], one digit at a
-        time so only (len(i), len(j)) arrays are formed."""
-        out = np.zeros((left.shape[1], right.shape[1]), dtype=np.int64)
-        for d, w in enumerate(self.weights().tolist()):
-            out += (left[d].reshape(-1, 1) + right[d]) % self.q * w
-        return out
-
 
 def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     """Solution on the truncated ring: with a = 1-s and b = 1-t nilpotent,
@@ -363,12 +398,17 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     OmegaRing."""
     _check_table_size("make_omega", q ** _omega_digits(q, h, k))
     ring = OmegaRing(q, h, k)
-    x = ring.digits_of(np.arange(ring.size))
-    ax, bx = ring.times_a(x), ring.times_b(x)
-    # split each component into a part in x plus a part in y
-    r1 = ring.sum_table(ax, x - ax)
-    r2 = ring.sum_table(x - bx, bx)
-    return FiniteYBSet(r1, r2, label=f"omega(q={q},h={h},k={k})")
+    d = ring.digits
+    # multiplying by a or b shifts the digits one step along its chain
+    times_a = np.zeros((d, d), dtype=np.int64)
+    times_a[ring.a_chain[1:], ring.a_chain[:-1]] = 1
+    times_b = np.zeros((d, d), dtype=np.int64)
+    times_b[ring.b_chain[1:], ring.b_chain[:-1]] = 1
+    one = np.eye(d, dtype=np.int64)
+    # R1 = a*x + (y - a*y), R2 = (x - b*x) + b*y
+    form = LinearForm(q, d, np.block([[times_a, one - times_a],
+                                      [one - times_b, times_b]]).tolist())
+    return FiniteYBSet._from_linear(form, f"omega(q={q},h={h},k={k})")
 
 
 class CochainTable:

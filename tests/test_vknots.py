@@ -3,12 +3,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ybknots import (
     BraidGenerator,
     BraidWord,
+    CochainTable,
+    FiniteYBSet,
     GroupRingElement,
+    LinearForm,
     apply_word,
     cocycle_space,
     ColoringSet,
@@ -16,11 +20,14 @@ from ybknots import (
     count_colorings,
     equivalent_words,
     make_affine,
+    make_block,
+    make_omega,
     parse_braid,
     state_sum,
     swap_set,
+    vknots,
 )
-from ybknots.errors import BraidSyntaxError, IndexOutOfRange
+from ybknots.errors import BraidSyntaxError, IndexOutOfRange, ResourceBound
 from ybknots.reference import (
     BORROMEAN_VALUE,
     BORROMEAN_WORD,
@@ -288,3 +295,107 @@ def test_stabilization_breaks_without_type_one():
     assert plain.value == GroupRingElement(4, (2, 2, 0, 0))
     assert stabilized.value == GroupRingElement(4, (2, 0, 2, 0))
     assert plain.value != stabilized.value
+
+
+def _random_word(rng, strands, letters):
+    kinds = ("positive", "negative", "virtual")
+    gens = [BraidGenerator(rng.choice(kinds), rng.randint(1, strands - 1))
+            for _ in range(letters if strands > 1 else 0)]
+    return BraidWord(strands, tuple(gens))
+
+
+@pytest.mark.parametrize("X", [
+    make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5),
+    make_block(2, 1, 1), make_block(3, 1, 2),
+    make_omega(2, 2, 2), make_omega(3, 2, 1)], ids=lambda X: X.label)
+def test_linear_path_matches_brute_force(X):
+    # the same tables without a declared form take the brute-force path
+    table = FiniteYBSet(X.r1, X.r2)
+    assert X.linear is not None and table.linear is None
+    rng = random.Random(X.label)
+    for _ in range(20):
+        strands = rng.randint(1, 4 if X.size > 9 else 5)
+        word = _random_word(rng, strands, rng.randint(0, 12))
+        m = rng.randint(2, 5)
+        psi = CochainTable(2, X.size, m,
+                           [rng.randrange(m) for _ in range(X.size ** 2)])
+        found = colorings(X, word).tuples
+        assert found == colorings(table, word).tuples, word
+        assert count_colorings(X, word) == len(found)
+        assert count_colorings(table, word) == len(found)
+        assert state_sum(X, psi, word).value == \
+            state_sum(table, psi, word).value, word
+
+
+def test_linear_path_five_strands_on_fifteen_elements():
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    psi = CochainTable(2, 15, 3, [(x * y + x) % 3 for x in range(15)
+                                  for y in range(15)])
+    word = parse_braid("s1 s2^-1 v3 s4 s1^-1 s3 v2 s4^-1 s2", strands=5)
+    found = colorings(X, word).tuples
+    assert found == colorings(table, word).tuples
+    assert count_colorings(X, word) == len(found)
+    assert state_sum(X, psi, word).value == state_sum(table, psi, word).value
+
+
+def test_brute_force_slabs_keep_order(monkeypatch):
+    X = FiniteYBSet(make_block(2, 1, 1).r1, make_block(2, 1, 1).r2)
+    psi = CochainTable(2, 4, 3, [x + 2 * y for x in range(4) for y in range(4)])
+    word = parse_braid("s1 v2 s3^-1 s2 s1", strands=4)
+    whole = (colorings(X, word), count_colorings(X, word),
+             state_sum(X, psi, word))
+    monkeypatch.setattr(vknots, "_SLAB_ENTRIES", 1)  # one tuple a slab
+    assert (colorings(X, word), count_colorings(X, word),
+            state_sum(X, psi, word)) == whole
+
+
+def test_linear_path_reaches_past_brute_force():
+    X = make_affine(15, 4, 11, 2)
+    unknots = parse_braid("", strands=13)
+    assert count_colorings(X, unknots) == 15 ** 13
+    with pytest.raises(ResourceBound, match="state_sum: colorings = "
+                       f"{15 ** 13}"):
+        state_sum(X, CochainTable.zero(2, 15, 2), unknots)
+    with pytest.raises(ResourceBound, match="colorings: colorings = "):
+        colorings(X, unknots)
+
+
+def test_brute_force_cap_raises_before_enumerating(monkeypatch):
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    word = parse_braid("s1 s2", strands=7)
+
+    def refuse(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(vknots, "_tuples", refuse)
+    for call, name in ((lambda: count_colorings(table, word), "count_colorings"),
+                       (lambda: colorings(table, word), "colorings"),
+                       (lambda: state_sum(table, CochainTable.zero(2, 15, 2),
+                                          word), "state_sum")):
+        with pytest.raises(ResourceBound,
+                           match=rf"{name}: \|X\|\^k = 15\^7 = {15 ** 7} "):
+            call()
+    # the linear path neither enumerates tuples nor hits the cap: the
+    # closure is an unknot on three strands beside four unlinked strands
+    assert count_colorings(X, word) == 15 ** 5
+
+
+def test_linear_path_needs_invertible_r_for_negative_crossings():
+    # R(x, y) = (x + y, x + y) on Z_3 is linear but not invertible
+    X = FiniteYBSet._from_linear(LinearForm(3, 1, ((1, 1), (1, 1))), "flat")
+    table = FiniteYBSet(X.r1, X.r2)
+    assert count_colorings(X, parse_braid("s1")) == \
+        count_colorings(table, parse_braid("s1"))
+    for Y in (X, table):
+        with pytest.raises(ValueError, match="not invertible"):
+            count_colorings(Y, parse_braid("s1^-1"))
+
+
+def test_unfixed_kernel_row_is_an_error(monkeypatch):
+    X = make_affine(5, 2, 1)
+    monkeypatch.setattr(vknots, "_kernel_rows",
+                        lambda stage, X, word: np.array([[0, 1]]))
+    with pytest.raises(RuntimeError, match="not fixed"):
+        colorings(X, parse_braid("s1"))

@@ -10,6 +10,7 @@ import pytest
 from ybknots import (
     CochainTable,
     FiniteYBSet,
+    LinearForm,
     OmegaRing,
     extend,
     make_affine,
@@ -235,6 +236,38 @@ def test_omega_ring_stays_in_int64():
             OmegaRing(2, h, k)
     with pytest.raises(ValueError):
         OmegaRing(1, 40, 40)
+
+
+@pytest.mark.parametrize("X", [
+    make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5), make_affine(8, 3, 1),
+    make_block(3, 1, 2), make_block(4, 3, 2), make_omega(2, 2, 2),
+    make_omega(3, 2, 1), make_omega(2, 3, 2)], ids=lambda X: X.label)
+def test_constructors_declare_linear_form(X):
+    form = X.linear
+    assert isinstance(form, LinearForm)
+    assert form.q ** form.d == X.size
+    with pytest.raises(AttributeError):
+        X.linear = None
+
+    def digits(i):
+        # d base-q digits, most significant first
+        return [i // form.q ** (form.d - 1 - j) % form.q
+                for j in range(form.d)]
+
+    A = np.array(form.matrix)
+    assert A.shape == (2 * form.d, 2 * form.d)
+    for x, y in itertools.product(range(X.size), repeat=2):
+        r1, r2 = X.r(x, y)
+        assert (A @ (digits(x) + digits(y)) % form.q).tolist() == \
+            digits(r1) + digits(r2)
+
+
+def test_table_loaded_sets_declare_no_form():
+    X = make_affine(5, 2, 1)
+    assert FiniteYBSet(X.r1, X.r2).linear is None
+    assert FiniteYBSet.from_json(X.to_json()).linear is None
+    assert extend(X, 2, CochainTable.zero(2, 5, 2)).linear is None
+    assert swap_set(3).linear is None
 
 
 def test_swap_set():
