@@ -11,7 +11,10 @@ Constructors cover the affine one-dimensional family, the two-block
 upper-triangular family on Z_q^2, truncated polynomial rings with two
 nilpotent generators, and twisted abelian extensions of any base set.
 The first three are Z_q-linear and declare that form (`LinearForm`) on
-the solution they build; their tables are computed from it.
+the solution they build; their tables are computed from it.  So does an
+extension of a linear base over its own Z_q by cochains linear in the
+digits.  A declared form also lets the Yang-Baxter equation be checked
+on its matrix rather than on all |X|^3 triples.
 """
 
 from __future__ import annotations
@@ -90,6 +93,39 @@ def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
     return table(range(d)), table(range(d, 2 * d))
 
 
+def _linear_ybe_failure(form: LinearForm):
+    """The first failing triple of a linear solution, read off one
+    3d x 3d matrix identity over Z_q.
+
+    On the 3d digits of (x, y, z), R x 1 acts as L = A (+) 1 and 1 x R as
+    M = 1 (+) A, so the equation holds at (x, y, z) exactly when D = LML -
+    MLM mod q kills that digit vector.  Triples in lexicographic order are
+    the digit vectors in numeric order, x's digits most significant.  Let
+    p be the last nonzero column of D and e_p the vector with a 1 in
+    digit p.  Every vector below e_p is zero in digits 0..p, so it is
+    supported after p and lies in ker D; D e_p is column p, which is not
+    zero.  So e_p is the first failure: its block p // d holds
+    q^(d-1-p%d), the other two blocks 0.  With D = 0 there is none.
+    """
+    q, d = form.q, form.d
+    a = np.array(form.matrix, dtype=np.int64)
+    L = np.eye(3 * d, dtype=np.int64)
+    L[:2 * d, :2 * d] = a
+    M = np.eye(3 * d, dtype=np.int64)
+    M[d:, d:] = a
+    # entries stay below q and every product is reduced, so each sum of
+    # 3d products is exact in int64 for any q whose n x n tables fit in
+    # memory
+    D = ((L @ M % q) @ L - (M @ L % q) @ M) % q
+    nonzero = np.flatnonzero(D.any(axis=0))
+    if nonzero.size == 0:
+        return None
+    p = int(nonzero[-1])
+    triple = [0, 0, 0]
+    triple[p // d] = q ** (d - 1 - p % d)
+    return tuple(triple)
+
+
 @dataclass(frozen=True)
 class BirackReport:
     """Invertibility summary for a YB set."""
@@ -128,8 +164,23 @@ class FiniteYBSet:
         for t in (r1, r2):
             if t.min() < 0 or t.max() >= n:
                 raise ValueError("table entries must lie in 0..n-1")
+        self._adopt(r1, r2, label, None)
+
+    @classmethod
+    def _from_linear(cls, form: LinearForm, label: str) -> "FiniteYBSet":
+        # the tables read digits mod q as indices, so they lie in 0..n-1
+        # by construction and need neither a second copy nor a range scan
+        r1, r2 = (t.astype(np.int64) for t in _linear_tables(form))
+        made = cls.__new__(cls)
+        made._adopt(r1, r2, label, form)
+        return made
+
+    def _adopt(self, r1: np.ndarray, r2: np.ndarray, label: str | None,
+               linear: LinearForm | None):
+        """Take ownership of two valid int64 tables."""
         r1.setflags(write=False)
         r2.setflags(write=False)
+        n = r1.shape[0]
         self.size = int(n)
         self.r1 = r1
         self.r2 = r2
@@ -139,13 +190,7 @@ class FiniteYBSet:
         self._rbar1 = None
         self._rbar2 = None
         self._witness = None
-        self._linear = None
-
-    @classmethod
-    def _from_linear(cls, form: LinearForm, label: str) -> "FiniteYBSet":
-        made = cls(*_linear_tables(form), label=label)
-        made._linear = form
-        return made
+        self._linear = linear
 
     @property
     def linear(self) -> LinearForm | None:
@@ -158,9 +203,13 @@ class FiniteYBSet:
         """First triple (x, y, z) in lexicographic order where the two
         crossing orders disagree, or None when R satisfies the equation.
 
-        Works in slabs of first coordinates so memory stays bounded for
-        large carriers and failing tables exit early.
+        A solution with a declared form is checked on its matrix
+        (`_linear_ybe_failure`).  Tables are checked triple by triple, in
+        slabs of first coordinates so memory stays bounded for large
+        carriers and failing tables exit early.
         """
+        if self._ybe_failure is _UNSET and self._linear is not None:
+            self._ybe_failure = _linear_ybe_failure(self._linear)
         if self._ybe_failure is _UNSET:
             n = self.size
             # int32 is plenty for any table that fits in memory and halves
@@ -499,6 +548,39 @@ def _check_extension_cochain(psi: CochainTable, base: FiniteYBSet, m: int,
             f"{name} has modulus {psi.modulus}, extension uses {m}")
 
 
+def _extension_form(base: LinearForm | None, m: int, psi1: CochainTable,
+                    psi2: CochainTable) -> LinearForm | None:
+    """The form of the extension of a linear base over Z_m by psi1, psi2,
+    or None unless m is the base's q and both cochains are linear in the
+    digits.
+
+    The pair (a, x), indexed a * q^d + x, has the d + 1 digits a, x, so
+    the form maps (a1, x1, a2, x2) to (c1, y1, c2, y2) with
+    c1 = a2 + psi1(x1, x2), c2 = a1 + psi2(x1, x2) and the base's matrix
+    taking the x digits to the y digits.
+    """
+    if base is None or base.q != m:
+        return None
+    q, d = base.q, base.d
+    units = q ** np.arange(d - 1, -1, -1)
+    digits = np.arange(q ** d)[:, None] // units % q
+    e = d + 1
+    xs = [*range(1, e), *range(e + 1, 2 * e)]
+    matrix = np.zeros((2 * e, 2 * e), dtype=np.int64)
+    matrix[np.ix_(xs, xs)] = base.matrix
+    for row, other, psi in ((0, e, psi1), (e, 0, psi2)):
+        table = psi.as_array()
+        # the coefficients are psi's values on the unit pairs (e_j, 0) and
+        # (0, e_j); the fit must then reproduce the whole table
+        in_x, in_y = table[units, 0], table[0, units]
+        if table[0, 0] or not np.array_equal(
+                ((digits @ in_x)[:, None] + digits @ in_y) % q, table):
+            return None
+        matrix[row, other] = 1
+        matrix[row, xs] = np.concatenate([in_x, in_y])
+    return LinearForm(q, e, matrix.tolist())
+
+
 def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
            psi2: CochainTable | None = None) -> FiniteYBSet:
     """Twisted product on Z_m x X:
@@ -509,6 +591,10 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     Pairs are indexed as a * |X| + x.  The result is returned unverified;
     it satisfies the Yang-Baxter equation exactly when the cochain pair
     does, so callers should run verify_ybe on it.  psi2 defaults to psi1.
+
+    When X declares a form over Z_m and both cochains are linear in the
+    digits, the extension declares one too (`_extension_form`) and its
+    tables are built from it.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
@@ -519,6 +605,10 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     n = X.size
     big = m * n
     _check_table_size("extend", big)
+    label = f"extend(m={m}, base={X.label})"
+    form = _extension_form(X.linear, m, psi1, psi2)
+    if form is not None:
+        return FiniteYBSet._from_linear(form, label)
     a1 = np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
     x1 = np.arange(n, dtype=np.int64).reshape(1, n, 1, 1)
     a2 = np.arange(m, dtype=np.int64).reshape(1, 1, m, 1)
@@ -530,7 +620,7 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     shape = (m, n, m, n)
     s1 = np.broadcast_to(s1, shape).reshape(big, big)
     s2 = np.broadcast_to(s2, shape).reshape(big, big)
-    return FiniteYBSet(s1, s2, label=f"extend(m={m}, base={X.label})")
+    return FiniteYBSet(s1, s2, label=label)
 
 
 def omega_extension_check(q: int, h: int, k: int) -> bool:

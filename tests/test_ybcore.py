@@ -241,7 +241,11 @@ def test_omega_ring_stays_in_int64():
 @pytest.mark.parametrize("X", [
     make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5), make_affine(8, 3, 1),
     make_block(3, 1, 2), make_block(4, 3, 2), make_omega(2, 2, 2),
-    make_omega(3, 2, 1), make_omega(2, 3, 2)], ids=lambda X: X.label)
+    make_omega(3, 2, 1), make_omega(2, 3, 2),
+    extend(make_block(3, 1, 2), 3,
+           CochainTable.from_function(2, 9, 3, lambda x, y: x - 2 * y),
+           CochainTable.from_function(2, 9, 3, lambda x, y: x // 3 + y % 3)),
+], ids=lambda X: X.label)
 def test_constructors_declare_linear_form(X):
     form = X.linear
     assert isinstance(form, LinearForm)
@@ -268,6 +272,144 @@ def test_table_loaded_sets_declare_no_form():
     assert FiniteYBSet.from_json(X.to_json()).linear is None
     assert extend(X, 2, CochainTable.zero(2, 5, 2)).linear is None
     assert swap_set(3).linear is None
+
+
+def _psi(q, m, fn):
+    return CochainTable.from_function(2, q, m, fn)
+
+
+def _criterion9_extensions(q_max):
+    """The extensions of criterion 9: the affine base (q, s, t) twisted by
+    u1(y - x) and u2(y - x) over Z_q."""
+    for q in range(2, q_max + 1):
+        for s, t in itertools.product(_units(q), repeat=2):
+            if (1 - s) * (1 - t) % q:
+                continue
+            X = make_affine(q, s, t)
+            for u1, u2 in itertools.product(range(q), repeat=2):
+                yield extend(X, q, _psi(q, q, lambda x, y: u1 * (y - x)),
+                             _psi(q, q, lambda x, y: u2 * (y - x)))
+
+
+def _brute_force(X):
+    return FiniteYBSet(X.r1, X.r2).ybe_failure()
+
+
+def test_linear_ybe_failure_matches_brute_force_on_extensions():
+    count = 0
+    for V in _criterion9_extensions(7):
+        assert V.linear is not None
+        assert V.ybe_failure() == _brute_force(V), V.label
+        count += 1
+    assert count == 917
+
+
+def _random_form(rng, q, d):
+    """A random matrix, sparse enough at times that failures land at
+    varied digits.  One draw in eight is a solution instead: an affine one,
+    or for d = 2 a block one relabelled by an invertible digit map P."""
+    if rng.random() < 0.125:
+        if d == 1:
+            params = [p for p in _affine_params(q) if p[0] == q]
+            return make_affine(*params[rng.integers(len(params))]).linear
+        while True:
+            (a, b), (c, e) = P = rng.integers(0, q, (2, 2))
+            if gcd(int(a * e - b * c), q) == 1:
+                break
+        P_inv = np.array([[e, -b], [-c, a]]) * pow(int(a * e - b * c), -1, q)
+        A = np.array(make_block(q, 1, 1).linear.matrix)
+        relabel = np.kron(np.eye(2, dtype=np.int64), P)
+        back = np.kron(np.eye(2, dtype=np.int64), P_inv % q)
+        return LinearForm(q, 2, (relabel @ A @ back % q).tolist())
+    matrix = rng.integers(0, q, (2 * d, 2 * d))
+    matrix *= rng.random((2 * d, 2 * d)) < rng.choice([0.6, 1.0])
+    return LinearForm(q, d, matrix.tolist())
+
+
+def test_linear_ybe_failure_matches_brute_force_on_random_forms():
+    rng = np.random.default_rng(20)
+    failures = set()
+    solutions = 0
+    for i in range(240):
+        q, d = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+        X = FiniteYBSet._from_linear(_random_form(rng, q, d), f"random{i}")
+        got = X.ybe_failure()
+        assert got == _brute_force(X), (X.linear, got)
+        if got is None:
+            solutions += 1
+        else:
+            failures.add(got)
+    # mostly non-solutions, failing at many different first triples
+    assert 20 <= solutions < 120
+    assert len(failures) >= 8
+
+
+@pytest.mark.parametrize("X", [
+    make_affine(15, 4, 11, 2), make_affine(8, 3, 1), make_affine(9, 4, 1, 2),
+    make_block(3, 1, 2), make_block(4, 3, 2), make_omega(2, 2, 2),
+    make_omega(3, 2, 1), make_omega(2, 3, 2), make_omega(3, 2, 2)],
+    ids=lambda X: X.label)
+def test_linear_ybe_failure_matches_brute_force_on_constructors(X):
+    assert X.ybe_failure() is None
+    assert _brute_force(X) is None
+
+
+def test_linear_ybe_failure_reports_the_last_nonzero_column():
+    # R(x, y) = (2x, y) on Z_3: LML - MLM = diag(2, 1, 0) mod 3, so both
+    # (1, 0, 0) and (0, 1, 0) fail, and the last nonzero column gives the
+    # one that comes first
+    X = FiniteYBSet._from_linear(LinearForm(3, 1, ((2, 0), (0, 1))), "scale")
+    assert X.ybe_failure() == (0, 1, 0) == _brute_force(X)
+    assert not X.verify_ybe()
+
+
+@pytest.mark.parametrize("base", [
+    make_affine(4, 1, 3), make_affine(5, 2, 1), make_block(3, 1, 2),
+    make_omega(2, 2, 2)], ids=lambda X: X.label)
+def test_extend_declares_form_only_for_linear_cochains(base):
+    q, n = base.linear.q, base.size
+    # y // q drops the last digit, so mod q it is the digit before it
+    linear = [_psi(n, q, lambda x, y: 0), _psi(n, q, lambda x, y: y - x),
+              _psi(n, q, lambda x, y: 2 * x + y // q)]
+    not_linear = [
+        _psi(n, q, lambda x, y: 1 + y - x),       # psi(0, 0) != 0
+        _psi(n, q, lambda x, y: x * y),           # not linear
+        # agrees with the zero fit on every unit pair and at (0, 0)
+        _psi(n, q, lambda x, y: int(x == y == n - 1)),
+    ]
+    copy = FiniteYBSet(base.r1, base.r2)
+    for psi1, psi2, has_form in (
+            [(p, linear[1], True) for p in linear]
+            + [(p, linear[1], False) for p in not_linear]
+            + [(linear[1], p, False) for p in not_linear]):
+        V = extend(base, q, psi1, psi2)
+        assert (V.linear is not None) == has_form, (psi1.values, psi2.values)
+        assert V.label == f"extend(m={q}, base={base.label})"
+        W = extend(copy, q, psi1, psi2)
+        assert W.linear is None
+        assert np.array_equal(V.r1, W.r1) and np.array_equal(V.r2, W.r2)
+    # over another modulus the extension keeps the table path
+    m = q + 1
+    V = extend(base, m, _psi(n, m, lambda x, y: y - x))
+    assert V.linear is None
+    W = extend(copy, m, _psi(n, m, lambda x, y: y - x))
+    assert np.array_equal(V.r1, W.r1) and np.array_equal(V.r2, W.r2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_affine(15, 4, 11, 2), lambda: make_block(4, 3, 2),
+    lambda: make_omega(3, 2, 1), lambda: swap_set(5),
+    lambda: extend(make_affine(5, 2, 1), 5, _psi(5, 5, lambda x, y: y - x)),
+    lambda: extend(make_affine(5, 2, 1), 5, _psi(5, 5, lambda x, y: x * y)),
+    lambda: FiniteYBSet([[1, 0], [0, 1]], [[0, 1], [1, 0]]),
+    lambda: FiniteYBSet.from_json(make_block(3, 1, 1).to_json())])
+def test_tables_are_frozen_int64_indices(make):
+    X = make()
+    for table in (X.r1, X.r2):
+        assert table.dtype == np.int64
+        assert table.shape == (X.size, X.size)
+        assert not table.flags.writeable
+        assert 0 <= table.min() and table.max() < X.size
 
 
 def test_swap_set():
