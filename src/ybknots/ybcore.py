@@ -564,21 +564,25 @@ def _extension_form(base: LinearForm | None, m: int, psi1: CochainTable,
     q, d = base.q, base.d
     units = q ** np.arange(d - 1, -1, -1)
     digits = np.arange(q ** d)[:, None] // units % q
-    e = d + 1
-    xs = [*range(1, e), *range(e + 1, 2 * e)]
-    matrix = np.zeros((2 * e, 2 * e), dtype=np.int64)
-    matrix[np.ix_(xs, xs)] = base.matrix
-    for row, other, psi in ((0, e, psi1), (e, 0, psi2)):
+    fits = []
+    for psi in (psi1, psi2):
         table = psi.as_array()
         # the coefficients are psi's values on the unit pairs (e_j, 0) and
         # (0, e_j); the fit must then reproduce the whole table
         in_x, in_y = table[units, 0], table[0, units]
-        if table[0, 0] or not np.array_equal(
-                ((digits @ in_x)[:, None] + digits @ in_y) % q, table):
+        if table[0, 0] or not (
+                ((digits @ in_x)[:, None] + digits @ in_y) % q == table).all():
             return None
-        matrix[row, other] = 1
-        matrix[row, xs] = np.concatenate([in_x, in_y])
-    return LinearForm(q, e, matrix.tolist())
+        fits.append([*in_x.tolist(), *in_y.tolist()])
+
+    def row(a1, a2, on_x):
+        # on_x holds the coefficients of the digits of x1, then x2
+        return [a1, *on_x[:d], a2, *on_x[d:]]
+
+    A = base.matrix
+    return LinearForm(q, d + 1, [
+        row(0, 1, fits[0]), *(row(0, 0, r) for r in A[:d]),
+        row(1, 0, fits[1]), *(row(0, 0, r) for r in A[d:])])
 
 
 def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
@@ -593,8 +597,9 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     does, so callers should run verify_ybe on it.  psi2 defaults to psi1.
 
     When X declares a form over Z_m and both cochains are linear in the
-    digits, the extension declares one too (`_extension_form`) and its
-    tables are built from it.
+    digits, the extension declares one too (`_extension_form`).  The
+    tables are the same either way: the form was fitted to psi's whole
+    tables, and X's tables come from its own form.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
@@ -605,10 +610,6 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     n = X.size
     big = m * n
     _check_table_size("extend", big)
-    label = f"extend(m={m}, base={X.label})"
-    form = _extension_form(X.linear, m, psi1, psi2)
-    if form is not None:
-        return FiniteYBSet._from_linear(form, label)
     a1 = np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
     x1 = np.arange(n, dtype=np.int64).reshape(1, n, 1, 1)
     a2 = np.arange(m, dtype=np.int64).reshape(1, 1, m, 1)
@@ -620,7 +621,9 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     shape = (m, n, m, n)
     s1 = np.broadcast_to(s1, shape).reshape(big, big)
     s2 = np.broadcast_to(s2, shape).reshape(big, big)
-    return FiniteYBSet(s1, s2, label=label)
+    V = FiniteYBSet(s1, s2, label=f"extend(m={m}, base={X.label})")
+    V._linear = _extension_form(X.linear, m, psi1, psi2)
+    return V
 
 
 def omega_extension_check(q: int, h: int, k: int) -> bool:

@@ -19,6 +19,7 @@ from ybknots import (
     colorings,
     count_colorings,
     equivalent_words,
+    extend,
     make_affine,
     make_block,
     make_omega,
@@ -307,7 +308,14 @@ def _random_word(rng, strands, letters):
 @pytest.mark.parametrize("X", [
     make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5),
     make_block(2, 1, 1), make_block(3, 1, 2),
-    make_omega(2, 2, 2), make_omega(3, 2, 1)], ids=lambda X: X.label)
+    make_omega(2, 2, 2), make_omega(3, 2, 1),
+    # extensions by linear cochains declare a form too
+    extend(make_block(2, 1, 1), 2,
+           CochainTable.from_function(2, 4, 2, lambda x, y: y - x)),
+    extend(make_affine(4, 1, 3), 4,
+           CochainTable.from_function(2, 4, 4, lambda x, y: 2 * (y - x)),
+           CochainTable.from_function(2, 4, 4, lambda x, y: 2 * x))],
+    ids=lambda X: X.label)
 def test_linear_path_matches_brute_force(X):
     # the same tables without a declared form take the brute-force path
     table = FiniteYBSet(X.r1, X.r2)

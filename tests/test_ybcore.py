@@ -240,8 +240,9 @@ def test_omega_ring_stays_in_int64():
 
 @pytest.mark.parametrize("X", [
     make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5), make_affine(8, 3, 1),
-    make_block(3, 1, 2), make_block(4, 3, 2), make_omega(2, 2, 2),
-    make_omega(3, 2, 1), make_omega(2, 3, 2),
+    make_affine(9, 4, 1, 2), make_block(3, 1, 2), make_block(4, 3, 2),
+    make_omega(2, 2, 2), make_omega(3, 2, 1), make_omega(2, 3, 2),
+    make_omega(3, 2, 2),
     extend(make_block(3, 1, 2), 3,
            CochainTable.from_function(2, 9, 3, lambda x, y: x - 2 * y),
            CochainTable.from_function(2, 9, 3, lambda x, y: x // 3 + y % 3)),
@@ -264,6 +265,8 @@ def test_constructors_declare_linear_form(X):
         r1, r2 = X.r(x, y)
         assert (A @ (digits(x) + digits(y)) % form.q).tolist() == \
             digits(r1) + digits(r2)
+    # the form's check and brute force on the same tables agree
+    assert X.ybe_failure() == FiniteYBSet(X.r1, X.r2).ybe_failure()
 
 
 def test_table_loaded_sets_declare_no_form():
@@ -344,16 +347,6 @@ def test_linear_ybe_failure_matches_brute_force_on_random_forms():
     assert len(failures) >= 8
 
 
-@pytest.mark.parametrize("X", [
-    make_affine(15, 4, 11, 2), make_affine(8, 3, 1), make_affine(9, 4, 1, 2),
-    make_block(3, 1, 2), make_block(4, 3, 2), make_omega(2, 2, 2),
-    make_omega(3, 2, 1), make_omega(2, 3, 2), make_omega(3, 2, 2)],
-    ids=lambda X: X.label)
-def test_linear_ybe_failure_matches_brute_force_on_constructors(X):
-    assert X.ybe_failure() is None
-    assert _brute_force(X) is None
-
-
 def test_linear_ybe_failure_reports_the_last_nonzero_column():
     # R(x, y) = (2x, y) on Z_3: LML - MLM = diag(2, 1, 0) mod 3, so both
     # (1, 0, 0) and (0, 1, 0) fail, and the last nonzero column gives the
@@ -388,6 +381,10 @@ def test_extend_declares_form_only_for_linear_cochains(base):
         W = extend(copy, q, psi1, psi2)
         assert W.linear is None
         assert np.array_equal(V.r1, W.r1) and np.array_equal(V.r2, W.r2)
+        if has_form:
+            # the declared form reproduces the tables it was fitted to
+            r1, r2 = ybcore._linear_tables(V.linear)
+            assert np.array_equal(r1, V.r1) and np.array_equal(r2, V.r2)
     # over another modulus the extension keeps the table path
     m = q + 1
     V = extend(base, m, _psi(n, m, lambda x, y: y - x))
