@@ -14,7 +14,6 @@ from .errors import (
     NotACocycle,
     NotAUnit,
     NotBiquandle,
-    NotDivisible,
     ProductNotZero,
     ResourceBound,
     YBKError,
@@ -22,7 +21,6 @@ from .errors import (
 from .modalg import (
     GroupRingElement,
     IntegerMatrix,
-    Residue,
     SmithForm,
     kernel_mod,
     quotient_invariant_factors,

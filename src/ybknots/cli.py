@@ -137,11 +137,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_boundary(args) -> int:
     X = _load_set(args)
-    tup = _parse_ints(args.tuple, None, "--tuple")
-    for v in tup:
-        if not 0 <= v < X.size:
-            raise ValueError(f"tuple entry {v} outside 0..{X.size - 1}")
-    chain = ybhomology.boundary(X, tup)
+    chain = ybhomology.boundary(X, _parse_ints(args.tuple, None, "--tuple"))
     print(json.dumps(chain.to_json()) if args.json else chain.render())
     return 0
 

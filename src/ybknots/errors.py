@@ -55,12 +55,15 @@ class NotACocycle(YBKError):
     """The given cochain is not a cocycle."""
 
 
-class NotDivisible(YBKError):
-    """A signed face sum failed the divisibility guaranteed for cocycles."""
-
-
 class ResourceBound(YBKError):
     """The requested computation exceeds the configured size cap."""
+
+
+def check_cap(stage: str, what: str, count: int, cap: int):
+    """Raise ResourceBound, naming the stage and the estimated size, when
+    `count` (the size of `what`) exceeds `cap`."""
+    if count > cap:
+        raise ResourceBound(f"{stage}: {what} = {count} exceeds the cap {cap}")
 
 
 class BraidSyntaxError(YBKError):

@@ -1,9 +1,9 @@
 """Exact modular and integer linear algebra.
 
-Residue arithmetic, dense integer matrices, Smith normal form with
-transform matrices, kernels and quotients of finitely generated modules
-over Z_m, and the group ring Z[Z_m] used to value state sums.  Everything
-here is exact: matrix entries are Python ints, never floats.
+Dense integer matrices, Smith normal form with transform matrices,
+kernels and quotients of finitely generated modules over Z_m, and the
+group ring Z[Z_m] used to value state sums.  Everything here is exact:
+matrix entries are Python ints, never floats.
 """
 
 from __future__ import annotations
@@ -11,56 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ImageNotContained, ModulusMismatch, NotAUnit
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Canonical representative of an integer modulo m (m >= 2)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _other_value(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"moduli differ: {self.modulus} vs {other.modulus}")
-            return other.value
-        return int(other)
-
-    def __add__(self, other) -> "Residue":
-        return Residue(self.value + self._other_value(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Residue":
-        return Residue(self.value - self._other_value(other), self.modulus)
-
-    def __rsub__(self, other) -> "Residue":
-        return Residue(self._other_value(other) - self.value, self.modulus)
-
-    def __mul__(self, other) -> "Residue":
-        return Residue(self.value * self._other_value(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def is_unit(self) -> bool:
-        return gcd(self.value, self.modulus) == 1
-
-    def inverse(self) -> "Residue":
-        """Multiplicative inverse; raises NotAUnit if none exists."""
-        if not self.is_unit():
-            raise NotAUnit(self.value, self.modulus)
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
+from .errors import ImageNotContained, ModulusMismatch
 
 
 class IntegerMatrix:
@@ -80,7 +31,10 @@ class IntegerMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        made = cls([[0] * cols for _ in range(rows)])
+        # with no rows the entries cannot carry the width
+        made.cols = cols
+        return made
 
     @classmethod
     def _wrap(cls, entries: list) -> "IntegerMatrix":

@@ -27,10 +27,10 @@ from .errors import (
     BraidSyntaxError,
     IndexOutOfRange,
     ModulusMismatch,
-    ResourceBound,
+    check_cap,
 )
 from .modalg import GroupRingElement, IntegerMatrix, kernel_mod
-from .ybcore import CochainTable, FiniteYBSet
+from .ybcore import CochainTable, FiniteYBSet, _check_colors, _tuples
 
 # Most strand tuples traced for one call: |X|^k for a solution given by
 # its tables, the number of colorings for one with a linear form.
@@ -152,34 +152,10 @@ def apply_word(X: FiniteYBSet, word: BraidWord, colors) -> tuple[int, ...]:
     if len(colors) != word.strands:
         raise ArityMismatch(
             f"{word.strands} strands but {len(colors)} colors")
-    current = [int(c) for c in colors]
-    r1, r2 = X.r1, X.r2
-    if _needs_inverse(word):
-        rbar1, rbar2 = X.rbar1, X.rbar2
-    for g in word.generators:
-        i = g.index - 1
-        x, y = current[i], current[i + 1]
-        if g.kind == POSITIVE:
-            current[i], current[i + 1] = int(r1[x, y]), int(r2[x, y])
-        elif g.kind == NEGATIVE:
-            current[i], current[i + 1] = int(rbar1[x, y]), int(rbar2[x, y])
-        else:
-            current[i], current[i + 1] = y, x
-    return tuple(current)
-
-
-def _check_tuples(stage: str, what: str, count: int):
-    if count > MAX_TUPLES:
-        raise ResourceBound(
-            f"{stage}: {what} = {count} exceeds the cap {MAX_TUPLES}")
-
-
-def _tuples(size: int, k: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of X^k in lexicographic order, first coordinate most
-    significant."""
-    index = np.arange(lo, hi, dtype=np.int64)
-    return np.stack([index // size ** (k - 1 - pos) % size
-                     for pos in range(k)], axis=1)
+    _check_colors(X.size, colors)
+    end, _ = _trace_word(X, word, np.array([colors], dtype=np.int64),
+                         None, None)
+    return tuple(end[0].tolist())
 
 
 def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
@@ -259,7 +235,7 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     q, d = X.linear.q, X.linear.d
     gens, orders = _kernel(X, word)
     total = math.prod(orders)
-    _check_tuples(stage, "colorings", total)
+    check_cap(stage, "colorings", total, MAX_TUPLES)
     index = np.arange(total, dtype=np.int64)
     vectors = np.zeros((total, d * word.strands), dtype=np.int64)
     # mixed radix over the generator orders, the last generator fastest
@@ -285,11 +261,11 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
         return start, weights
     k = word.strands
     total = X.size ** k
-    _check_tuples(stage, f"|X|^k = {X.size}^{k}", total)
+    check_cap(stage, f"|X|^k = {X.size}^{k}", total, MAX_TUPLES)
     step = max(1, _SLAB_ENTRIES // k)
     rows, weights = [], []
     for lo in range(0, total, step):
-        start = _tuples(X.size, k, lo, min(lo + step, total))
+        start = _tuples(X.size, k, np.arange(lo, min(lo + step, total)))
         end, slab_weights = _trace_word(X, word, start, psi_array, modulus)
         fixed = (end == start).all(axis=1)
         rows.append(start[fixed])

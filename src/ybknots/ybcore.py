@@ -30,7 +30,7 @@ from .errors import (
     NotAUnit,
     NotBiquandle,
     ProductNotZero,
-    ResourceBound,
+    check_cap,
 )
 
 _UNSET = object()
@@ -38,13 +38,6 @@ _UNSET = object()
 # Largest n*n a solution constructor builds: one int64 table of this
 # many entries takes 128 MB.
 MAX_TABLE_ENTRIES = 2 ** 24
-
-
-def _check_table_size(constructor: str, n: int):
-    if n * n > MAX_TABLE_ENTRIES:
-        raise ResourceBound(
-            f"{constructor}: n^2 = {n * n} table entries exceeds the cap "
-            f"{MAX_TABLE_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -369,7 +362,7 @@ class AffineParams:
 def make_affine(q: int, s: int, t: int, u: int = 1) -> FiniteYBSet:
     """Affine solution R(x, y) = ((1-s)x + u*s*y, t/u*x + (1-t)y) on Z_q."""
     p = AffineParams(q, s, t, u)
-    _check_table_size("make_affine", q)
+    check_cap("make_affine", "n^2", q * q, MAX_TABLE_ENTRIES)
     u_inv = pow(p.u, -1, q)
     form = LinearForm(q, 1, ((1 - p.s, p.u * p.s), (u_inv * p.t, 1 - p.t)))
     return FiniteYBSet._from_linear(
@@ -387,7 +380,7 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
         raise ValueError(f"q must be at least 2, got {q}")
     s %= q
     t %= q
-    _check_table_size("make_block", q * q)
+    check_cap("make_block", "n^2", q ** 4, MAX_TABLE_ENTRIES)
     # columns x1 x2 y1 y2; rows R1 = (y1 + s(y2 - x2), y2),
     # R2 = (x1 + t(x2 - y2), x2)
     form = LinearForm(q, 2, ((0, -s, 1, s),
@@ -421,10 +414,7 @@ class OmegaRing:
         self.k = k
         self.digits = _omega_digits(q, h, k)
         self.size = q ** self.digits
-        if self.size > _INT64_MAX:
-            raise ResourceBound(
-                f"OmegaRing: q^(h+k-1) = {self.size} elements exceed the "
-                f"int64 index range {_INT64_MAX}")
+        check_cap("OmegaRing", "q^(h+k-1)", self.size, _INT64_MAX)
         # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
         self.a_chain = list(range(h))
         self.b_chain = [0] + list(range(h, h + k - 1))
@@ -445,7 +435,8 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     """Solution on the truncated ring: with a = 1-s and b = 1-t nilpotent,
     R(x, y) = (y + a*(x - y), x + b*(y - x)), elements indexed as in
     OmegaRing."""
-    _check_table_size("make_omega", q ** _omega_digits(q, h, k))
+    check_cap("make_omega", "n^2", q ** (2 * _omega_digits(q, h, k)),
+              MAX_TABLE_ENTRIES)
     ring = OmegaRing(q, h, k)
     d = ring.digits
     # multiplying by a or b shifts the digits one step along its chain
@@ -458,6 +449,20 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     form = LinearForm(q, d, np.block([[times_a, one - times_a],
                                       [one - times_b, times_b]]).tolist())
     return FiniteYBSet._from_linear(form, f"omega(q={q},h={h},k={k})")
+
+
+def _check_colors(size: int, colors):
+    """Refuse a tuple with an entry outside 0..size-1, which would read
+    another tuple's entry of a table rather than fail."""
+    for v in colors:
+        if not 0 <= v < size:
+            raise ValueError(f"tuple entry {v} outside 0..{size - 1}")
+
+
+def _tuples(size: int, k: int, rows: np.ndarray) -> np.ndarray:
+    """The tuples of X^k, |X| = size, at the given row numbers of the
+    layout of CochainTable, one tuple a row."""
+    return np.stack(np.unravel_index(rows, (size,) * k), axis=1)
 
 
 class CochainTable:
@@ -497,6 +502,7 @@ class CochainTable:
     def index(self, xs) -> int:
         if len(xs) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(xs)}")
+        _check_colors(self.set_size, xs)
         idx = 0
         for x in xs:
             idx = idx * self.set_size + int(x)
@@ -609,7 +615,7 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     _check_extension_cochain(psi2, X, m, "psi2")
     n = X.size
     big = m * n
-    _check_table_size("extend", big)
+    check_cap("extend", "n^2", big * big, MAX_TABLE_ENTRIES)
     a1 = np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
     x1 = np.arange(n, dtype=np.int64).reshape(1, n, 1, 1)
     a2 = np.arange(m, dtype=np.int64).reshape(1, 1, m, 1)
@@ -669,7 +675,7 @@ def swap_set(n: int) -> FiniteYBSet:
     """The trivial solution R(x, y) = (y, x) on n elements."""
     if n < 1:
         raise ValueError("need at least one element")
-    _check_table_size("swap_set", n)
+    check_cap("swap_set", "n^2", n * n, MAX_TABLE_ENTRIES)
     i = np.arange(n, dtype=np.int64)
     r1 = np.broadcast_to(i.reshape(1, n), (n, n))
     r2 = np.broadcast_to(i.reshape(n, 1), (n, n))

@@ -27,10 +27,10 @@ from .errors import (
     ColoringIncomplete,
     ColoringInconsistent,
     NotACocycle,
-    ResourceBound,
+    check_cap,
 )
 from .modalg import IntegerMatrix, kernel_mod, quotient_invariant_factors, solve_mod
-from .ybcore import CochainTable, FiniteYBSet
+from .ybcore import CochainTable, FiniteYBSet, _check_colors, _tuples
 
 DEFAULT_MAX_CELLS = 200000
 _SLAB_ENTRIES = 500000  # edge-table entries colored at once
@@ -154,7 +154,7 @@ def _facet_slabs(X: FiniteYBSet, n: int):
     step = max(1, _SLAB_ENTRIES // len(sched.edges))
     for start in range(0, total, step):
         rows = np.arange(start, min(start + step, total))
-        tuples = np.stack(np.unravel_index(rows, (X.size,) * n), axis=1)
+        tuples = _tuples(X.size, n, rows)
         yield rows, _edge_table(X, tuples)[:, sched.facets] @ weights
 
 
@@ -163,6 +163,7 @@ def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
     ColoringInconsistent on a conflict and ColoringIncomplete if edges
     stay uncolored; neither happens when X satisfies the Yang-Baxter
     equation."""
+    _check_colors(X.size, initial)
     row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))
     return CubeColoring(len(initial), tuple(row[0].tolist()))
 
@@ -228,6 +229,7 @@ def boundary(X: FiniteYBSet, tup) -> FormalChain:
     n = len(tup)
     if n < 1:
         raise ValueError("boundary needs at least a 1-tuple")
+    _check_colors(X.size, tup)
     sched = _schedule(n)
     row = _edge_table(X, np.array([tup], dtype=np.int64))[0]
     terms: dict = {}
@@ -342,11 +344,8 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     Assembling delta^n enumerates |X|^(n+1) cube colorings; max_cells
     (default 200000) caps that count and ResourceBound reports overruns.
     """
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    cells = X.size ** (n + 1)
-    if cells > cap:
-        raise ResourceBound(
-            f"|X|^(n+1) = {cells} exceeds the cell cap {cap}")
+    check_cap("cohomology_group", "|X|^(n+1)", X.size ** (n + 1),
+              DEFAULT_MAX_CELLS if max_cells is None else max_cells)
     if n < 1:
         raise ValueError("arity must be at least 1")
     kernel = kernel_mod(coboundary_matrix(X, n), m)

@@ -144,6 +144,10 @@ def test_boundary(capsys):
                      "--tuple", "0,1")
     assert rc == 0
     assert out == "+1·(0) +1·(1) -1·(2) -1·(3)\n"
+    rc, _, err = run(capsys, "boundary", "--affine", "4,1,-1,-1",
+                     "--tuple", "0,4")
+    assert rc == 2
+    assert err == "error: tuple entry 4 outside 0..3\n"
 
 
 def test_boundary_json(capsys):

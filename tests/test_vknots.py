@@ -99,6 +99,9 @@ def test_apply_word_fixed_pair():
     # (1, 3) is a fixed pair of R, so the positive crossing keeps it
     assert apply_word(X, parse_braid("s1"), (1, 3)) == (1, 3)
     assert apply_word(X, parse_braid("v1"), (1, 3)) == (3, 1)
+    for bad in ((-1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            apply_word(X, parse_braid("s1"), bad)
 
 
 def test_apply_word_inverse_cancels():
@@ -320,10 +323,26 @@ def test_linear_path_matches_brute_force(X):
     # the same tables without a declared form take the brute-force path
     table = FiniteYBSet(X.r1, X.r2)
     assert X.linear is not None and table.linear is None
+    q = X.linear.q
+    units = q ** np.arange(X.linear.d - 1, -1, -1)
+
+    def digits(rows):
+        return (rows[:, :, None] // units % q).reshape(len(rows), -1)
+
     rng = random.Random(X.label)
+    # tuples have their own stream, so rng draws the same words and
+    # cochains with or without them
+    tuple_rng = random.Random(X.size)
     for _ in range(20):
         strands = rng.randint(1, 4 if X.size > 9 else 5)
         word = _random_word(rng, strands, rng.randint(0, 12))
+        # apply_word against W, which does not go through _trace_word
+        starts = np.array([[tuple_rng.randrange(X.size)
+                            for _ in range(strands)] for _ in range(8)])
+        ends = np.array([apply_word(X, word, t) for t in starts])
+        assert np.array_equal(
+            digits(ends),
+            digits(starts) @ vknots._word_matrix(X, word).T % q), word
         m = rng.randint(2, 5)
         psi = CochainTable(2, X.size, m,
                            [rng.randrange(m) for _ in range(X.size ** 2)])

@@ -472,6 +472,11 @@ def test_cochain_table_basics():
     assert list(f.as_array().shape) == [3, 3]
     with pytest.raises(ArityMismatch):
         f(1, 2, 3)
+    # entries past either end would read another tuple's value
+    for bad in (5, 3, -1):
+        with pytest.raises(ValueError,
+                           match=f"tuple entry {bad} outside 0..2"):
+            f(0, bad)
     with pytest.raises(ValueError):
         f.as_array()[0, 0] = 1  # read-only view
     assert CochainTable.zero(2, 3, 3).is_zero()

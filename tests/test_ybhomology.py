@@ -121,6 +121,9 @@ def test_boundary_of_singleton_vanishes():
     for x in range(4):
         ch = boundary(X, (x,))
         assert ch.arity == 0 and ch.is_zero()
+    for call in (boundary, color_cube):
+        with pytest.raises(ValueError, match="tuple entry 4 outside 0..3"):
+            call(X, (0, 4))
 
 
 def _boundary_of_chain(X, chain):
@@ -395,9 +398,11 @@ def test_cohomology_generators_are_cocycles():
 
 
 def test_cohomology_guards():
-    with pytest.raises(ResourceBound):
+    with pytest.raises(ResourceBound,
+                       match=r"cohomology_group: \|X\|\^\(n\+1\) = "
+                       f"{25 ** 4} exceeds the cap 200000"):
         cohomology_group(swap_set(25), 3, 2)
-    with pytest.raises(ResourceBound):
+    with pytest.raises(ResourceBound, match="cohomology_group: "):
         cohomology_group(z3_biquandle(), 1, 3, max_cells=5)
     with pytest.raises(ValueError):
         cohomology_group(z3_biquandle(), 0, 3)
