@@ -34,7 +34,6 @@ from .ybcore import (
     CochainTable,
     FiniteYBSet,
     LinearForm,
-    OmegaRing,
     extend,
     make_affine,
     make_block,

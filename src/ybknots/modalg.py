@@ -31,23 +31,21 @@ class IntegerMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        made = cls([[0] * cols for _ in range(rows)])
-        # with no rows the entries cannot carry the width
-        made.cols = cols
-        return made
+        return cls._wrap([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
-    def _wrap(cls, entries: list) -> "IntegerMatrix":
-        # Trusted fast path: entries must already be rectangular lists of ints.
+    def _wrap(cls, entries: list, cols: int) -> "IntegerMatrix":
+        # Trusted fast path: entries must already be rectangular lists of
+        # ints, `cols` wide; with no rows they cannot carry the width.
         made = cls.__new__(cls)
         made.rows = len(entries)
-        made.cols = len(entries[0]) if entries else 0
+        made.cols = cols
         made.entries = entries
         return made
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls._wrap(_identity(n))
+        return cls._wrap(_identity(n), n)
 
     def __getitem__(self, key):
         i, j = key
@@ -55,22 +53,23 @@ class IntegerMatrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntegerMatrix)
+                and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.entries == other.entries)
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else []
-        return IntegerMatrix(
+        ot = other.transpose().entries
+        return self._wrap(
             [[sum(a * b for a, b in zip(row, col)) for col in ot]
-             for row in self.entries])
+             for row in self.entries], other.cols)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix([list(col) for col in zip(*self.entries)]) \
-            if self.rows else IntegerMatrix([[] for _ in range(self.cols)])
+        return self._wrap([[row[j] for row in self.entries]
+                           for j in range(self.cols)], self.rows)
 
     def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.entries)
+        return self._wrap([row[:] for row in self.entries], self.cols)
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows}x{self.cols})"
@@ -222,9 +221,9 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     u, v = _identity(A.rows), _identity(A.cols)
     factors = _snf_core(work, u, v)
     return SmithForm(
-        U=IntegerMatrix._wrap(u),
-        D=IntegerMatrix(work) if A.rows else IntegerMatrix.zeros(0, A.cols),
-        V=IntegerMatrix._wrap(v),
+        U=IntegerMatrix._wrap(u, A.rows),
+        D=IntegerMatrix._wrap(work, A.cols),
+        V=IntegerMatrix._wrap(v, A.cols),
         invariant_factors=factors,
     )
 

@@ -201,10 +201,10 @@ def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     q, d = form.q, form.d
     forward = np.array(form.matrix, dtype=np.int64)
     if _needs_inverse(word):
-        units = q ** np.arange(d - 1, -1, -1)
+        units = form.weights
         pairs = [(u, 0) for u in units] + [(0, u) for u in units]
         images = np.array([X.rbar(x, y) for x, y in pairs])
-        backward = (images[:, :, None] // units % q).reshape(2 * d, 2 * d).T
+        backward = form.digits(images).reshape(2 * d, 2 * d).T
     W = np.eye(d * word.strands, dtype=np.int64)
     for g in word.generators:
         i = (g.index - 1) * d
@@ -242,8 +242,7 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     for g, order in zip(gens[::-1], orders[::-1]):
         vectors = (vectors + np.outer(index % order, g)) % q
         index //= order
-    rows = vectors.reshape(total, word.strands, d) @ (
-        q ** np.arange(d - 1, -1, -1))
+    rows = X.linear.index(vectors.reshape(total, word.strands, d))
     return rows[np.lexsort(rows.T[::-1])]
 
 

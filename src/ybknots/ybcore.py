@@ -40,14 +40,19 @@ _UNSET = object()
 MAX_TABLE_ENTRIES = 2 ** 24
 
 
+# Largest index a digit layout may reach: indices are int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """A solution on (Z_q)^d given by one 2d x 2d matrix over Z_q.
 
-    An element's index reads its d base-q digits, most significant first.
-    `matrix` maps the 2d digits of (x, y), x's first, to the 2d digits of
-    (R1(x, y), R2(x, y)); it is stored as a tuple of rows with entries
-    in 0..q-1.
+    An element's index reads its d base-q digits, most significant first;
+    `digits` and `index` convert between the two, and no other code
+    knows that layout.  `matrix` maps the 2d digits of (x, y), x's first,
+    to the 2d digits of (R1(x, y), R2(x, y)); it is stored as a tuple of
+    rows with entries in 0..q-1.
     """
 
     q: int
@@ -55,6 +60,7 @@ class LinearForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        check_cap("LinearForm", "q^d", self.q ** self.d, _INT64_MAX)
         matrix = tuple(tuple(int(e) % self.q for e in row)
                        for row in self.matrix)
         if len(matrix) != 2 * self.d or any(len(row) != 2 * self.d
@@ -62,16 +68,31 @@ class LinearForm:
             raise ValueError(f"need a {2 * self.d} x {2 * self.d} matrix")
         object.__setattr__(self, "matrix", matrix)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The place value of each digit: q^(d-1), ..., q, 1; weights[j]
+        is also the index of the element whose only nonzero digit is a 1
+        in digit j."""
+        return self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+
+    def digits(self, index) -> np.ndarray:
+        """The d digits of each index, on a new last axis."""
+        index = np.asarray(index, dtype=np.int64)
+        return index[..., None] // self.weights % self.q
+
+    def index(self, digits) -> np.ndarray:
+        """The index of each digit vector (digits in 0..q-1 on the last
+        axis); inverts `digits`."""
+        return np.asarray(digits, dtype=np.int64) @ self.weights
+
 
 def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
-    """R1 and R2 of a linear form as n x n index tables, built one output
-    digit at a time so only (n, n) arrays are formed."""
+    """R1 and R2 of a linear form as n x n int64 index tables, built one
+    output digit at a time so only (n, n) arrays are formed."""
     q, d = form.q, form.d
-    n = q ** d
     # every value below fits in int32 (n <= 2^12 under the table cap),
     # which halves the traffic of the (n, n) steps
-    digits = (np.arange(n, dtype=np.int32)[:, None]
-              // q ** np.arange(d - 1, -1, -1, dtype=np.int32) % q)
+    digits = form.digits(np.arange(q ** d)).astype(np.int32)
     matrix = np.array(form.matrix, dtype=np.int32)
     # column r: output digit r's part in x, and its part in y
     in_x = digits @ matrix[:, :d].T % q
@@ -81,7 +102,7 @@ def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
         out = (in_x[:, rows[0], None] + in_y[:, rows[0]]) % q
         for r in rows[1:]:
             out = out * q + (in_x[:, r, None] + in_y[:, r]) % q
-        return out
+        return out.astype(np.int64)
 
     return table(range(d)), table(range(d, 2 * d))
 
@@ -115,7 +136,7 @@ def _linear_ybe_failure(form: LinearForm):
         return None
     p = int(nonzero[-1])
     triple = [0, 0, 0]
-    triple[p // d] = q ** (d - 1 - p % d)
+    triple[p // d] = int(form.weights[p % d])
     return tuple(triple)
 
 
@@ -160,13 +181,19 @@ class FiniteYBSet:
         self._adopt(r1, r2, label, None)
 
     @classmethod
-    def _from_linear(cls, form: LinearForm, label: str) -> "FiniteYBSet":
-        # the tables read digits mod q as indices, so they lie in 0..n-1
-        # by construction and need neither a second copy nor a range scan
-        r1, r2 = (t.astype(np.int64) for t in _linear_tables(form))
+    def _built(cls, r1: np.ndarray, r2: np.ndarray, label: str,
+               linear: LinearForm | None) -> "FiniteYBSet":
+        """A solution on tables a constructor has just computed: int64,
+        owned by nobody else and in 0..n-1 by construction, so they need
+        neither the copy nor the range scan of __init__."""
         made = cls.__new__(cls)
-        made._adopt(r1, r2, label, form)
+        made._adopt(r1, r2, label, linear)
         return made
+
+    @classmethod
+    def _from_linear(cls, form: LinearForm, label: str) -> "FiniteYBSet":
+        # the tables read digits mod q as indices
+        return cls._built(*_linear_tables(form), label, form)
 
     def _adopt(self, r1: np.ndarray, r2: np.ndarray, label: str | None,
                linear: LinearForm | None):
@@ -390,60 +417,25 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     return FiniteYBSet._from_linear(form, f"block(q={q},s={s},t={t})")
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
+    """Solution on the truncated ring Z_q[a, b]/(ab, a^h, b^k): with
+    a = 1-s and b = 1-t nilpotent, R(x, y) = (y + a*(x - y), x + b*(y - x)).
 
-
-def _omega_digits(q: int, h: int, k: int) -> int:
+    An element is its h + k - 1 coefficients: the constant, then
+    a, ..., a^(h-1), then b, ..., b^(k-1); they are the digits of its
+    index in the declared form.
+    """
     if q < 2 or h < 1 or k < 1:
         raise ValueError("need q >= 2 and h, k >= 1")
-    return h + k - 1
-
-
-class OmegaRing:
-    """Digit layout of the truncated ring Z_q[a, b]/(ab, a^h, b^k).
-
-    An element is a column of `digits` residues: the constant, then the
-    a-coefficients by increasing degree, then the b-coefficients by
-    increasing degree.  Its index reads that column as a base-q number,
-    constant most significant.  Digit arrays carry the digit on axis 0.
-    """
-
-    def __init__(self, q: int, h: int, k: int):
-        self.q = q
-        self.h = h
-        self.k = k
-        self.digits = _omega_digits(q, h, k)
-        self.size = q ** self.digits
-        check_cap("OmegaRing", "q^(h+k-1)", self.size, _INT64_MAX)
-        # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
-        self.a_chain = list(range(h))
-        self.b_chain = [0] + list(range(h, h + k - 1))
-
-    def weights(self) -> np.ndarray:
-        return self.q ** np.arange(self.digits - 1, -1, -1, dtype=np.int64)
-
-    def digits_of(self, index) -> np.ndarray:
-        index = np.asarray(index, dtype=np.int64)
-        w = self.weights().reshape((-1,) + (1,) * index.ndim)
-        return index // w % self.q
-
-    def index_of(self, digits) -> np.ndarray:
-        return np.tensordot(self.weights(), np.asarray(digits) % self.q, 1)
-
-
-def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
-    """Solution on the truncated ring: with a = 1-s and b = 1-t nilpotent,
-    R(x, y) = (y + a*(x - y), x + b*(y - x)), elements indexed as in
-    OmegaRing."""
-    check_cap("make_omega", "n^2", q ** (2 * _omega_digits(q, h, k)),
-              MAX_TABLE_ENTRIES)
-    ring = OmegaRing(q, h, k)
-    d = ring.digits
+    d = h + k - 1
+    check_cap("make_omega", "n^2", q ** (2 * d), MAX_TABLE_ENTRIES)
+    # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
+    a_chain, b_chain = list(range(h)), [0, *range(h, d)]
     # multiplying by a or b shifts the digits one step along its chain
     times_a = np.zeros((d, d), dtype=np.int64)
-    times_a[ring.a_chain[1:], ring.a_chain[:-1]] = 1
+    times_a[a_chain[1:], a_chain[:-1]] = 1
     times_b = np.zeros((d, d), dtype=np.int64)
-    times_b[ring.b_chain[1:], ring.b_chain[:-1]] = 1
+    times_b[b_chain[1:], b_chain[:-1]] = 1
     one = np.eye(d, dtype=np.int64)
     # R1 = a*x + (y - a*y), R2 = (x - b*x) + b*y
     form = LinearForm(q, d, np.block([[times_a, one - times_a],
@@ -568,8 +560,8 @@ def _extension_form(base: LinearForm | None, m: int, psi1: CochainTable,
     if base is None or base.q != m:
         return None
     q, d = base.q, base.d
-    units = q ** np.arange(d - 1, -1, -1)
-    digits = np.arange(q ** d)[:, None] // units % q
+    units = base.weights
+    digits = base.digits(np.arange(q ** d))
     fits = []
     for psi in (psi1, psi2):
         table = psi.as_array()
@@ -625,11 +617,12 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     s1 = ((a2 + p1) % m) * n + X.r1[x1, x2]
     s2 = ((a1 + p2) % m) * n + X.r2[x1, x2]
     shape = (m, n, m, n)
+    # the tables share memory with no other array, and each entry is a
+    # residue mod m times n plus an entry of X, so in 0..big-1
     s1 = np.broadcast_to(s1, shape).reshape(big, big)
     s2 = np.broadcast_to(s2, shape).reshape(big, big)
-    V = FiniteYBSet(s1, s2, label=f"extend(m={m}, base={X.label})")
-    V._linear = _extension_form(X.linear, m, psi1, psi2)
-    return V
+    return FiniteYBSet._built(s1, s2, f"extend(m={m}, base={X.label})",
+                              _extension_form(X.linear, m, psi1, psi2))
 
 
 def omega_extension_check(q: int, h: int, k: int) -> bool:
@@ -648,19 +641,20 @@ def omega_extension_check(q: int, h: int, k: int) -> bool:
     """
     big = make_omega(q, h + 1, k + 1)
     small = make_omega(q, h, k)
-    ring = OmegaRing(q, h + 1, k + 1)
-    digit = ring.digits_of(np.arange(ring.size))
-    low_a, a_top = ring.a_chain[h - 1:]
-    low_b, b_top = ring.b_chain[k - 1:]
-    bar = OmegaRing(q, h, k).index_of(np.delete(digit, [a_top, b_top], 0))
+    # digit positions in the big ring: a^(h-1) and a^h are h-1 and h, b^k
+    # is the last, h+k, and b^(k-1) the one before it or the constant
+    low_a, a_top = h - 1, h
+    low_b, b_top = h + k - 1 if k > 1 else 0, h + k
+    digit = big.linear.digits(np.arange(big.size)).T
+    bar = small.linear.index(np.delete(digit, [a_top, b_top], 0).T)
     # the elements whose two top coefficients vanish, in index order, are
     # the small ring in its own order
     lift = np.flatnonzero((digit[a_top] == 0) & (digit[b_top] == 0))
-    x = np.arange(ring.size).reshape(-1, 1)
+    x = np.arange(big.size).reshape(-1, 1)
     y = x.reshape(1, -1)
     psi1 = (digit[low_a][x] - digit[low_a][y]) % q
     psi2 = (digit[low_b][y] - digit[low_b][x]) % q
-    w = ring.weights()
+    w = big.linear.weights
     want1 = (lift[small.r1[bar[x], bar[y]]]
              + (digit[a_top][y] + psi1) % q * w[a_top]
              + digit[b_top][y] * w[b_top])

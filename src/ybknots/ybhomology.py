@@ -30,7 +30,8 @@ from .errors import (
     check_cap,
 )
 from .modalg import IntegerMatrix, kernel_mod, quotient_invariant_factors, solve_mod
-from .ybcore import CochainTable, FiniteYBSet, _check_colors, _tuples
+from .ybcore import (MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
+                     _check_colors, _tuples)
 
 DEFAULT_MAX_CELLS = 200000
 _SLAB_ENTRIES = 500000  # edge-table entries colored at once
@@ -262,12 +263,16 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     among the facet readings of the row tuple's cube."""
     if n < 0:
         raise ValueError("arity must be non-negative")
+    shape = (X.size ** (n + 1), X.size ** n)
+    # each entry becomes a Python int in a list of lists
+    check_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", shape[0] * shape[1],
+              MAX_TABLE_ENTRIES)
     signs = _schedule(n + 1).signs
     # entries are bounded by the 2(n+1) facets, so int8 holds them
-    out = np.zeros((X.size ** (n + 1), X.size ** n), dtype=np.int8)
+    out = np.zeros(shape, dtype=np.int8)
     for rows, columns in _facet_slabs(X, n + 1):
         np.add.at(out, (rows.reshape(-1, 1), columns), signs)
-    return IntegerMatrix._wrap(out.tolist())
+    return IntegerMatrix._wrap(out.tolist(), shape[1])
 
 
 def is_cocycle(X: FiniteYBSet, f: CochainTable) -> bool:
@@ -309,7 +314,8 @@ def cocycle_space(X: FiniteYBSet, n: int, m: int,
         fixed = np.zeros((2 * X.size, matrix.cols), dtype=np.int64)
         fixed[2 * a, np.array(witness.x_of) * X.size + a] = 1
         fixed[2 * a + 1, a * X.size + np.array(witness.y_of)] = 1
-        matrix = IntegerMatrix._wrap(matrix.entries + fixed.tolist())
+        matrix = IntegerMatrix._wrap(matrix.entries + fixed.tolist(),
+                                     matrix.cols)
     return [CochainTable(n, X.size, m, g) for g in kernel_mod(matrix, m)]
 
 

@@ -118,6 +118,15 @@ def test_matrix_ops():
     C = A.copy()
     C.entries[0][0] = 9
     assert A.entries[0][0] == 1
+    # a matrix with no rows or no columns keeps both sizes
+    Z = IntegerMatrix.zeros(0, 3)
+    for M, shape in ((Z.copy(), (0, 3)),
+                     (Z @ IntegerMatrix.zeros(3, 2), (0, 2)),
+                     (Z.transpose(), (3, 0)),
+                     (IntegerMatrix([[], [], []]).transpose(), (0, 3))):
+        assert (M.rows, M.cols) == shape
+    assert IntegerMatrix.zeros(2, 0) @ Z == IntegerMatrix.zeros(2, 3)
+    assert Z != IntegerMatrix.zeros(0, 5)
 
 
 def test_kernel_frozen_examples():

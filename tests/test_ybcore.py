@@ -11,7 +11,6 @@ from ybknots import (
     CochainTable,
     FiniteYBSet,
     LinearForm,
-    OmegaRing,
     extend,
     make_affine,
     make_block,
@@ -169,12 +168,12 @@ def test_omega_family(q, h, k):
     for _ in range(k - 1):
         pb = _omega_mul(q, h, pb, b)
     assert pb == zero  # b^k = 0
-    ring = OmegaRing(q, h, k)
+    # the declared form's codec reads an index as the coefficients
     index = np.arange(X.size)
-    digits = ring.digits_of(index)
-    assert [tuple(col) for col in digits.T.tolist()] == [
+    digits = X.linear.digits(index)
+    assert [tuple(row) for row in digits.tolist()] == [
         _omega_digits(q, h, k, i) for i in range(X.size)]
-    assert np.array_equal(ring.index_of(digits), index)
+    assert np.array_equal(X.linear.index(digits), index)
     # R(alpha, beta) = (beta + a(alpha-beta), alpha + b(beta-alpha))
     for i, j in itertools.product(range(X.size), repeat=2):
         alpha, beta = _omega_digits(q, h, k, i), _omega_digits(q, h, k, j)
@@ -198,13 +197,21 @@ def test_omega_extension_check_catches_flipped_psi1(monkeypatch, q, h, k):
         X = real(q_, h_, k_)
         if (h_, k_) != (h + 1, k + 1):
             return X
-        ring = OmegaRing(q_, h_, k_)
-        digits = ring.digits_of(X.r1)
-        top = ring.a_chain[-1]
-        y_top = ring.digits_of(np.arange(X.size))[top]
+        form = X.linear
+        digits = form.digits(X.r1)
+        # a^h, the top a-coefficient, is digit h
+        y_top = form.digits(np.arange(X.size))[:, h]
         # r1's top a-coefficient is y_top + psi1; make it y_top - psi1
-        digits[top] = (2 * y_top - digits[top]) % q_
-        return FiniteYBSet(ring.index_of(digits), X.r2)
+        digits[..., h] = (2 * y_top - digits[..., h]) % q_
+        # psi1 = x_a(h-1) - y_a(h-1) is linear in the digits, so this
+        # negates two entries of the form's row for digit h
+        A = np.array(form.matrix)
+        A[h, [h - 1, form.d + h - 1]] *= -1
+        made = FiniteYBSet._from_linear(LinearForm(q_, form.d, A.tolist()),
+                                        "flipped")
+        assert np.array_equal(made.r1, form.index(digits))
+        assert np.array_equal(made.r2, X.r2)
+        return made
 
     assert omega_extension_check(q, h, k)
     monkeypatch.setattr(ybcore, "make_omega", flipped)
@@ -225,17 +232,25 @@ def test_constructors_cap_table_size():
     assert swap_set(4096).size == 4096
 
 
-def test_omega_ring_stays_in_int64():
+def test_linear_form_codec_stays_in_int64():
     # 2^62 elements: the largest power of two an int64 index reaches
-    ring = OmegaRing(2, 32, 31)
-    assert ring.weights()[0] == 2 ** 61
+    form = LinearForm(2, 62, np.eye(124, dtype=np.int64).tolist())
+    assert form.weights[0] == 2 ** 61
     index = np.array([5, 2 ** 62 - 1])
-    assert np.array_equal(ring.index_of(ring.digits_of(index)), index)
-    for h, k in ((32, 32), (40, 40)):
-        with pytest.raises(ResourceBound, match=r"OmegaRing: q\^\(h\+k-1\)"):
-            OmegaRing(2, h, k)
+    digits = form.digits(index)
+    assert digits.shape == (2, 62)
+    assert digits[1].tolist() == [1] * 62
+    assert digits[0].tolist() == [0] * 59 + [1, 0, 1]
+    assert np.array_equal(form.index(digits), index)
+    for d in (63, 79):
+        with pytest.raises(ResourceBound,
+                           match=rf"LinearForm: q\^d = {2 ** d} exceeds"):
+            LinearForm(2, d, np.eye(2 * d, dtype=np.int64).tolist())
+    # the constructors refuse first, on their table cap or their input
+    with pytest.raises(ResourceBound, match="make_omega"):
+        make_omega(2, 32, 32)
     with pytest.raises(ValueError):
-        OmegaRing(1, 40, 40)
+        make_omega(1, 40, 40)
 
 
 @pytest.mark.parametrize("X", [
@@ -253,6 +268,8 @@ def test_constructors_declare_linear_form(X):
     assert form.q ** form.d == X.size
     with pytest.raises(AttributeError):
         X.linear = None
+    for table in (X.r1, X.r2):
+        assert table.dtype == np.int64 and not table.flags.writeable
 
     def digits(i):
         # d base-q digits, most significant first
@@ -273,7 +290,10 @@ def test_table_loaded_sets_declare_no_form():
     X = make_affine(5, 2, 1)
     assert FiniteYBSet(X.r1, X.r2).linear is None
     assert FiniteYBSet.from_json(X.to_json()).linear is None
-    assert extend(X, 2, CochainTable.zero(2, 5, 2)).linear is None
+    V = extend(X, 2, CochainTable.zero(2, 5, 2))
+    assert V.linear is None
+    for table in (V.r1, V.r2):
+        assert table.dtype == np.int64 and not table.flags.writeable
     assert swap_set(3).linear is None
 
 

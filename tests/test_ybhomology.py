@@ -408,6 +408,23 @@ def test_cohomology_guards():
         cohomology_group(z3_biquandle(), 0, 3)
 
 
+def test_coboundary_matrix_checks_its_cap_first(monkeypatch):
+    def no_slabs(*args):
+        raise AssertionError("a slab was colored")
+
+    monkeypatch.setattr(ybhomology, "_facet_slabs", no_slabs)
+    X = make_affine(15, 4, 11, 2)
+    message = (r"coboundary_matrix: \|X\|\^\(n\+1\) x \|X\|\^n = "
+               f"{15 ** 7} exceeds the cap {2 ** 24}")
+    for call in (lambda: coboundary_matrix(X, 3),
+                 lambda: cocycle_space(X, 3, 15),
+                 lambda: is_coboundary(X, CochainTable.zero(4, 15, 15)),
+                 # past the row cap, the matrix cap still refuses
+                 lambda: cohomology_group(X, 3, 15, max_cells=15 ** 4)):
+        with pytest.raises(ResourceBound, match=message):
+            call()
+
+
 def test_obstruction_frozen_values():
     z4 = z4_biquandle()
     f4 = CochainTable.from_function(1, 4, 4, lambda x: x)
