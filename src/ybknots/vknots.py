@@ -10,8 +10,22 @@ passes through and collects the total in the group ring Z[Z_m].
 A solution with a declared linear form (`FiniteYBSet.linear`) has the
 word act as one matrix W on the stacked digit vectors of the strands,
 so its colorings are ker(W - I) over Z_q: they are counted from the
-kernel's generators and listed from them, never searched for.  Any
-other solution has every tuple of X^k traced through the word, in slabs.
+kernel's generators and listed from them, never searched for.
+
+A solution given by its tables is searched over the arcs of the closed
+diagram.  Each real crossing is a relation R(x, y) = (z, w) on four
+arcs; virtual crossings and the closure only identify arcs.  The inputs
+fix a crossing through R, and when the tables allow it the outputs fix
+it through Rbar, (x, z) through the left inverse of y -> R1(x, y), and
+(y, w) through the right inverse of x -> R2(x, y); a biquandle has all
+four.  Which arcs a rule fixes depends only on which arcs are known, so
+the search is planned once over arc ids (branch on an arc, derive arcs,
+check arcs already known) and then run on an array holding one partial
+coloring per row: a branch repeats every row once per color, a derived
+arc is a column gather, and a check drops the rows it fails.
+
+Either way the rows found are traced through the word, which checks
+that each is fixed and gives the state-sum weights.
 """
 
 from __future__ import annotations
@@ -32,13 +46,10 @@ from .errors import (
 from .modalg import GroupRingElement, IntegerMatrix, kernel_mod
 from .ybcore import CochainTable, FiniteYBSet, _check_colors, _tuples
 
-# Most strand tuples traced for one call: |X|^k for a solution given by
-# its tables, the number of colorings for one with a linear form.
+# Most rows one call holds: the colorings listed for a solution with a
+# linear form, the partial colorings of the search for one given by its
+# tables (which bounds the colorings it lists too).
 MAX_TUPLES = 2 ** 24
-# strand colors traced at once; a slab's columns stay in cache, which
-# traced the 15^5 tuples of a 5-strand word about twice as fast as one
-# array holding all of them
-_SLAB_ENTRIES = 2 ** 16
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -246,32 +257,214 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
+# The rules of a crossing R(x, y) = (z, w), whose arcs are slots 0..3
+# in the order x, y, z, w: each names the pair of slots that fixes the
+# other two.
+_FORWARD, _BACKWARD, _LEFT, _RIGHT = range(4)
+_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
+
+
+def _arcs(word: BraidWord):
+    """The arcs of the closed word: (number of arcs, the arc at each top
+    position, the arcs (x, y, z, w) of each real crossing's relation
+    R(x, y) = (z, w)).
+
+    The positions start on the top arcs.  A real crossing puts two new
+    arcs on its positions and a virtual crossing swaps them.  A negative
+    crossing pulls its upper pair back through Rbar, so its relation
+    reads from the lower pair to the upper one.  The closure joins each
+    bottom arc to the top arc of its position, so a strand no real
+    crossing touches joins two top arcs.
+    """
+    k = word.strands
+    position = list(range(k))
+    parent = list(range(k))
+    crossings = []
+    for g in word.generators:
+        i = g.index - 1
+        upper = (position[i], position[i + 1])
+        if g.kind == VIRTUAL:
+            position[i], position[i + 1] = upper[1], upper[0]
+            continue
+        lower = (len(parent), len(parent) + 1)
+        parent.extend(lower)
+        position[i], position[i + 1] = lower
+        crossings.append(upper + lower if g.kind == POSITIVE
+                         else lower + upper)
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for top, bottom in enumerate(position):
+        a, b = root(top), root(bottom)
+        parent[max(a, b)] = min(a, b)
+    number: dict[int, int] = {}
+    arc = [number.setdefault(root(a), len(number))
+           for a in range(len(parent))]
+    return (len(number), [arc[a] for a in range(k)],
+            [tuple(arc[a] for a in c) for c in crossings])
+
+
+def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
+    """The search as steps over arc ids.  ("branch", arcs) gives the arcs
+    every combination of colors.  ("cross", rule, arcs, writes, checks)
+    fixes a crossing from the pair of `rule`: it writes the slots whose
+    arcs were unknown and checks the others, so every crossing's whole
+    relation is enforced once, also where two of its slots are one arc.
+
+    A branch takes the arc after which propagation knows the most arcs,
+    among those that complete a pair of some open crossing: that keeps
+    the rows few.  The top arcs fix every arc (through R, and Rbar where
+    a crossing is negative, which `rules` then holds), so a branch on
+    each unknown top arc would end the search.  An arc is taken only if
+    that many more branches would still keep the total within one per
+    top arc, and so the rows within |X|^(top arcs); failing that, the
+    best unknown top arc is taken.
+    """
+    touching: list[list[int]] = [[] for _ in range(n_arcs)]
+    for c, arcs in enumerate(crossings):
+        for a in set(arcs):
+            touching[a].append(c)
+    # each crossing's rules as (rule, the two arcs of its pair)
+    pairs = [[(r, arcs[_PAIRS[r][0]], arcs[_PAIRS[r][1]]) for r in rules]
+             for arcs in crossings]
+
+    def propagate(known, done, fresh, steps=None) -> int:
+        """Fire every crossing a known pair fixes, to a fixpoint; the
+        number of arcs that became known."""
+        gained = 0
+        while fresh:
+            for c in touching[fresh.pop()]:
+                if done[c]:
+                    continue
+                for rule, first, second in pairs[c]:
+                    if known[first] and known[second]:
+                        break
+                else:
+                    continue
+                done[c] = True
+                arcs = crossings[c]
+                writes, checks = [], []
+                for slot, a in enumerate(arcs):
+                    if slot in _PAIRS[rule]:
+                        continue
+                    if known[a]:
+                        checks.append(slot)
+                    else:
+                        known[a] = True
+                        writes.append(slot)
+                        fresh.append(a)
+                        gained += 1
+                if steps is not None:
+                    steps.append(("cross", rule, arcs, tuple(writes),
+                                  tuple(checks)))
+        return gained
+
+    def best(candidates):
+        chosen, most = None, -1
+        for arc in candidates:
+            trial = known.copy()
+            trial[arc] = True
+            gained = propagate(trial, done.copy(), [arc])
+            left = sum(not trial[a] for a in tops)
+            if gained > most and branches + 1 + left <= len(tops):
+                chosen, most = arc, gained
+        return chosen
+
+    tops = sorted(set(top))
+    known = [False] * n_arcs
+    done = [False] * len(crossings)
+    steps: list[tuple] = []
+    branches = 0
+    while not all(known):
+        arc = best(sorted({
+            b if known[a] else a for c in range(len(crossings))
+            if not done[c] for _, a, b in pairs[c] if known[a] != known[b]}))
+        if arc is None:
+            arc = best([a for a in tops if not known[a]])
+        branches += 1
+        if steps and steps[-1][0] == "branch":
+            steps[-1] = ("branch", steps[-1][1] + (arc,))
+        else:
+            steps.append(("branch", (arc,)))
+        known[arc] = True
+        propagate(known, done, [arc], steps)
+    return steps
+
+
+def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
+    """The colorings of the closed word on a table-given solution, as
+    strand tuples in lexicographic order, found by running `_plan` on an
+    (arcs, rows) array.  Consecutive branches are one step, so the cap
+    is checked on the rows they would make before any is allocated."""
+    n_arcs, top, crossings = _arcs(word)
+    report = X.verify_birack()
+    r1, r2 = X.r1, X.r2
+    rules = [_FORWARD]
+    # a word with a negative crossing needs Rbar, and X.rbar1 raises
+    # ValueError when R has none
+    if report.invertible or _needs_inverse(word):
+        rules.append(_BACKWARD)
+        rbar1, rbar2 = X.rbar1, X.rbar2
+    if report.left_invertible:
+        rules.append(_LEFT)
+        left = X.left_inverse
+    if report.right_invertible:
+        rules.append(_RIGHT)
+        right = X.right_inverse
+    n = X.size
+    cols = np.zeros((n_arcs, 1), dtype=np.int64)
+    for step in _plan(n_arcs, top, crossings, rules):
+        n_rows = cols.shape[1]
+        if n_rows == 0:
+            break
+        if step[0] == "branch":
+            arcs = list(step[1])
+            combos = n ** len(arcs)
+            check_cap(stage, "search rows", n_rows * combos, MAX_TUPLES)
+            colors = _tuples(n, len(arcs), np.arange(combos)).T
+            cols = np.repeat(cols, combos, axis=1)
+            cols[arcs] = np.tile(colors, n_rows)
+            continue
+        _, rule, arcs, writes, checks = step
+        v = [cols[a] for a in arcs]
+        if rule == _FORWARD:
+            v[2], v[3] = r1[v[0], v[1]], r2[v[0], v[1]]
+        elif rule == _BACKWARD:
+            v[0], v[1] = rbar1[v[2], v[3]], rbar2[v[2], v[3]]
+        elif rule == _LEFT:
+            v[1] = left[v[0], v[2]]
+            v[3] = r2[v[0], v[1]]
+        else:
+            v[0] = right[v[1], v[3]]
+            v[2] = r1[v[0], v[1]]
+        for slot in writes:
+            cols[arcs[slot]] = v[slot]
+        if checks:
+            keep = np.logical_and.reduce(
+                [v[slot] == cols[arcs[slot]] for slot in checks])
+            cols = cols[:, keep]
+    rows = cols[top].T
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
                 psi_array=None, modulus=None):
     """The colorings of the closed word as rows in lexicographic order,
     with their accumulated weights (None without a cochain)."""
     if X.linear is not None:
         start = _kernel_rows(stage, X, word)
-        end, weights = _trace_word(X, word, start, psi_array, modulus)
-        if not np.array_equal(end, start):
-            raise RuntimeError(
-                f"{stage}: a kernel element of W - I is not fixed by "
-                f"{word!r} on {X.label}")
-        return start, weights
-    k = word.strands
-    total = X.size ** k
-    check_cap(stage, f"|X|^k = {X.size}^{k}", total, MAX_TUPLES)
-    step = max(1, _SLAB_ENTRIES // k)
-    rows, weights = [], []
-    for lo in range(0, total, step):
-        start = _tuples(X.size, k, np.arange(lo, min(lo + step, total)))
-        end, slab_weights = _trace_word(X, word, start, psi_array, modulus)
-        fixed = (end == start).all(axis=1)
-        rows.append(start[fixed])
-        if slab_weights is not None:
-            weights.append(slab_weights[fixed])
-    return (np.concatenate(rows),
-            np.concatenate(weights) if weights else None)
+        found = "a kernel element of W - I"
+    else:
+        start = _searched_rows(stage, X, word)
+        found = "a searched coloring"
+    end, weights = _trace_word(X, word, start, psi_array, modulus)
+    if not np.array_equal(end, start):
+        raise RuntimeError(
+            f"{stage}: {found} is not fixed by {word!r} on {X.label}")
+    return start, weights
 
 
 @dataclass(frozen=True)

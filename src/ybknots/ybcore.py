@@ -60,6 +60,9 @@ class LinearForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.q < 2 or self.d < 1:
+            raise ValueError(f"need q >= 2 and d >= 1, got q = {self.q}, "
+                             f"d = {self.d}")
         check_cap("LinearForm", "q^d", self.q ** self.d, _INT64_MAX)
         matrix = tuple(tuple(int(e) % self.q for e in row)
                        for row in self.matrix)
@@ -140,6 +143,11 @@ def _linear_ybe_failure(form: LinearForm):
     return tuple(triple)
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class BirackReport:
     """Invertibility summary for a YB set."""
@@ -209,6 +217,8 @@ class FiniteYBSet:
         self._birack = None
         self._rbar1 = None
         self._rbar2 = None
+        self._left_inverse = None
+        self._right_inverse = None
         self._witness = None
         self._linear = linear
 
@@ -268,25 +278,34 @@ class FiniteYBSet:
 
     def verify_birack(self) -> BirackReport:
         """Check invertibility of R and of its two one-sided component maps;
-        on success the inverse tables for negative crossings are filled in."""
+        each map that is invertible gets its inverse table: `rbar1` and
+        `rbar2` for negative crossings, `left_inverse` and
+        `right_inverse` for the sideways maps."""
         if self._birack is None:
             n = self.size
+            elements = np.arange(n)
             packed = (self.r1 * n + self.r2).reshape(-1)
             invertible = bool(np.array_equal(np.sort(packed),
                                              np.arange(n * n)))
             rows_perm = np.sort(self.r1, axis=1)
-            left = bool((rows_perm == np.arange(n)).all())
+            left = bool((rows_perm == elements).all())
             cols_perm = np.sort(self.r2, axis=0)
-            right = bool((cols_perm == np.arange(n).reshape(n, 1)).all())
+            right = bool((cols_perm == elements.reshape(n, 1)).all())
             if invertible:
                 inv = np.empty(n * n, dtype=np.int64)
                 inv[packed] = np.arange(n * n)
-                rbar1 = (inv // n).reshape(n, n)
-                rbar2 = (inv % n).reshape(n, n)
-                rbar1.setflags(write=False)
-                rbar2.setflags(write=False)
-                self._rbar1 = rbar1
-                self._rbar2 = rbar2
+                self._rbar1 = _frozen((inv // n).reshape(n, n))
+                self._rbar2 = _frozen((inv % n).reshape(n, n))
+            if left:
+                # left_inverse[a, R1(a, b)] = b
+                table = np.empty((n, n), dtype=np.int64)
+                table[elements[:, None], self.r1] = elements
+                self._left_inverse = _frozen(table)
+            if right:
+                # right_inverse[b, R2(a, b)] = a
+                table = np.empty((n, n), dtype=np.int64)
+                table[elements, self.r2] = elements[:, None]
+                self._right_inverse = _frozen(table)
             self._birack = BirackReport(invertible, left, right)
         return self._birack
 
@@ -305,6 +324,24 @@ class FiniteYBSet:
 
     def rbar(self, a: int, b: int) -> tuple[int, int]:
         return int(self.rbar1[a, b]), int(self.rbar2[a, b])
+
+    @property
+    def left_inverse(self) -> np.ndarray:
+        """Inverse of b -> R1(a, b) for each a:
+        left_inverse[a, R1(a, b)] == b."""
+        if self._left_inverse is None and \
+                not self.verify_birack().left_invertible:
+            raise ValueError(f"{self.label}: R is not left invertible")
+        return self._left_inverse
+
+    @property
+    def right_inverse(self) -> np.ndarray:
+        """Inverse of a -> R2(a, b) for each b:
+        right_inverse[b, R2(a, b)] == a."""
+        if self._right_inverse is None and \
+                not self.verify_birack().right_invertible:
+            raise ValueError(f"{self.label}: R is not right invertible")
+        return self._right_inverse
 
     def biquandle_witness(self) -> BiquandleWitness:
         """Unique-fixed-pair maps, raising NotBiquandle at the first element

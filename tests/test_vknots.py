@@ -320,7 +320,7 @@ def _random_word(rng, strands, letters):
            CochainTable.from_function(2, 4, 4, lambda x, y: 2 * x))],
     ids=lambda X: X.label)
 def test_linear_path_matches_brute_force(X):
-    # the same tables without a declared form take the brute-force path
+    # the same tables without a declared form take the search
     table = FiniteYBSet(X.r1, X.r2)
     assert X.linear is not None and table.linear is None
     q = X.linear.q
@@ -366,15 +366,129 @@ def test_linear_path_five_strands_on_fifteen_elements():
     assert state_sum(X, psi, word).value == state_sum(table, psi, word).value
 
 
-def test_brute_force_slabs_keep_order(monkeypatch):
-    X = FiniteYBSet(make_block(2, 1, 1).r1, make_block(2, 1, 1).r2)
-    psi = CochainTable(2, 4, 3, [x + 2 * y for x in range(4) for y in range(4)])
+def _oracle(X, word, psi):
+    """Colorings and state-sum coefficients of the closed word by tracing
+    every tuple of X^k in plain Python through X.r and X.rbar."""
+    found = []
+    coefficients = [0] * psi.modulus
+    for start in itertools.product(range(X.size), repeat=word.strands):
+        colors, weight = list(start), 0
+        for g in word.generators:
+            i = g.index - 1
+            pair = colors[i], colors[i + 1]
+            if g.kind == "positive":
+                weight += psi(*pair)
+                colors[i], colors[i + 1] = X.r(*pair)
+            elif g.kind == "negative":
+                colors[i], colors[i + 1] = X.rbar(*pair)
+                weight -= psi(colors[i], colors[i + 1])
+            else:
+                colors[i], colors[i + 1] = pair[1], pair[0]
+        if tuple(colors) == start:
+            found.append(start)
+            coefficients[weight % psi.modulus] += 1
+    return tuple(found), coefficients
+
+
+def _relabelled(X, rng):
+    """X's tables carried along a random relabelling, with no form."""
+    p = np.array(rng.sample(range(X.size), X.size))
+    r1 = np.empty_like(X.r1)
+    r2 = np.empty_like(X.r2)
+    r1[p[:, None], p[None, :]] = p[X.r1]
+    r2[p[:, None], p[None, :]] = p[X.r2]
+    return FiniteYBSet(r1, r2)
+
+
+def _assert_matches_oracle(X, word, psi):
+    found, coefficients = _oracle(X, word, psi)
+    assert colorings(X, word).tuples == found, word
+    assert count_colorings(X, word) == len(found), word
+    assert list(state_sum(X, psi, word).value.coefficients) == \
+        coefficients, word
+
+
+@pytest.mark.parametrize("X", [
+    make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5),
+    make_block(2, 1, 1), make_block(3, 1, 2),
+    make_omega(2, 2, 2), make_omega(3, 2, 1),
+    extend(make_block(2, 1, 1), 2,
+           CochainTable.from_function(2, 4, 2, lambda x, y: y - x))],
+    ids=lambda X: X.label)
+def test_search_matches_oracle_on_relabelled_solutions(X):
+    rng = random.Random(X.label)
+    for _ in range(6):
+        table = _relabelled(X, rng)
+        # X^k stays small enough for the plain-Python oracle
+        strands = rng.randint(1, 3 if X.size > 9 else 4)
+        word = _random_word(rng, strands, rng.randint(0, 10))
+        m = rng.randint(2, 5)
+        psi = CochainTable(2, X.size, m,
+                           [rng.randrange(m) for _ in range(X.size ** 2)])
+        _assert_matches_oracle(table, word, psi)
+
+
+def test_search_matches_oracle_on_random_tables():
+    # arbitrary maps (rarely invertible, rarely solutions) and random
+    # bijections of X^2 (invertible, rarely sideways invertible or
+    # biquandles); the search uses only the rules each table allows
+    rng = random.Random(11)
+    kinds = set()
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        if trial % 2:
+            pairs = rng.sample(range(n * n), n * n)
+            r1 = [[pairs[x * n + y] // n for y in range(n)] for x in range(n)]
+            r2 = [[pairs[x * n + y] % n for y in range(n)] for x in range(n)]
+        else:
+            r1 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            r2 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        X = FiniteYBSet(r1, r2)
+        report = X.verify_birack()
+        kinds.add((n == 1, report.invertible, report.left_invertible,
+                   report.right_invertible))
+        m = rng.randint(2, 4)
+        psi = CochainTable(2, n, m, [rng.randrange(m) for _ in range(n * n)])
+        for _ in range(3):
+            word = _random_word(rng, rng.randint(1, 4), rng.randint(0, 8))
+            if report.invertible or not any(
+                    g.kind == "negative" for g in word.generators):
+                _assert_matches_oracle(X, word, psi)
+    assert (True, True, True, True) in kinds
+    assert (False, True, False, False) in kinds
+    assert (False, False, False, False) in kinds
+    assert (False, False, True, False) in kinds
+
+
+def test_search_on_degenerate_closures():
+    rng = random.Random(4)
+    projection = FiniteYBSet([[y for y in range(3)] for _ in range(3)],
+                             [[y for y in range(3)] for _ in range(3)])
+    for X in (_relabelled(z4_biquandle(), rng), projection,
+              FiniteYBSet([[0]], [[0]])):
+        psi = CochainTable(2, X.size, 3,
+                           [rng.randrange(3) for _ in range(X.size ** 2)])
+        # s1 on two strands is the relation R(a, b) = (a, b); a strand no
+        # real crossing touches joins two top arcs; virtual crossings alone
+        # only permute the strands
+        for text, strands in (("s1", 2), ("s1", 3), ("s1 v2", 3),
+                              ("s2 s2", 4), ("", 3), ("v1 v2", 3),
+                              ("v1 v1", 2), ("v2 v1 v3", 4)):
+            _assert_matches_oracle(X, parse_braid(text, strands), psi)
+
+
+def test_search_order_matches_oracle_under_relabelling():
+    # the rows come out of the search in branch order; the listed
+    # colorings must still be lexicographic in whatever labels X has
+    base = make_block(2, 1, 1)
     word = parse_braid("s1 v2 s3^-1 s2 s1", strands=4)
-    whole = (colorings(X, word), count_colorings(X, word),
-             state_sum(X, psi, word))
-    monkeypatch.setattr(vknots, "_SLAB_ENTRIES", 1)  # one tuple a slab
-    assert (colorings(X, word), count_colorings(X, word),
-            state_sum(X, psi, word)) == whole
+    rng = random.Random(9)
+    for _ in range(4):
+        X = _relabelled(base, rng)
+        psi = CochainTable(2, 4, 3, [rng.randrange(3) for _ in range(16)])
+        found = colorings(X, word).tuples
+        assert list(found) == sorted(found)
+        _assert_matches_oracle(X, word, psi)
 
 
 def test_linear_path_reaches_past_brute_force():
@@ -388,25 +502,29 @@ def test_linear_path_reaches_past_brute_force():
         colorings(X, unknots)
 
 
-def test_brute_force_cap_raises_before_enumerating(monkeypatch):
+def test_search_cap_raises_before_allocating(monkeypatch):
     X = make_affine(15, 4, 11, 2)
     table = FiniteYBSet(X.r1, X.r2)
-    word = parse_braid("s1 s2", strands=7)
+    # an unknot on three strands beside four unlinked strands: the search
+    # holds at most 15^5 rows, within the cap, where |X|^k = 15^7 is not
+    assert count_colorings(table, parse_braid("s1 s2", strands=7)) == \
+        count_colorings(X, parse_braid("s1 s2", strands=7)) == 15 ** 5
+    # seven unlinked strands: one branch would make 15^7 rows
+    unknots = parse_braid("", strands=7)
 
     def refuse(*args):
-        raise AssertionError("enumerated past the cap")
+        raise AssertionError("allocated past the cap")
 
     monkeypatch.setattr(vknots, "_tuples", refuse)
-    for call, name in ((lambda: count_colorings(table, word), "count_colorings"),
-                       (lambda: colorings(table, word), "colorings"),
+    for call, name in ((lambda: count_colorings(table, unknots),
+                        "count_colorings"),
+                       (lambda: colorings(table, unknots), "colorings"),
                        (lambda: state_sum(table, CochainTable.zero(2, 15, 2),
-                                          word), "state_sum")):
+                                          unknots), "state_sum")):
         with pytest.raises(ResourceBound,
-                           match=rf"{name}: \|X\|\^k = 15\^7 = {15 ** 7} "):
+                           match=rf"{name}: search rows = {15 ** 7} "
+                           rf"exceeds the cap {vknots.MAX_TUPLES}"):
             call()
-    # the linear path neither enumerates tuples nor hits the cap: the
-    # closure is an unknot on three strands beside four unlinked strands
-    assert count_colorings(X, word) == 15 ** 5
 
 
 def test_linear_path_needs_invertible_r_for_negative_crossings():
@@ -426,3 +544,13 @@ def test_unfixed_kernel_row_is_an_error(monkeypatch):
                         lambda stage, X, word: np.array([[0, 1]]))
     with pytest.raises(RuntimeError, match="not fixed"):
         colorings(X, parse_braid("s1"))
+
+
+def test_unfixed_searched_row_is_an_error(monkeypatch):
+    X = make_affine(5, 2, 1)
+    table = FiniteYBSet(X.r1, X.r2)
+    monkeypatch.setattr(vknots, "_searched_rows",
+                        lambda stage, X, word: np.array([[0, 1]]))
+    with pytest.raises(RuntimeError,
+                       match="colorings: a searched coloring is not fixed"):
+        colorings(table, parse_braid("s1"))

@@ -99,6 +99,9 @@ def test_rbar_inverts_r(maker):
         assert X.rbar(a, b) == (x, y)
         c, d = X.rbar(x, y)
         assert X.r(c, d) == (x, y)
+        # the sideways maps: (x, R1(x, y)) gives y, (y, R2(x, y)) gives x
+        assert X.left_inverse[x, a] == y
+        assert X.right_inverse[y, b] == x
 
 
 def test_block_family_is_yang_baxter():
@@ -230,6 +233,15 @@ def test_constructors_cap_table_size():
     with pytest.raises(ResourceBound, match="swap_set"):
         swap_set(4097)
     assert swap_set(4096).size == 4096
+
+
+def test_linear_form_refuses_bad_parameters():
+    # q = 0 would divide by zero and d = 0 would build tables with no
+    # digits to read
+    for q, d, matrix in ((0, 1, ((0, 0), (0, 0))), (1, 1, ((0, 0), (0, 0))),
+                         (2, 0, ())):
+        with pytest.raises(ValueError, match="need q >= 2 and d >= 1"):
+            LinearForm(q, d, matrix)
 
 
 def test_linear_form_codec_stays_in_int64():
@@ -449,6 +461,9 @@ def test_degenerate_projection_set():
     assert not report.right_invertible
     with pytest.raises(ValueError):
         X.rbar1
+    assert X.left_inverse.tolist() == table
+    with pytest.raises(ValueError, match="not right invertible"):
+        X.right_inverse
 
 
 def test_identity_map_has_no_witness():
