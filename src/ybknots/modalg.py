@@ -253,8 +253,8 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     reduction over a field is unavailable.
 
     Because V is unimodular, the generators span a direct sum of cyclic
-    groups, and a generator g has order m // gcd(m, *g); the order of the
-    kernel is the product of these orders.
+    groups, so the order of the kernel is the product of the generators'
+    orders (`_orders`).
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
@@ -272,6 +272,11 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
             continue
         gens.append([(v[j][i] * mult) % m for j in range(c)])
     return gens
+
+
+def _orders(gens, m: int) -> list[int]:
+    """The order m // gcd(m, *g) of each generator g of kernel_mod."""
+    return [m // gcd(m, *g) for g in gens]
 
 
 def solve_mod(A: IntegerMatrix, b, m: int):

@@ -36,20 +36,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    BraidSyntaxError,
-    IndexOutOfRange,
-    ModulusMismatch,
-    check_cap,
-)
-from .modalg import GroupRingElement, IntegerMatrix, kernel_mod
-from .ybcore import CochainTable, FiniteYBSet, _check_colors, _tuples
+from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, check_cap
+from .modalg import GroupRingElement, IntegerMatrix, _orders, kernel_mod
+from .ybcore import CochainTable, FiniteYBSet, _check_colors, _decode
 
 # Most rows one call holds: the colorings listed for a solution with a
 # linear form, the partial colorings of the search for one given by its
 # tables (which bounds the colorings it lists too).
 MAX_TUPLES = 2 ** 24
+
+# Most letters a parsed word expands to: the trace, the arcs and the
+# search plan all walk every letter.
+MAX_LETTERS = 4000
+
+# Most digits d*k, the side of W, that the kernel path eliminates: the
+# Smith form of W - I takes at least cubic time in it.
+MAX_KERNEL_DIGITS = 224
+
+# Most top arcs the search plans over: planning tries each candidate
+# arc at each branch, which grows as the cube of the top arcs.
+MAX_TOP_ARCS = 320
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -137,6 +143,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
             raise BraidSyntaxError(
                 f"index must be at least 1 in {token!r}", match.start())
         exponent = 1 if exp_text is None else int(exp_text)
+        check_cap("parse_braid", "letters", len(generators) + abs(exponent),
+                  MAX_LETTERS)
         max_index = max(max_index, index)
         if kind_char == "v":
             generators.extend([BraidGenerator(VIRTUAL, index)] * abs(exponent))
@@ -201,50 +209,32 @@ def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
 
 def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     """W over Z_q: the word's action on the k strands' digit vectors,
-    stacked strand by strand.
-
-    A positive crossing applies the form's matrix A to the digits of
-    strands i and i+1, a virtual crossing swaps them.  A negative crossing
-    applies A^-1, whose column j is the digits of Rbar(e_j), e_j the pair
-    with digit j set; Rbar is linear because R is.
-    """
+    stacked strand by strand.  R is linear, so column j of W is the
+    digits of the traced tuple whose digit vector is e_j."""
     form = X.linear
-    q, d = form.q, form.d
-    forward = np.array(form.matrix, dtype=np.int64)
-    if _needs_inverse(word):
-        units = form.weights
-        pairs = [(u, 0) for u in units] + [(0, u) for u in units]
-        images = np.array([X.rbar(x, y) for x, y in pairs])
-        backward = form.digits(images).reshape(2 * d, 2 * d).T
-    W = np.eye(d * word.strands, dtype=np.int64)
-    for g in word.generators:
-        i = (g.index - 1) * d
-        pair = slice(i, i + 2 * d)
-        if g.kind == POSITIVE:
-            W[pair] = forward @ W[pair] % q
-        elif g.kind == NEGATIVE:
-            W[pair] = backward @ W[pair] % q
-        else:
-            W[pair] = np.roll(W[pair], d, axis=0)
-    return W
+    units = np.eye(form.d * word.strands, dtype=np.int64)
+    end, _ = _trace_word(
+        X, word, form.index(units.reshape(len(units), word.strands, form.d)),
+        None, None)
+    return form.digits(end).reshape(len(units), -1).T
 
 
-def _kernel(X: FiniteYBSet, word: BraidWord) -> tuple[list, list]:
+def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[list, list]:
     """Generators of ker(W - I) over Z_q and their orders.  kernel_mod's
     generators span a direct sum, so each coloring is one combination
     sum c_i g_i with 0 <= c_i < order_i."""
-    q = X.linear.q
-    W = _word_matrix(X, word) - np.eye(X.linear.d * word.strands,
-                                       dtype=np.int64)
+    q, d = X.linear.q, X.linear.d
+    check_cap(stage, "kernel digits d*k", d * word.strands,
+              MAX_KERNEL_DIGITS)
+    W = _word_matrix(X, word) - np.eye(d * word.strands, dtype=np.int64)
     gens = kernel_mod(IntegerMatrix(W.tolist()), q)
-    return gens, [q // math.gcd(q, *g) for g in gens]
+    return gens, _orders(gens, q)
 
 
 def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
-    """Every element of ker(W - I) as a strand tuple, in lexicographic
-    order."""
+    """Every element of ker(W - I) as a strand tuple."""
     q, d = X.linear.q, X.linear.d
-    gens, orders = _kernel(X, word)
+    gens, orders = _kernel(stage, X, word)
     total = math.prod(orders)
     check_cap(stage, "colorings", total, MAX_TUPLES)
     index = np.arange(total, dtype=np.int64)
@@ -253,8 +243,7 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     for g, order in zip(gens[::-1], orders[::-1]):
         vectors = (vectors + np.outer(index % order, g)) % q
         index //= order
-    rows = X.linear.index(vectors.reshape(total, word.strands, d))
-    return rows[np.lexsort(rows.T[::-1])]
+    return X.linear.index(vectors.reshape(total, word.strands, d))
 
 
 # The rules of a crossing R(x, y) = (z, w), whose arcs are slots 0..3
@@ -396,10 +385,11 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
 
 def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     """The colorings of the closed word on a table-given solution, as
-    strand tuples in lexicographic order, found by running `_plan` on an
-    (arcs, rows) array.  Consecutive branches are one step, so the cap
-    is checked on the rows they would make before any is allocated."""
+    strand tuples, found by running `_plan` on an (arcs, rows) array.
+    Consecutive branches are one step, so the cap is checked on the rows
+    they would make before any is allocated."""
     n_arcs, top, crossings = _arcs(word)
+    check_cap(stage, "top arcs", len(set(top)), MAX_TOP_ARCS)
     report = X.verify_birack()
     r1, r2 = X.r1, X.r2
     rules = [_FORWARD]
@@ -424,7 +414,7 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
             arcs = list(step[1])
             combos = n ** len(arcs)
             check_cap(stage, "search rows", n_rows * combos, MAX_TUPLES)
-            colors = _tuples(n, len(arcs), np.arange(combos)).T
+            colors = _decode(np.arange(combos), n, len(arcs)).T
             cols = np.repeat(cols, combos, axis=1)
             cols[arcs] = np.tile(colors, n_rows)
             continue
@@ -446,14 +436,13 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
             keep = np.logical_and.reduce(
                 [v[slot] == cols[arcs[slot]] for slot in checks])
             cols = cols[:, keep]
-    rows = cols[top].T
-    return rows[np.lexsort(rows.T[::-1])]
+    return cols[top].T
 
 
 def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
                 psi_array=None, modulus=None):
-    """The colorings of the closed word as rows in lexicographic order,
-    with their accumulated weights (None without a cochain)."""
+    """The colorings of the closed word as rows, in no set order, with
+    their accumulated weights (None without a cochain)."""
     if X.linear is not None:
         start = _kernel_rows(stage, X, word)
         found = "a kernel element of W - I"
@@ -483,14 +472,15 @@ class ColoringSet:
 def colorings(X: FiniteYBSet, word: BraidWord) -> ColoringSet:
     """Colorings of the closed braid: tuples with apply_word(t) == t."""
     rows, _ = _fixed_rows("colorings", X, word)
+    rows = rows[np.lexsort(rows.T[::-1])]
     return ColoringSet(word, tuple(map(tuple, rows.tolist())))
 
 
 def count_colorings(X: FiniteYBSet, word: BraidWord) -> int:
     """Number of colorings; with a linear form, the order of ker(W - I),
-    which enumerates nothing and so is not capped."""
+    which enumerates nothing and so is not capped by MAX_TUPLES."""
     if X.linear is not None:
-        return math.prod(_kernel(X, word)[1])
+        return math.prod(_kernel("count_colorings", X, word)[1])
     return len(_fixed_rows("count_colorings", X, word)[0])
 
 
@@ -531,7 +521,7 @@ def state_sum(X: FiniteYBSet, psi: CochainTable, word: BraidWord) -> InvariantVa
     if psi.arity != 2:
         raise ArityMismatch(f"state sum needs a 2-cochain, got arity {psi.arity}")
     if psi.set_size != X.size:
-        raise ModulusMismatch(
+        raise ArityMismatch(
             f"cochain set size {psi.set_size} does not match |X| = {X.size}")
     m = psi.modulus
     _, weights = _fixed_rows("state_sum", X, word, psi.as_array(), m)

@@ -20,6 +20,7 @@ on its matrix rather than on all |X|^3 triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -43,16 +44,44 @@ MAX_TABLE_ENTRIES = 2 ** 24
 # Largest index a digit layout may reach: indices are int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Most entries one slab of a vectorized check or cube coloring holds at
+# once; ybe_failure and the cube complex both read it.
+SLAB_ENTRIES = 500000
+
+
+@lru_cache(maxsize=256)
+def _places(base: int, length: int) -> np.ndarray:
+    """The place values base^(length-1), ..., base, 1 of the codec below:
+    the first digit is the most significant.  Read-only, as it is shared."""
+    places = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    places.setflags(write=False)
+    return places
+
+
+def _encode(digits, base: int) -> np.ndarray:
+    """The index of each digit vector on the last axis; no digits read as
+    0.  This layout numbers the elements of a linear form and the tuples
+    of X^k."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ _places(base, digits.shape[-1])
+
+
+def _decode(index, base: int, length: int) -> np.ndarray:
+    """The `length` digits of each index on a new last axis; inverts
+    `_encode`."""
+    index = np.asarray(index, dtype=np.int64)
+    return index[..., None] // _places(base, length) % base
+
 
 @dataclass(frozen=True)
 class LinearForm:
     """A solution on (Z_q)^d given by one 2d x 2d matrix over Z_q.
 
     An element's index reads its d base-q digits, most significant first;
-    `digits` and `index` convert between the two, and no other code
-    knows that layout.  `matrix` maps the 2d digits of (x, y), x's first,
-    to the 2d digits of (R1(x, y), R2(x, y)); it is stored as a tuple of
-    rows with entries in 0..q-1.
+    `digits` and `index` convert between the two through the module's
+    codec.  `matrix` maps the 2d digits of (x, y), x's first, to the 2d
+    digits of (R1(x, y), R2(x, y)); it is stored as a tuple of rows with
+    entries in 0..q-1.
     """
 
     q: int
@@ -76,17 +105,16 @@ class LinearForm:
         """The place value of each digit: q^(d-1), ..., q, 1; weights[j]
         is also the index of the element whose only nonzero digit is a 1
         in digit j."""
-        return self.q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+        return _places(self.q, self.d)
 
     def digits(self, index) -> np.ndarray:
         """The d digits of each index, on a new last axis."""
-        index = np.asarray(index, dtype=np.int64)
-        return index[..., None] // self.weights % self.q
+        return _decode(index, self.q, self.d)
 
     def index(self, digits) -> np.ndarray:
         """The index of each digit vector (digits in 0..q-1 on the last
         axis); inverts `digits`."""
-        return np.asarray(digits, dtype=np.int64) @ self.weights
+        return _encode(digits, self.q)
 
 
 def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +274,7 @@ class FiniteYBSet:
             # the traffic of the n^3 gathers below.
             r1 = self.r1.astype(np.int32)
             r2 = self.r2.astype(np.int32)
-            step = max(1, 500000 // (n * n))
+            step = max(1, SLAB_ENTRIES // (n * n))
             y = np.arange(n).reshape(1, n, 1)
             z = np.arange(n).reshape(1, 1, n)
             d1 = r1[y, z]
@@ -486,12 +514,6 @@ def _check_colors(size: int, colors):
     for v in colors:
         if not 0 <= v < size:
             raise ValueError(f"tuple entry {v} outside 0..{size - 1}")
-
-
-def _tuples(size: int, k: int, rows: np.ndarray) -> np.ndarray:
-    """The tuples of X^k, |X| = size, at the given row numbers of the
-    layout of CochainTable, one tuple a row."""
-    return np.stack(np.unravel_index(rows, (size,) * k), axis=1)
 
 
 class CochainTable:

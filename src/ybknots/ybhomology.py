@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -29,12 +29,16 @@ from .errors import (
     NotACocycle,
     check_cap,
 )
-from .modalg import IntegerMatrix, kernel_mod, quotient_invariant_factors, solve_mod
+from . import ybcore
+from .modalg import (IntegerMatrix, _orders, kernel_mod,
+                     quotient_invariant_factors, solve_mod)
 from .ybcore import (MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
-                     _check_colors, _tuples)
+                     _check_colors, _decode, _encode)
 
 DEFAULT_MAX_CELLS = 200000
-_SLAB_ENTRIES = 500000  # edge-table entries colored at once
+# Largest cube dimension n: the schedule's faces and edges grow as 4^n,
+# and n = 12 is the largest arity + 1 the matrix cap admits for |X| >= 2.
+MAX_CUBE_DIMENSION = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,12 +155,11 @@ def _facet_slabs(X: FiniteYBSet, n: int):
     reading of the cube of tuple number rows[r]."""
     sched = _schedule(n)
     total = X.size ** n
-    weights = X.size ** np.arange(n - 2, -1, -1, dtype=np.int64)
-    step = max(1, _SLAB_ENTRIES // len(sched.edges))
+    step = max(1, ybcore.SLAB_ENTRIES // len(sched.edges))
     for start in range(0, total, step):
         rows = np.arange(start, min(start + step, total))
-        tuples = _tuples(X.size, n, rows)
-        yield rows, _edge_table(X, tuples)[:, sched.facets] @ weights
+        table = _edge_table(X, _decode(rows, X.size, n))
+        yield rows, _encode(table[:, sched.facets], X.size)
 
 
 def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
@@ -165,6 +168,8 @@ def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
     stay uncolored; neither happens when X satisfies the Yang-Baxter
     equation."""
     _check_colors(X.size, initial)
+    check_cap("color_cube", "cube dimension", len(initial),
+              MAX_CUBE_DIMENSION)
     row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))
     return CubeColoring(len(initial), tuple(row[0].tolist()))
 
@@ -231,6 +236,7 @@ def boundary(X: FiniteYBSet, tup) -> FormalChain:
     if n < 1:
         raise ValueError("boundary needs at least a 1-tuple")
     _check_colors(X.size, tup)
+    check_cap("boundary", "cube dimension", n, MAX_CUBE_DIMENSION)
     sched = _schedule(n)
     row = _edge_table(X, np.array([tup], dtype=np.int64))[0]
     terms: dict = {}
@@ -250,6 +256,8 @@ def coboundary(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     """(delta f)(w) = sum of sign * f(facet reading) over the facets of
     the cube colored by w, as a table on X^(arity+1)."""
     _check_cochain(X, f)
+    check_cap("coboundary", "cube dimension", f.arity + 1,
+              MAX_CUBE_DIMENSION)
     signs = _schedule(f.arity + 1).signs
     return CochainTable(f.arity + 1, X.size, f.modulus, np.concatenate(
         [f.values[columns] @ signs
@@ -267,6 +275,8 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     # each entry becomes a Python int in a list of lists
     check_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", shape[0] * shape[1],
               MAX_TABLE_ENTRIES)
+    check_cap("coboundary_matrix", "cube dimension", n + 1,
+              MAX_CUBE_DIMENSION)
     signs = _schedule(n + 1).signs
     # entries are bounded by the 2(n+1) facets, so int8 holds them
     out = np.zeros(shape, dtype=np.int8)
@@ -312,8 +322,8 @@ def cocycle_space(X: FiniteYBSet, n: int, m: int,
         witness = X.biquandle_witness()
         a = np.arange(X.size)
         fixed = np.zeros((2 * X.size, matrix.cols), dtype=np.int64)
-        fixed[2 * a, np.array(witness.x_of) * X.size + a] = 1
-        fixed[2 * a + 1, a * X.size + np.array(witness.y_of)] = 1
+        fixed[2 * a, _encode(np.stack((witness.x_of, a), 1), X.size)] = 1
+        fixed[2 * a + 1, _encode(np.stack((a, witness.y_of), 1), X.size)] = 1
         matrix = IntegerMatrix._wrap(matrix.entries + fixed.tolist(),
                                      matrix.cols)
     return [CochainTable(n, X.size, m, g) for g in kernel_mod(matrix, m)]
@@ -361,8 +371,7 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
         columns = np.array(previous, dtype=np.int64).T % m
         image = [col for col in columns.tolist() if any(col)]
     factors = quotient_invariant_factors(kernel, image, m)
-    # kernel_mod's generators span a direct sum of cyclic groups
-    cocycle_order = prod(m // gcd(m, *g) for g in kernel)
+    cocycle_order = prod(_orders(kernel, m))
     return CohomologyReport(
         arity=n,
         modulus=m,

@@ -150,6 +150,26 @@ def test_boundary(capsys):
     assert err == "error: tuple entry 4 outside 0..3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("color", "--affine", "3,1,2,2", "--word", "s1", "--strands", "100000"),
+    ("color", "--affine", "3,1,2,2", "--word", "s1^1000000000"),
+    ("boundary", "--affine", "3,1,2,2", "--tuple", ",".join(["0"] * 40))],
+    ids=["strands", "letters", "cube"])
+def test_oversized_inputs_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "exceeds the cap" in err
+
+
+def test_invariant_cochain_on_another_set_exits_2(capsys, tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(CochainTable.zero(2, 3, 4).to_json()))
+    rc, _, err = run(capsys, "invariant", "--affine", "4,1,-1,-1",
+                     "--word", "s1", "--cocycle", str(path))
+    assert rc == 2
+    assert "cochain set size 3 does not match" in err
+
+
 def test_boundary_json(capsys):
     rc, out, _ = run(capsys, "boundary", "--affine", "4,1,-1,-1",
                      "--tuple", "1,2", "--json")

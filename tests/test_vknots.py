@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from ybknots import (
     swap_set,
     vknots,
 )
-from ybknots.errors import BraidSyntaxError, IndexOutOfRange, ResourceBound
+from ybknots.errors import (
+    ArityMismatch,
+    BraidSyntaxError,
+    IndexOutOfRange,
+    ResourceBound,
+)
 from ybknots.reference import (
     BORROMEAN_VALUE,
     BORROMEAN_WORD,
@@ -323,11 +329,30 @@ def test_linear_path_matches_brute_force(X):
     # the same tables without a declared form take the search
     table = FiniteYBSet(X.r1, X.r2)
     assert X.linear is not None and table.linear is None
-    q = X.linear.q
-    units = q ** np.arange(X.linear.d - 1, -1, -1)
+    q, d = X.linear.q, X.linear.d
+    units = q ** np.arange(d - 1, -1, -1)
 
     def digits(rows):
         return (rows[:, :, None] // units % q).reshape(len(rows), -1)
+
+    # A on the digits of a pair; A^-1 has column j the digits of Rbar of
+    # the pair whose only nonzero digit is a 1 in digit j
+    forward = np.array(X.linear.matrix)
+    backward = None
+    if X.verify_birack().invertible:
+        pairs = [(u, 0) for u in units] + [(0, u) for u in units]
+        backward = digits(np.array([X.rbar(x, y) for x, y in pairs])).T
+
+    def word_matrix(word):
+        W = np.eye(d * word.strands, dtype=np.int64)
+        for g in word.generators:
+            pair = slice((g.index - 1) * d, (g.index + 1) * d)
+            if g.kind == "virtual":
+                W[pair] = np.roll(W[pair], d, axis=0)
+            else:
+                M = forward if g.kind == "positive" else backward
+                W[pair] = M @ W[pair] % q
+        return W
 
     rng = random.Random(X.label)
     # tuples have their own stream, so rng draws the same words and
@@ -336,13 +361,13 @@ def test_linear_path_matches_brute_force(X):
     for _ in range(20):
         strands = rng.randint(1, 4 if X.size > 9 else 5)
         word = _random_word(rng, strands, rng.randint(0, 12))
-        # apply_word against W, which does not go through _trace_word
+        # apply_word and the traced W against a W built from A and A^-1
+        W = word_matrix(word)
+        assert np.array_equal(vknots._word_matrix(X, word), W), word
         starts = np.array([[tuple_rng.randrange(X.size)
                             for _ in range(strands)] for _ in range(8)])
         ends = np.array([apply_word(X, word, t) for t in starts])
-        assert np.array_equal(
-            digits(ends),
-            digits(starts) @ vknots._word_matrix(X, word).T % q), word
+        assert np.array_equal(digits(ends), digits(starts) @ W.T % q), word
         m = rng.randint(2, 5)
         psi = CochainTable(2, X.size, m,
                            [rng.randrange(m) for _ in range(X.size ** 2)])
@@ -515,7 +540,7 @@ def test_search_cap_raises_before_allocating(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated past the cap")
 
-    monkeypatch.setattr(vknots, "_tuples", refuse)
+    monkeypatch.setattr(vknots, "_decode", refuse)
     for call, name in ((lambda: count_colorings(table, unknots),
                         "count_colorings"),
                        (lambda: colorings(table, unknots), "colorings"),
@@ -525,6 +550,59 @@ def test_search_cap_raises_before_allocating(monkeypatch):
                            match=rf"{name}: search rows = {15 ** 7} "
                            rf"exceeds the cap {vknots.MAX_TUPLES}"):
             call()
+
+
+def test_word_caps_raise_before_the_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("started the work past the cap")
+
+    monkeypatch.setattr(vknots, "_word_matrix", refuse)
+    monkeypatch.setattr(vknots, "_plan", refuse)
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    unknots = parse_braid("", strands=10 ** 5)
+    # block(3) has two digits, so half the cap's strands and one more
+    half = vknots.MAX_KERNEL_DIGITS // 2 + 1
+    for call, message in (
+            (lambda: parse_braid("s1^1000000000"),
+             rf"parse_braid: letters = {10 ** 9} exceeds the cap "
+             rf"{vknots.MAX_LETTERS}"),
+            (lambda: parse_braid("s1 " * vknots.MAX_LETTERS + "v1"),
+             rf"parse_braid: letters = {vknots.MAX_LETTERS + 1} exceeds"),
+            (lambda: count_colorings(X, unknots),
+             rf"count_colorings: kernel digits d\*k = {10 ** 5} exceeds "
+             rf"the cap {vknots.MAX_KERNEL_DIGITS}"),
+            (lambda: count_colorings(table, unknots),
+             rf"count_colorings: top arcs = {10 ** 5} exceeds the cap "
+             rf"{vknots.MAX_TOP_ARCS}"),
+            (lambda: state_sum(make_block(3, 1, 2), CochainTable.zero(2, 9, 2),
+                               parse_braid("s1", strands=half)),
+             rf"state_sum: kernel digits d\*k = {2 * half} exceeds")):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBound, match=message):
+            call()
+        assert time.perf_counter() - start < 1
+    # the largest word the letter cap admits still parses
+    assert len(parse_braid(f"s1^{vknots.MAX_LETTERS}")) == vknots.MAX_LETTERS
+
+
+def test_words_within_the_caps_still_run():
+    X = make_affine(3, 2, 1)
+    table = FiniteYBSet(X.r1, X.r2)
+    word = parse_braid("s1^16")
+    fixed = sum(apply_word(X, word, t) == t
+                for t in itertools.product(range(3), repeat=2))
+    assert count_colorings(X, word) == count_colorings(table, word) == fixed
+    # the kernel path takes as many strands as its cap admits
+    cap = vknots.MAX_KERNEL_DIGITS
+    assert count_colorings(X, parse_braid("", strands=cap)) == 3 ** cap
+
+
+def test_state_sum_refuses_a_cochain_on_another_set():
+    with pytest.raises(ArityMismatch, match="cochain set size 4 does not "
+                       "match"):
+        state_sum(make_affine(5, 2, 1), CochainTable.zero(2, 4, 5),
+                  parse_braid("s1"))
 
 
 def test_linear_path_needs_invertible_r_for_negative_crossings():

@@ -265,6 +265,49 @@ def test_linear_form_codec_stays_in_int64():
         make_omega(1, 40, 40)
 
 
+def test_codec_round_trips():
+    rng = np.random.default_rng(4)
+    for base, length in ((1, 3), (2, 62), (3, 0), (7, 1), (15, 5)):
+        total = min(base ** length, 2 ** 62)
+        index = np.unique(np.concatenate(
+            [[0, total - 1], rng.integers(0, total, 50)]))
+        digits = ybcore._decode(index, base, length)
+        assert digits.shape == (len(index), length)
+        assert ((0 <= digits) & (digits < base)).all()
+        assert np.array_equal(ybcore._encode(digits, base), index)
+    # base 1 has only the zero tuple, and no digits read as index 0
+    assert ybcore._decode([0], 1, 4).tolist() == [[0, 0, 0, 0]]
+    assert ybcore._encode(np.zeros((3, 0), dtype=np.int64), 5).tolist() == \
+        [0, 0, 0]
+    assert ybcore._decode(np.arange(3), 5, 0).shape == (3, 0)
+    # lexicographic order, first digit most significant
+    assert ybcore._decode(np.arange(4), 2, 2).tolist() == \
+        [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+
+def test_ybe_failure_slabs_keep_the_first_failure(monkeypatch):
+    # R is the swap on pairs that mix 0..a-1 with a..n-1, and a solution
+    # or a random table on each part.  Every triple touching the first
+    # part then passes, so a random second part fails first at some
+    # x >= a, past the first slab of one first coordinate.
+    rng = np.random.default_rng(11)
+    tables = []
+    for n in (4, 7, 12):
+        for a in range(n):
+            r1 = np.tile(np.arange(n), (n, 1))
+            r2 = r1.T.copy()
+            first = make_affine(a, 1, a - 1) if a > 1 else swap_set(max(a, 1))
+            r1[:a, :a], r2[:a, :a] = first.r1[:a, :a], first.r2[:a, :a]
+            r1[a:, a:], r2[a:, a:] = rng.integers(a, n, (2, n - a, n - a))
+            tables.append((r1, r2))
+    expect = [FiniteYBSet(r1, r2).ybe_failure() for r1, r2 in tables]
+    assert len({f[0] for f in expect if f is not None}) >= 8
+    # one first coordinate per slab
+    monkeypatch.setattr(ybcore, "SLAB_ENTRIES", 1)
+    assert [FiniteYBSet(r1, r2).ybe_failure() for r1, r2 in tables] == \
+        expect
+
+
 @pytest.mark.parametrize("X", [
     make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5), make_affine(8, 3, 1),
     make_affine(9, 4, 1, 2), make_block(3, 1, 2), make_block(4, 3, 2),

@@ -28,6 +28,7 @@ from ybknots import (
     obstruction_cocycle,
     solve_mod,
     swap_set,
+    ybcore,
     ybhomology,
 )
 from ybknots.errors import (
@@ -225,7 +226,7 @@ def test_slabs_keep_outputs_and_first_conflict(monkeypatch, slab):
     f = CochainTable.from_function(2, 4, 4, lambda x, y: (3 * x + y) % 4)
     expect = (coboundary_matrix(z4, 2), coboundary(z4, f))
     if slab is not None:
-        monkeypatch.setattr(ybhomology, "_SLAB_ENTRIES", slab)
+        monkeypatch.setattr(ybcore, "SLAB_ENTRIES", slab)
     assert (coboundary_matrix(z4, 2), coboundary(z4, f)) == expect
     rng = random.Random(3)
     conflicts = set()
@@ -422,6 +423,34 @@ def test_coboundary_matrix_checks_its_cap_first(monkeypatch):
                  # past the row cap, the matrix cap still refuses
                  lambda: cohomology_group(X, 3, 15, max_cells=15 ** 4)):
         with pytest.raises(ResourceBound, match=message):
+            call()
+
+
+def test_cube_dimension_cap_raises_before_the_schedule(monkeypatch):
+    # every arity the matrix cap admits for |X| >= 2 stays within the cap
+    n = 0
+    while 2 ** (n + 2) * 2 ** (n + 1) <= ybcore.MAX_TABLE_ENTRIES:
+        n += 1
+    assert n + 1 <= ybhomology.MAX_CUBE_DIMENSION
+
+    def no_schedule(n):
+        raise AssertionError("a schedule was built")
+
+    monkeypatch.setattr(ybhomology, "_schedule", no_schedule)
+    X = make_affine(3, 2, 1)
+    cap = ybhomology.MAX_CUBE_DIMENSION
+    for call, stage, n in (
+            (lambda: boundary(X, [0] * 40), "boundary", 40),
+            (lambda: color_cube(X, [0] * 13), "color_cube", 13),
+            (lambda: coboundary(swap_set(1), CochainTable.zero(40, 1, 2)),
+             "coboundary", 41),
+            (lambda: coboundary_matrix(swap_set(1), 40),
+             "coboundary_matrix", 41),
+            (lambda: obstruction_cocycle(swap_set(1),
+                                         CochainTable.zero(12, 1, 3)),
+             "coboundary", 13)):
+        with pytest.raises(ResourceBound, match=rf"{stage}: cube dimension "
+                           rf"= {n} exceeds the cap {cap}"):
             call()
 
 
