@@ -3,13 +3,26 @@
 Dense integer matrices, Smith normal form with transform matrices,
 kernels and quotients of finitely generated modules over Z_m, and the
 group ring Z[Z_m] used to value state sums.  Everything here is exact:
-matrix entries are Python ints, never floats.
+arrays hold int64 only while a bound shows no entry can overflow, and
+Python ints past it; never floats.
+
+Two eliminations serve two kinds of output.  `_Smith` eliminates over Z
+with a fixed pivot rule, so the bases it yields (the transforms of
+`smith_normal_form`, the generators of `kernel_mod`, the solution of
+`solve_mod`) are a deterministic function of the input.  `_eliminate`
+works over Z/p^k for the prime-power factors of m, with residues below
+p^k; it serves the outputs that no basis is part of: the invariant
+factors of `quotient_invariant_factors` and the element set of a kernel
+(`_cyclic_kernel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
+
+import numpy as np
 
 from .errors import ImageNotContained, ModulusMismatch
 
@@ -105,109 +118,235 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _snf_core(a: list[list[int]], u=None, v=None) -> tuple[int, ...]:
-    """Diagonalize a in place and return its non-zero diagonal.
+# int64 entries stay below this in absolute value: a step whose result
+# could reach it first moves every working array to Python ints
+_INT64_GUARD = 2 ** 62
 
-    Every row operation is also applied to u (any matrix with as many rows
-    as a) and every column operation to v (as many columns as a), in
-    place: if U @ a @ V is the diagonal form, u becomes U @ u and v
-    becomes v @ V.  Pivot rule: smallest non-zero absolute value in the
-    trailing submatrix, first such entry in row-major order.
-    Deterministic by construction.
+
+def _peak(x) -> int:
+    """Largest absolute entry of the array x, 0 when it is empty."""
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _array(entries, cols: int, top: int = 0) -> np.ndarray:
+    """entries as a (len(entries), cols) int64 array, or as dtype=object
+    when an entry or `top` reaches the guard."""
+    shape = (len(entries), cols)
+    if top < _INT64_GUARD:
+        try:
+            out = np.array(entries, dtype=np.int64).reshape(shape)
+        except OverflowError:
+            pass
+        else:
+            if _peak(out) < _INT64_GUARD:
+                return out
+    return np.array(entries, dtype=object).reshape(shape)
+
+
+class _Smith:
+    """One Smith elimination over Z of the 2-d array a, run on creation.
+
+    Every row operation is also applied to u (as many rows as a) and every
+    column operation to v (as many columns as a): if U @ a @ V is the
+    diagonal form, u becomes U @ u and v becomes v @ V.  With a modulus m,
+    u and v are kept mod m, which every operation commutes with.
+    `factors` is the non-zero diagonal.
+
+    Pivot rule: smallest non-zero absolute value in the trailing block,
+    first such entry in row-major order.  The rows below the pivot are
+    reduced in order, and the first one left with a remainder is swapped
+    in as the new pivot row; then the columns right of it, the same way;
+    until neither leaves a remainder.  The reductions before a swap do not
+    depend on each other, so each is one rank-1 update of the rows (or
+    columns) it reaches; a pivot of +-1 leaves no remainder and takes one
+    of each.  The order of operations, and so every transform, is a
+    deterministic function of the input.
+
+    The arrays start in int64.  Each step first bounds the entries it will
+    write; when a bound reaches the guard, every array moves to
+    dtype=object and this and all later steps run on Python ints.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    row_mats = (a,) if u is None else (a, u)
-    col_mats = (a,) if v is None else (a, v)
 
-    def swap_rows(i, j):
-        for m in row_mats:
-            m[i], m[j] = m[j], m[i]
+    def __init__(self, a, u=None, v=None, m=None):
+        self.a, self.u, self.v, self.m = a, u, v, m
+        # u and v stay in [0, m) and their multipliers are reduced mod m,
+        # so every step on them stays under 2 m^2
+        if a.dtype == object or (m is not None
+                                 and 2 * m * m >= _INT64_GUARD):
+            self._widen()
+        self.factors = self._run()
 
-    def row_axpy(i, j, q):
-        # row i -= q * row j
-        for m in row_mats:
-            m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+    def _widen(self):
+        self.a = self.a.astype(object)
+        if self.u is not None:
+            self.u = self.u.astype(object)
+        if self.v is not None:
+            self.v = self.v.astype(object)
 
-    def swap_cols(i, j):
-        for m in col_mats:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
+    def _fit(self, bound: int):
+        if bound >= _INT64_GUARD and self.a.dtype != object:
+            self._widen()
 
-    def col_axpy(i, j, q):
-        # col i -= q * col j
-        for m in col_mats:
-            for row in m:
-                row[i] -= q * row[j]
+    def _exact(self, x):
+        """x when it is an exact transform still held in int64."""
+        if x is not None and self.m is None and x.dtype != object:
+            return x
+        return None
 
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        # Locate pivot: smallest |entry| != 0, row-major tie break.
-        best = None
-        pi = pj = -1
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                e = row[j]
-                if e and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pi, pj = i, j
-        if best is None:
-            break
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            restart = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_axpy(i, t, q)
-                    if a[i][t]:
-                        # remainder is strictly smaller; promote it
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_axpy(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if not restart:
+    def _mod(self, x):
+        return x if self.m is None else x % self.m
+
+    def _rows(self, t: int, sel, q):
+        """rows sel -= q * row t, in a (from column t on) and in u; the
+        caller has bounded a."""
+        u = self._exact(self.u)
+        if u is not None:
+            self._fit(_peak(u[sel]) + _peak(q) * _peak(u[t]))
+        self.a[sel, t:] -= q[:, None] * self.a[t, t:]
+        if self.u is not None:
+            self.u[sel] = self._mod(
+                self.u[sel] - self._mod(q)[:, None] * self.u[t])
+
+    def _cols(self, t: int, sel, q, rem):
+        """cols sel -= q * col t, in a and in v.  Column t of a holds only
+        the pivot by now, so in a just row t changes, to the remainders."""
+        v = self._exact(self.v)
+        if v is not None:
+            self._fit(_peak(v[:, sel]) + _peak(q) * _peak(v[:, t]))
+        self.a[t, sel] = rem
+        if self.v is not None:
+            self.v[:, sel] = self._mod(
+                self.v[:, sel] - self.v[:, t, None] * self._mod(q))
+
+    def _swap_rows(self, i: int, j: int):
+        for x in (self.a, self.u):
+            if x is not None:
+                row = x[i].copy()
+                x[i] = x[j]
+                x[j] = row
+
+    def _swap_cols(self, i: int, j: int):
+        for x in (self.a, self.v):
+            if x is not None:
+                col = x[:, i].copy()
+                x[:, i] = x[:, j]
+                x[:, j] = col
+
+    def _clear(self, t: int, top: int) -> bool:
+        """Clear the column and the row of a pivot that divides them, as
+        +-1 always does, with one step each; False if it does not."""
+        # the multipliers are entries over the pivot, so no entry passes
+        # top + top^2
+        self._fit(top + top * top)
+        a = self.a
+        p = a[t, t]
+        col, row = a[t + 1:, t], a[t, t + 1:]
+        if abs(p) != 1 and ((col % p).any() or (row % p).any()):
+            return False
+        below, right = col.nonzero()[0], row.nonzero()[0]
+        q_below, q_right = col[below] // p, row[right] // p
+        if below.size:
+            self._rows(t, below + (t + 1), q_below)
+        if right.size:
+            self._cols(t, right + (t + 1), q_right, 0)
+        return True
+
+    def _reduce(self, t: int, line, below: bool):
+        """Reduce `line`, the entries below (or right of) the pivot, in
+        order up to its first remainder; return that offset or None."""
+        p = self.a[t, t]
+        q = line // p
+        rem = line - q * p
+        hits = rem.nonzero()[0]
+        stop = hits[0] + 1 if hits.size else len(line)
+        moved = q[:stop].nonzero()[0]
+        if moved.size:
+            sel, q = moved + (t + 1), q[moved]
+            if below:
+                self.bound += _peak(q) * _peak(self.a[t, t:])
+                self._fit(self.bound)
+                self._rows(t, sel, q)
+            else:
+                self._cols(t, sel, q, rem[moved])
+        return int(hits[0]) if hits.size else None
+
+    def _run(self) -> tuple[int, ...]:
+        rows, cols = self.a.shape
+        t = 0
+        while t < min(rows, cols):
+            mag = np.abs(self.a[t:, t:])
+            top = int(mag.max())
+            if top == 0:
                 break
-        if a[t][t] < 0:
-            for m in row_mats:
-                m[t] = [-x for x in m[t]]
-        t += 1
+            # the first entry of least magnitude; when the largest is 1,
+            # that is the first largest
+            flat = mag.argmax() if top == 1 else \
+                np.where(mag, mag, top + 1).argmin()
+            pi, pj = divmod(int(flat), cols - t)
+            if pi:
+                self._swap_rows(t, t + pi)
+            if pj:
+                self._swap_cols(t, t + pj)
+            if not self._clear(t, top):
+                # bounds every live entry of a; each row step raises it
+                self.bound = top
+                while True:
+                    hit = self._reduce(t, self.a[t + 1:, t], True)
+                    if hit is not None:
+                        self._swap_rows(t, t + 1 + hit)
+                        continue
+                    hit = self._reduce(t, self.a[t, t + 1:], False)
+                    if hit is None:
+                        break
+                    self._swap_cols(t, t + 1 + hit)
+            if self.a[t, t] < 0:
+                self.a[t] = -self.a[t]
+                if self.u is not None:
+                    self.u[t] = self._mod(-self.u[t])
+            t += 1
+        self._chain(t)
+        return tuple(int(self.a[i, i]) for i in range(t))
 
-    # Enforce the divisibility chain with local 2x2 Bezout steps.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % di == 0:
-                continue
-            changed = True
-            g, x, y = _egcd(di, dj)
-            col_axpy(i, i + 1, -1)
-            for m in row_mats:
-                ri, rj = m[i], m[i + 1]
-                m[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                m[i + 1] = [(-dj // g) * p + (di // g) * q
-                            for p, q in zip(ri, rj)]
-            col_axpy(i + 1, i, a[i][i + 1] // g)
+    def _chain(self, t: int):
+        """Enforce the divisibility chain with local 2x2 Bezout steps."""
+        changed = True
+        while changed:
+            changed = False
+            for i in range(t - 1):
+                di, dj = int(self.a[i, i]), int(self.a[i + 1, i + 1])
+                if dj % di == 0:
+                    continue
+                changed = True
+                g, x, y = _egcd(di, dj)
+                self._col_axpy(i, i + 1, -1)
+                self._combine(i, x, y, -dj // g, di // g)
+                self._col_axpy(i + 1, i, int(self.a[i, i + 1]) // g)
 
-    return tuple(a[i][i] for i in range(t))
+    def _col_axpy(self, i: int, j: int, q: int):
+        """col i -= q * col j, in a and v."""
+        self._fit(_peak(self.a[:, i]) + abs(q) * _peak(self.a[:, j]))
+        v = self._exact(self.v)
+        if v is not None:
+            self._fit(_peak(v[:, i]) + abs(q) * _peak(v[:, j]))
+        self.a[:, i] -= q * self.a[:, j]
+        if self.v is not None:
+            self.v[:, i] = self._mod(
+                self.v[:, i] - self._mod(q) * self.v[:, j])
+
+    def _combine(self, i: int, x: int, y: int, z: int, w: int):
+        """Rows i and i + 1 become x ri + y rj and z ri + w rj, in a and u."""
+        big = max(abs(x) + abs(y), abs(z) + abs(w))
+        self._fit(big * _peak(self.a[i:i + 2]))
+        u = self._exact(self.u)
+        if u is not None:
+            self._fit(big * _peak(u[i:i + 2]))
+        ri, rj = self.a[i].copy(), self.a[i + 1].copy()
+        self.a[i], self.a[i + 1] = x * ri + y * rj, z * ri + w * rj
+        if self.u is not None:
+            x, y, z, w = (self._mod(c) for c in (x, y, z, w))
+            ri, rj = self.u[i].copy(), self.u[i + 1].copy()
+            self.u[i] = self._mod(x * ri + y * rj)
+            self.u[i + 1] = self._mod(z * ri + w * rj)
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithForm:
@@ -217,30 +356,28 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     makes the output a deterministic function of the input, so every basis
     derived from it is reproducible.
     """
-    work = [row[:] for row in A.entries]
-    u, v = _identity(A.rows), _identity(A.cols)
-    factors = _snf_core(work, u, v)
+    run = _Smith(_array(A.entries, A.cols), np.eye(A.rows, dtype=np.int64),
+                 np.eye(A.cols, dtype=np.int64))
     return SmithForm(
-        U=IntegerMatrix._wrap(u, A.rows),
-        D=IntegerMatrix._wrap(work, A.cols),
-        V=IntegerMatrix._wrap(v, A.cols),
-        invariant_factors=factors,
+        U=IntegerMatrix._wrap(run.u.tolist(), A.rows),
+        D=IntegerMatrix._wrap(run.a.tolist(), A.cols),
+        V=IntegerMatrix._wrap(run.v.tolist(), A.cols),
+        invariant_factors=run.factors,
     )
 
 
-def _reduced_rows(A: IntegerMatrix, m: int):
-    """Rows of A reduced to the symmetric range mod m, with zero and
-    repeated rows dropped.  The solution set mod m is unchanged."""
-    half = m // 2
-    seen = set()
-    out = []
-    for row in A.entries:
-        red = tuple((e % m) - m if (e % m) > half else (e % m) for e in row)
-        if not any(red) or red in seen:
-            continue
-        seen.add(red)
-        out.append(list(red))
-    return out
+def _reduced_rows(a: np.ndarray, m: int) -> np.ndarray:
+    """Rows of a reduced to the symmetric range mod m, with zero and
+    repeated rows dropped; the solution set mod m is unchanged.  The rows
+    kept stay in first-occurrence order, which the pivot tie-break sees."""
+    a = a % m
+    a = np.where(a > m // 2, a - m, a)
+    a = a[a.any(axis=1)]
+    key = tuple if a.dtype == object else bytes
+    first: dict = {}
+    for i, row in enumerate(a):
+        first.setdefault(key(row), i)
+    return a[list(first.values())]
 
 
 def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
@@ -250,7 +387,8 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     the stack B, then x = V @ w solves the system exactly when each
     d_i * w_i vanishes mod m, so column i of V scaled by m / gcd(d_i, m)
     generates the kernel.  Exact for composite m, where plain row
-    reduction over a field is unavailable.
+    reduction over a field is unavailable.  Only V mod m is needed, so V
+    is kept mod m.
 
     Because V is unimodular, the generators span a direct sum of cyclic
     groups, so the order of the kernel is the product of the generators'
@@ -261,16 +399,14 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     c = A.cols
     if c == 0:
         return []
-    work = _reduced_rows(A, m)
-    work += [[m if i == j else 0 for j in range(c)] for i in range(c)]
-    v = _identity(c)
-    factors = _snf_core(work, v=v)
+    work = _reduced_rows(_array(A.entries, c, m), m)
+    work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
+    run = _Smith(work, v=np.eye(c, dtype=np.int64), m=m)
     gens = []
-    for i, d in enumerate(factors):
+    for i, d in enumerate(run.factors):
         mult = m // gcd(d, m)
-        if mult % m == 0:
-            continue
-        gens.append([(v[j][i] * mult) % m for j in range(c)])
+        if mult % m:
+            gens.append([x * mult % m for x in run.v[:, i].tolist()])
     return gens
 
 
@@ -286,29 +422,187 @@ def solve_mod(A: IntegerMatrix, b, m: int):
     b = [int(e) % m for e in b]
     if len(b) != A.rows:
         raise ValueError("right-hand side length mismatch")
-    work = [[e % m for e in row] for row in A.entries]
-    # U @ A @ V == D; row i of D @ y == U @ b reads d_i * y_i == (U @ b)_i
-    ub = [[e] for e in b]
-    v = _identity(A.cols)
-    factors = _snf_core(work, ub, v)
+    # U @ A @ V == D; row i of D @ y == U @ b reads d_i * y_i == (U @ b)_i,
+    # and U @ b is only read mod m
+    run = _Smith(_array(A.entries, A.cols, m) % m,
+                 _array([[e] for e in b], 1, m),
+                 np.eye(A.cols, dtype=np.int64), m)
     y = [0] * A.cols
-    for i, (ci,) in enumerate(ub):
-        d = factors[i] if i < len(factors) else 0
+    for i, ci in enumerate(run.u[:, 0].tolist()):
+        d = run.factors[i] if i < len(run.factors) else 0
         g = gcd(d, m)
         if ci % g:
             return None
         sub = m // g
         if sub > 1:
             y[i] = ci // g * pow(d // g % sub, -1, sub) % sub
-    return [sum(ve * ye for ve, ye in zip(row, y)) % m for row in v]
+    return [sum(ve * ye for ve, ye in zip(row, y)) % m
+            for row in run.v.tolist()]
+
+
+class _Split(Exception):
+    """A pivot's unit part shares the proper factor `factor` with p."""
+
+    def __init__(self, factor: int):
+        super().__init__(factor)
+        self.factor = factor
+
+
+def _valuation(x: int, p: int) -> int:
+    """The largest v with p^v dividing x != 0."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _eliminate(a: list, p: int, k: int,
+               companion: list | None = None) -> list[int]:
+    """Row-reduce a over Z/p^k in place; return the pivot valuations.
+
+    a holds lists of residues mod p^k.  Each pivot is an entry of least
+    p-valuation in the trailing block (Storjohann and Mulders; Howell),
+    scaled to p^v, so every entry below it and right of it is a multiple
+    of p^v and each step is an exact rank-1 update.  Pivot t ends at
+    a[t][t] = p^v_t with v_t ascending and the rows past the pivots zero;
+    the column operations that would clear each pivot row change nothing
+    else and are not made.  Row operations are mirrored mod p^k in
+    companion (as many rows as a).
+
+    p need not be prime: the elimination is exact whenever each pivot's
+    unit part is a unit mod p, and when one is not it raises _Split with
+    the factor it shares with p.
+    """
+    q = p ** k
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    side = companion if companion is not None else [[] for _ in a]
+    valuations = []
+    for t in range(min(rows, cols)):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j]:
+                    v = _valuation(a[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if v == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, i, j = best
+        a[t], a[i] = a[i], a[t]
+        side[t], side[i] = side[i], side[t]
+        if j != t:
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+        pv = p ** v
+        unit = a[t][t] // pv
+        if gcd(unit, p) > 1:
+            raise _Split(gcd(unit, p))
+        inv = pow(unit, -1, q)
+        pivot = a[t][t:] = [x * inv % q for x in a[t][t:]]
+        lead = side[t] = [x * inv % q for x in side[t]]
+        for i in range(t + 1, rows):
+            f = a[i][t] // pv
+            if f:
+                a[i][t:] = [(x - f * y) % q for x, y in zip(a[i][t:], pivot)]
+                side[i] = [(x - f * y) % q for x, y in zip(side[i], lead)]
+        valuations.append(v)
+    return valuations
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which each of `numbers` is a
+    product of powers."""
+    base = [n for n in numbers if n > 1]
+    while True:
+        pair = next(((x, y) for x, y in combinations(base, 2)
+                     if gcd(x, y) > 1), None)
+        if pair is None:
+            return base
+        x, y = pair
+        g = gcd(x, y)
+        base.remove(x)
+        base.remove(y)
+        base += [n for n in (x // g, g, y // g) if n > 1]
+
+
+def _by_prime_powers(m: int, solve, entries) -> dict:
+    """{(p, k): solve(p, k)} over pairwise coprime p^k with product m.
+
+    The split of m is found, not computed: it starts from the gcds of m
+    with the matrix `entries`, and when solve raises _Split on p, p^k is
+    refined along the factor and its parts are solved again.  So m is
+    never factored, and a large prime factor costs nothing; a p that stays
+    composite is one no pivot could tell from a prime, and the elimination
+    over Z/p^k is exact all the same.
+    """
+    pending = {p: _valuation(m, p)
+               for p in _coprime_base([m, *{gcd(x, m) for x in entries}])}
+    done = {}
+    while pending:
+        p, k = pending.popitem()
+        try:
+            done[p, k] = solve(p, k)
+        except _Split as split:
+            for c in _coprime_base([split.factor, p // split.factor]):
+                pending[c] = k * _valuation(p, c)
+    return done
+
+
+def _idempotent(p: int, k: int, m: int) -> int:
+    """The residue mod m that is 1 mod p^k and 0 mod m / p^k."""
+    rest = m // p ** k
+    return rest * pow(rest, -1, p ** k) % m
+
+
+def _cyclic_kernel(a: list, m: int) -> tuple[list, list]:
+    """Generators of {x in Z_m^cols : a @ x == 0 mod m} and their orders;
+    the kernel is the direct sum of the cyclic groups they generate, so
+    its elements are the sums of c_i g_i with 0 <= c_i < order_i.  Which
+    generators come out depends on how m splits, not only on a; only
+    the element set and its order are determined."""
+    cols = len(a[0]) if a else 0
+
+    def solve(p, k):
+        q = p ** k
+        # column operations on a are row operations on its transpose
+        at = [[row[j] % q for row in a] for j in range(cols)]
+        basis = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        valuations = _eliminate(at, p, k, basis)
+        valuations += [k] * (cols - len(valuations))
+        # row t of the transform generates p^(k - v_t) times a summand
+        return sorted((([x * p ** (k - v) % q for x in basis[t]], p ** v)
+                       for t, v in enumerate(valuations) if v),
+                      key=lambda found: -found[1])
+
+    parts = _by_prime_powers(m, solve, {x for row in a for x in row})
+    gens, orders = [], []
+    # pair the summands of each p^k, largest first, into cyclic summands
+    # of coprime orders
+    for j in range(max(map(len, parts.values()))):
+        gen, order = [0] * cols, 1
+        for (p, k), found in parts.items():
+            if j < len(found):
+                e = _idempotent(p, k, m)
+                gen = [(x + e * y) % m for x, y in zip(gen, found[j][0])]
+                order *= found[j][1]
+        gens.append(gen)
+        orders.append(order)
+    return gens, orders
 
 
 def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ...]:
     """Invariant factors (> 1) of span(kernel_gens) / span(image_gens) in Z_m^c.
 
-    Both spans are lifted to integer lattices containing m*Z^c; the image
-    must be contained in the kernel span or ImageNotContained is raised.
-    Returns () for the trivial quotient.
+    The image must be contained in the kernel span or ImageNotContained
+    is raised.  Returns () for the trivial quotient.  The quotient is the
+    direct sum of its parts over the factors p^k of m, computed apart by
+    `_eliminate`.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
@@ -320,24 +614,36 @@ def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ..
     if any(len(g) != c for g in kernel_gens + image_gens):
         raise ValueError("generator length mismatch")
 
-    # If U @ K @ V is diagonal with d_1, d_2, ..., then U maps the kernel
-    # lattice K Z^k + m Z^c onto the sum of the e_i Z, e_i = gcd(d_i, m)
-    # (e_i = m past the rank).  A vector x lies in it exactly when each
-    # (U @ x)_i is divisible by e_i, and the quotients are its coordinates.
-    # The image lattice contains m Z^c, whose coordinates are the
-    # (m / e_i) Z, so image coordinates are read mod m / e_i.
-    kernel = [[g[i] for g in kernel_gens] for i in range(c)]
-    image = [[g[i] for g in image_gens] for i in range(c)]
-    diagonal = _snf_core(kernel, image)
-    relations = []
-    for i, row in enumerate(image):
-        e = gcd(diagonal[i], m) if i < len(diagonal) else m
-        if any(x % e for x in row):
-            raise ImageNotContained(
-                "image generator outside the span of the kernel generators")
-        relations.append([x // e % (m // e) for x in row]
-                         + [m // e * int(i == j) for j in range(c)])
-    return tuple(f for f in _snf_core(relations) if f != 1)
+    def solve(p, k):
+        # If P @ K has pivots p^v_t, P maps span K onto the sum of the
+        # p^v_t (Z/p^k), t < r: x lies in it exactly when each (P @ x)_t
+        # is divisible by p^v_t (and zero past r), and the quotients,
+        # read mod p^(k - v_t), are its coordinates.
+        q = p ** k
+        kernel = [[g[i] % q for g in kernel_gens] for i in range(c)]
+        image = [[g[i] % q for g in image_gens] for i in range(c)]
+        valuations = _eliminate(kernel, p, k, image)
+        r = len(valuations)
+        for t, row in enumerate(image):
+            step = p ** valuations[t] if t < r else q
+            if any(x % step for x in row):
+                raise ImageNotContained(
+                    "image generator outside the span of the kernel "
+                    "generators")
+        relations = [[image[t][j] // p ** v for t, v in enumerate(valuations)]
+                     for j in range(len(image_gens))]
+        relations += [[p ** (k - v) % q * (s == t) for s in range(r)]
+                      for t, v in enumerate(valuations)]
+        found = _eliminate(relations, p, k)
+        return sorted((e for e in found + [k] * (r - len(found)) if e),
+                      reverse=True)
+
+    parts = _by_prime_powers(
+        m, solve, {x for g in kernel_gens + image_gens for x in g})
+    return tuple(sorted(
+        prod(p ** found[j] for (p, _), found in parts.items()
+             if j < len(found))
+        for j in range(max(map(len, parts.values())))))
 
 
 class GroupRingElement:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, check_cap
-from .modalg import GroupRingElement, IntegerMatrix, _orders, kernel_mod
+from .modalg import GroupRingElement, _cyclic_kernel
 from .ybcore import CochainTable, FiniteYBSet, _check_colors, _decode
 
 # Most rows one call holds: the colorings listed for a solution with a
@@ -50,8 +50,13 @@ MAX_TUPLES = 2 ** 24
 MAX_LETTERS = 4000
 
 # Most digits d*k, the side of W, that the kernel path eliminates: the
-# Smith form of W - I takes at least cubic time in it.
+# elimination of W - I takes cubic time in it, about 1.7 s at 224 for a
+# dense random W over Z_15 (see README).
 MAX_KERNEL_DIGITS = 224
+
+# Most int64 entries, colorings times d*k, of the digit array that lists
+# a kernel: the listing holds a few arrays of this size at once.
+MAX_KERNEL_ENTRIES = 2 ** 24
 
 # Most top arcs the search plans over: planning tries each candidate
 # arc at each branch, which grows as the cube of the top arcs.
@@ -220,15 +225,14 @@ def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
 
 
 def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[list, list]:
-    """Generators of ker(W - I) over Z_q and their orders.  kernel_mod's
-    generators span a direct sum, so each coloring is one combination
-    sum c_i g_i with 0 <= c_i < order_i."""
+    """Generators of ker(W - I) over Z_q and their orders.  They span a
+    direct sum, so each coloring is one combination sum c_i g_i with
+    0 <= c_i < order_i."""
     q, d = X.linear.q, X.linear.d
     check_cap(stage, "kernel digits d*k", d * word.strands,
               MAX_KERNEL_DIGITS)
     W = _word_matrix(X, word) - np.eye(d * word.strands, dtype=np.int64)
-    gens = kernel_mod(IntegerMatrix(W.tolist()), q)
-    return gens, _orders(gens, q)
+    return _cyclic_kernel(W.tolist(), q)
 
 
 def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
@@ -237,6 +241,8 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     gens, orders = _kernel(stage, X, word)
     total = math.prod(orders)
     check_cap(stage, "colorings", total, MAX_TUPLES)
+    check_cap(stage, "kernel entries colorings*d*k", total * d * word.strands,
+              MAX_KERNEL_ENTRIES)
     index = np.arange(total, dtype=np.int64)
     vectors = np.zeros((total, d * word.strands), dtype=np.int64)
     # mixed radix over the generator orders, the last generator fastest

@@ -64,8 +64,14 @@ class CubeColoring:
     colors: tuple
 
     def color(self, direction: int, corner: int) -> int:
-        edges = _schedule(self.dimension).edges
-        return self.colors[edges.index(CubeEdge(direction, corner))]
+        check_cap("CubeColoring.color", "cube dimension", self.dimension,
+                  MAX_CUBE_DIMENSION)
+        edge = CubeEdge(direction, corner)
+        slot = _schedule(self.dimension).slots.get(edge)
+        if slot is None:
+            raise ValueError(f"{edge} is not an edge of the "
+                             f"{self.dimension}-cube")
+        return self.colors[slot]
 
     def initial_path(self) -> tuple[int, ...]:
         return self.colors[:self.dimension]
@@ -73,6 +79,7 @@ class CubeColoring:
 
 class _Schedule(NamedTuple):
     edges: tuple            # CubeEdge of each slot: initial path, assigns
+    slots: dict             # slot of each CubeEdge
     assign: tuple           # (out, in1, in2, part): out = R_part(in1, in2)
     compare: np.ndarray     # 4 x k: out, in1, in2, part; out must match
     facets: np.ndarray      # 2n x (n-1): slots read by facet 2(axis-1)+side
@@ -124,7 +131,7 @@ def _schedule(n: int) -> _Schedule:
               for axis in range(1, n + 1) for side in (0, 1)]
     signs = [(-1) ** (n - axis + side)
              for axis in range(1, n + 1) for side in (0, 1)]
-    return _Schedule(tuple(index), tuple(assign),
+    return _Schedule(tuple(index), index, tuple(assign),
                      np.array(compare, dtype=np.intp).reshape(-1, 4).T,
                      np.array(facets, dtype=np.intp).reshape(2 * n, n - 1),
                      np.array(signs, dtype=np.int64))
@@ -183,6 +190,7 @@ def face_tuple(coloring: CubeColoring, axis: int, side: int) -> tuple[int, ...]:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
+    check_cap("face_tuple", "cube dimension", n, MAX_CUBE_DIMENSION)
     return tuple(coloring.colors[slot]
                  for slot in _schedule(n).facets[2 * (axis - 1) + side])
 

@@ -1,0 +1,228 @@
+"""The numpy Smith core and the Z/p^k elimination against the list oracle.
+
+`smith_oracle` holds the list Smith elimination over Z that the library
+used before.  The numpy core keeps its pivot rule and order of
+operations, so transforms and generators must agree entry for entry.
+The Z/p^k elimination returns no basis anyone pins, so its outputs are
+compared as invariants: invariant factors, and kernels as sets.
+"""
+
+import random
+from itertools import product
+from math import gcd, prod
+
+import numpy as np
+import pytest
+
+from ybknots import (
+    IntegerMatrix,
+    coboundary_matrix,
+    kernel_mod,
+    make_affine,
+    make_block,
+    quotient_invariant_factors,
+    smith_normal_form,
+    solve_mod,
+)
+from ybknots import modalg
+from ybknots.errors import ImageNotContained
+
+import smith_oracle as oracle
+
+MODULI = (4, 6, 8, 9, 12, 36)
+
+
+def _random_matrix(rng, rows, cols, m):
+    """Entries in -m..m, a third of them zero, with repeated rows, rows
+    equal mod m only, and zero rows mixed in."""
+    out = [[rng.randint(-m, m) if rng.random() < 2 / 3 else 0
+            for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(out)
+        out.insert(rng.randrange(len(out) + 1),
+                   [x + m * rng.randint(-1, 1) for x in row])
+    if rng.random() < 0.3:
+        out.insert(rng.randrange(len(out) + 1), [0] * cols)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smith_transforms_match_the_list_core(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = _random_matrix(rng, rows, cols, rng.choice(MODULI))
+        sf = smith_normal_form(IntegerMatrix(entries))
+        U, D, V, factors = oracle.smith(entries)
+        assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+        assert sf.invariant_factors == factors
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_kernel_and_solve_match_the_list_core(m):
+    rng = random.Random(100 + m)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 7)
+        entries = _random_matrix(rng, rows, cols, m)
+        A = IntegerMatrix(entries)
+        assert kernel_mod(A, m) == oracle.kernel(entries, A.cols, m)
+        x0 = [rng.randrange(m) for _ in range(A.cols)]
+        b = [sum(e * x for e, x in zip(row, x0)) for row in entries]
+        if rng.random() < 0.3:
+            b[rng.randrange(len(b))] += rng.randint(1, m - 1)
+        assert solve_mod(A, b, m) == oracle.solve(entries, A.cols, b, m)
+
+
+@pytest.mark.parametrize("X,n,m", [
+    (make_affine(4, 1, 3), 2, 4),
+    (make_affine(6, 5, 1), 2, 6),
+    (make_affine(6, 5, 1), 2, 12),
+    (make_block(2, 1, 1), 3, 4),
+    (make_affine(9, 4, 7), 1, 9),
+], ids=lambda v: getattr(v, "label", str(v)))
+def test_coboundary_kernels_match_the_list_core(X, n, m):
+    matrix = coboundary_matrix(X, n)
+    assert kernel_mod(matrix, m) == oracle.kernel(matrix.entries,
+                                                  matrix.cols, m)
+
+
+def test_guard_moves_the_arrays_to_python_ints(monkeypatch):
+    # with the guard at 2^12 the entries start under it and grow past it,
+    # so the core switches to dtype=object part way and carries on
+    monkeypatch.setattr(modalg, "_INT64_GUARD", 2 ** 12)
+    widened = []
+    original = modalg._Smith._widen
+
+    def spy(self):
+        widened.append(self.a.dtype)
+        original(self)
+
+    monkeypatch.setattr(modalg._Smith, "_widen", spy)
+    rng = random.Random(7)
+    for _ in range(12):
+        entries = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+        sf = smith_normal_form(IntegerMatrix(entries))
+        U, D, V, factors = oracle.smith(entries)
+        assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+        assert sf.invariant_factors == factors
+        for m in (12, 36):
+            A = IntegerMatrix(entries + [[3 * e for e in entries[0]]])
+            assert kernel_mod(A, m) == oracle.kernel(A.entries, 6, m)
+            b = [rng.randrange(m) for _ in range(A.rows)]
+            assert solve_mod(A, b, m) == oracle.solve(A.entries, 6, b, m)
+    assert widened and all(dtype == np.int64 for dtype in widened)
+    assert max(abs(e) for row in U + V for e in row) >= 2 ** 12
+
+
+def test_entries_past_int64_start_on_python_ints():
+    big = 2 ** 70
+    entries = [[big + 3, 2 * big], [6, big - 1]]
+    sf = smith_normal_form(IntegerMatrix(entries))
+    U, D, V, factors = oracle.smith(entries)
+    assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+    m = 3 ** 50
+    assert kernel_mod(IntegerMatrix(entries), m) == \
+        oracle.kernel(entries, 2, m)
+    assert solve_mod(IntegerMatrix(entries), [1, 2], m) == \
+        oracle.solve(entries, 2, [1, 2], m)
+
+
+def _in_span(rng, gens, count, c, m):
+    # one coefficient per generator for each image vector; coefficients
+    # drawn per coordinate would leave the span
+    out = []
+    for _ in range(count):
+        coefficients = [rng.randrange(m) for _ in gens]
+        out.append([sum(a * g[j] for a, g in zip(coefficients, gens)) % m
+                    for j in range(c)])
+    return out
+
+
+@pytest.mark.parametrize("m", MODULI + (2, 5, 30, 72))
+def test_quotient_matches_the_list_core(m):
+    rng = random.Random(300 + m)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    for _ in range(60):
+        c = rng.randint(1, 7)
+        # generators scaled by divisors of m give summands of every order
+        K = [[rng.randrange(m) * rng.choice(divisors) % m for _ in range(c)]
+             for _ in range(rng.randint(0, 6))]
+        I = _in_span(rng, K, rng.randint(0, 6), c, m)
+        if not K and not I:
+            continue
+        assert quotient_invariant_factors(K, I, m) == \
+            oracle.quotient(K, I, m)
+
+
+def test_quotient_of_cohomology_spans_matches_the_list_core():
+    X = make_affine(6, 5, 1)
+    for m in (4, 6, 12):
+        kernel = kernel_mod(coboundary_matrix(X, 2), m)
+        image = [col for col in
+                 (np.array(coboundary_matrix(X, 1).entries).T % m).tolist()
+                 if any(col)]
+        assert quotient_invariant_factors(kernel, image, m) == \
+            oracle.quotient(kernel, image, m)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_image_outside_the_span_is_refused(m):
+    rng = random.Random(500 + m)
+    refused = 0
+    for _ in range(40):
+        c = rng.randint(1, 4)
+        K = [[rng.randrange(0, m, rng.choice((2, 3))) for _ in range(c)]
+             for _ in range(rng.randint(0, 3))]
+        I = _in_span(rng, K, rng.randint(0, 2), c, m)
+        I.append([rng.randrange(m) for _ in range(c)])
+        try:
+            expected = oracle.quotient(K, I, m)
+        except ImageNotContained:
+            refused += 1
+            with pytest.raises(ImageNotContained):
+                quotient_invariant_factors(K, I, m)
+        else:
+            assert quotient_invariant_factors(K, I, m) == expected
+    assert refused
+
+
+def test_moduli_with_large_prime_factors_are_not_factored():
+    # m is split only along the factors that pivots reveal, so a modulus
+    # with a 61-bit prime factor costs no factoring; a base that stays
+    # composite is still exact
+    rng = random.Random(61)
+    p = 2 ** 61 - 1
+    for m in (p, 4 * p, p * p * 9, (2 ** 89 - 1) * p):
+        for _ in range(10):
+            c = rng.randint(1, 4)
+            K = [[rng.choice((0, 1, 2, 3, 4, p, 2 * p, m - 1))
+                  for _ in range(c)] for _ in range(rng.randint(1, 3))]
+            I = _in_span(rng, K, rng.randint(0, 3), c, m)
+            assert quotient_invariant_factors(K, I, m) == \
+                oracle.quotient(K, I, m)
+
+
+def _elements(gens, orders, m, width):
+    return [tuple(sum(c * g[j] for c, g in zip(coefficients, gens)) % m
+                  for j in range(width))
+            for coefficients in product(*(range(o) for o in orders))]
+
+
+def _orders(gens, m):
+    return [m // gcd(m, *g) for g in gens]
+
+
+@pytest.mark.parametrize("m", MODULI + (5, 15))
+def test_cyclic_kernel_lists_each_kernel_element_once(m):
+    rng = random.Random(900 + m)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+        entries = [[rng.randint(-m, m) for _ in range(cols)]
+                   for _ in range(rows)]
+        gens, orders = modalg._cyclic_kernel(entries, m)
+        assert all(o > 1 for o in orders)
+        found = _elements(gens, orders, m, cols)
+        assert len(set(found)) == len(found) == prod(orders)
+        listed = oracle.kernel(entries, cols, m)
+        assert set(found) == set(_elements(listed, _orders(listed, m),
+                                           m, cols))

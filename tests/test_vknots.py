@@ -516,6 +516,59 @@ def test_search_order_matches_oracle_under_relabelling():
         _assert_matches_oracle(X, word, psi)
 
 
+@pytest.mark.parametrize("X", [
+    make_affine(12, 5, 1, 5), make_affine(15, 4, 11, 2), make_affine(4, 1, 3),
+    make_affine(9, 4, 7), make_block(2, 1, 1), make_omega(2, 2, 2),
+    extend(make_affine(4, 1, 3), 4,
+           CochainTable.from_function(2, 4, 4, lambda x, y: 2 * (y - x)),
+           CochainTable.from_function(2, 4, 4, lambda x, y: 2 * x))],
+    ids=lambda X: X.label)
+def test_kernel_path_matches_oracle(X):
+    # the kernel of W - I over each prime power of q, combined, lists the
+    # same colorings as tracing every tuple
+    assert X.linear is not None
+    rng = random.Random(X.label)
+    for _ in range(8):
+        strands = rng.randint(1, 3 if X.size > 9 else 4)
+        word = _random_word(rng, strands, rng.randint(0, 10))
+        m = rng.randint(2, 5)
+        psi = CochainTable(2, X.size, m,
+                           [rng.randrange(m) for _ in range(X.size ** 2)])
+        _assert_matches_oracle(X, word, psi)
+
+
+def test_long_word_count_matches_the_list_oracle():
+    # a random 240-letter word on 24 strands of affine(15): the list Smith
+    # form over Z, which never reduces mod 15, counts it in well under 1 s
+    from smith_oracle import kernel
+
+    X = make_affine(15, 4, 11, 2)
+    word = _random_word(random.Random(0), 24, 240)
+    W = vknots._word_matrix(X, word) - np.eye(24, dtype=np.int64)
+    gens = kernel(W.tolist(), 24, 15)
+    count = 1
+    for g in gens:
+        count *= 15 // np.gcd.reduce([15] + g)
+    assert count_colorings(X, word) == count == 27
+    found = colorings(X, word).tuples
+    assert len(found) == count
+    assert all(tuple(apply_word(X, word, t)) == t for t in found)
+
+
+def test_kernel_listing_cap_counts_entries():
+    # 2^24 colorings fit the row cap, but their 24 digits each would take
+    # 3 GiB of int64; the entries are refused before any is allocated
+    X = make_affine(2, 1, 1)
+    unknots = parse_braid("", strands=24)
+    assert count_colorings(X, unknots) == 2 ** 24
+    start = time.perf_counter()
+    with pytest.raises(ResourceBound, match=rf"colorings: kernel entries "
+                       rf"colorings\*d\*k = {24 * 2 ** 24} exceeds the cap "
+                       rf"{vknots.MAX_KERNEL_ENTRIES}"):
+        colorings(X, unknots)
+    assert time.perf_counter() - start < 1
+
+
 def test_linear_path_reaches_past_brute_force():
     X = make_affine(15, 4, 11, 2)
     unknots = parse_braid("", strands=13)

@@ -194,6 +194,8 @@ def test_square_coloring_frozen():
     assert face_tuple(col, 1, 1) == (1,)
     assert face_tuple(col, 2, 0) == (0,)
     assert face_tuple(col, 2, 1) == (2,)
+    with pytest.raises(ValueError, match="not an edge of the 2-cube"):
+        col.color(3, 0)
 
 
 def test_cube_coloring_consistency_check():
@@ -448,7 +450,12 @@ def test_cube_dimension_cap_raises_before_the_schedule(monkeypatch):
              "coboundary_matrix", 41),
             (lambda: obstruction_cocycle(swap_set(1),
                                          CochainTable.zero(12, 1, 3)),
-             "coboundary", 13)):
+             "coboundary", 13),
+            # a hand-built coloring reaches the schedule without color_cube
+            (lambda: face_tuple(ybhomology.CubeColoring(13, ()), 1, 0),
+             "face_tuple", 13),
+            (lambda: ybhomology.CubeColoring(13, ()).color(1, 0),
+             "CubeColoring.color", 13)):
         with pytest.raises(ResourceBound, match=rf"{stage}: cube dimension "
                            rf"= {n} exceeds the cap {cap}"):
             call()
