@@ -6,6 +6,11 @@ group ring Z[Z_m] used to value state sums.  Everything here is exact:
 arrays hold int64 only while a bound shows no entry can overflow, and
 Python ints past it; never floats.
 
+An `IntegerMatrix` is one such 2-d array, int64 while every entry is
+below 2^62 and dtype=object past it; the coboundary matrices arrive in
+it and the Smith core starts from a copy of it.  Its `entries` is a
+fresh list of lists, so changing that list leaves the matrix alone.
+
 Two eliminations serve two kinds of output.  `_Smith` eliminates over Z
 with a fixed pivot rule, so the bases it yields (the transforms of
 `smith_normal_form`, the generators of `kernel_mod`, the solution of
@@ -28,61 +33,65 @@ from .errors import ImageNotContained, ModulusMismatch
 
 
 class IntegerMatrix:
-    """Dense matrix over Z with exact arithmetic."""
+    """Dense matrix over Z with exact arithmetic, held as the 2-d `array`
+    that the Smith core eliminates on: int64 while every entry is below
+    the guard, dtype=object (Python ints) past it.  An int64 array given
+    to the constructor is held as it is, not copied."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("array",)
 
     def __init__(self, entries):
-        entries = [[int(e) for e in row] for row in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if any(len(row) != cols for row in entries):
-            raise ValueError("ragged rows")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        if not isinstance(entries, np.ndarray):
+            rows = [[int(e) for e in row] for row in entries]
+            cols = len(rows[0]) if rows else 0
+            if any(len(row) != cols for row in rows):
+                raise ValueError("ragged rows")
+            entries = np.array(rows, dtype=object).reshape(len(rows), cols)
+        if entries.ndim != 2:
+            raise ValueError("an integer matrix is 2-d")
+        self.array = _array(entries)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls._wrap([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def _wrap(cls, entries: list, cols: int) -> "IntegerMatrix":
-        # Trusted fast path: entries must already be rectangular lists of
-        # ints, `cols` wide; with no rows they cannot carry the width.
-        made = cls.__new__(cls)
-        made.rows = len(entries)
-        made.cols = cols
-        made.entries = entries
-        return made
+        return cls(np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls._wrap(_identity(n), n)
+        return cls(np.eye(n, dtype=np.int64))
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> list[list[int]]:
+        """A fresh list of lists of Python ints."""
+        return self.array.tolist()
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return int(self.array[i, j])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntegerMatrix)
-                and (self.rows, self.cols) == (other.rows, other.cols)
-                and self.entries == other.entries)
+                and np.array_equal(self.array, other.array))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().entries
-        return self._wrap(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot]
-             for row in self.entries], other.cols)
+        # int64 matmul would wrap around silently
+        return IntegerMatrix(self.array.astype(object)
+                             @ other.array.astype(object))
 
     def transpose(self) -> "IntegerMatrix":
-        return self._wrap([[row[j] for row in self.entries]
-                           for j in range(self.cols)], self.rows)
+        return IntegerMatrix(self.array.T.copy())
 
     def copy(self) -> "IntegerMatrix":
-        return self._wrap([row[:] for row in self.entries], self.cols)
+        return IntegerMatrix(self.array.copy())
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows}x{self.cols})"
@@ -97,10 +106,6 @@ class SmithForm:
     D: IntegerMatrix
     V: IntegerMatrix
     invariant_factors: tuple[int, ...]
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -128,19 +133,19 @@ def _peak(x) -> int:
     return int(np.abs(x).max()) if x.size else 0
 
 
-def _array(entries, cols: int, top: int = 0) -> np.ndarray:
-    """entries as a (len(entries), cols) int64 array, or as dtype=object
-    when an entry or `top` reaches the guard."""
-    shape = (len(entries), cols)
+def _array(x: np.ndarray, top: int = 0) -> np.ndarray:
+    """The 2-d array x in int64, x itself when it is int64 already, or in
+    dtype=object when an entry or `top` reaches the guard."""
     if top < _INT64_GUARD:
         try:
-            out = np.array(entries, dtype=np.int64).reshape(shape)
+            out = x.astype(np.int64, copy=False)
         except OverflowError:
             pass
         else:
-            if _peak(out) < _INT64_GUARD:
+            if not out.size or (-_INT64_GUARD < out.min()
+                                and out.max() < _INT64_GUARD):
                 return out
-    return np.array(entries, dtype=object).reshape(shape)
+    return x.astype(object, copy=False)
 
 
 class _Smith:
@@ -232,25 +237,6 @@ class _Smith:
                 x[:, i] = x[:, j]
                 x[:, j] = col
 
-    def _clear(self, t: int, top: int) -> bool:
-        """Clear the column and the row of a pivot that divides them, as
-        +-1 always does, with one step each; False if it does not."""
-        # the multipliers are entries over the pivot, so no entry passes
-        # top + top^2
-        self._fit(top + top * top)
-        a = self.a
-        p = a[t, t]
-        col, row = a[t + 1:, t], a[t, t + 1:]
-        if abs(p) != 1 and ((col % p).any() or (row % p).any()):
-            return False
-        below, right = col.nonzero()[0], row.nonzero()[0]
-        q_below, q_right = col[below] // p, row[right] // p
-        if below.size:
-            self._rows(t, below + (t + 1), q_below)
-        if right.size:
-            self._cols(t, right + (t + 1), q_right, 0)
-        return True
-
     def _reduce(self, t: int, line, below: bool):
         """Reduce `line`, the entries below (or right of) the pivot, in
         order up to its first remainder; return that offset or None."""
@@ -287,18 +273,17 @@ class _Smith:
                 self._swap_rows(t, t + pi)
             if pj:
                 self._swap_cols(t, t + pj)
-            if not self._clear(t, top):
-                # bounds every live entry of a; each row step raises it
-                self.bound = top
-                while True:
-                    hit = self._reduce(t, self.a[t + 1:, t], True)
-                    if hit is not None:
-                        self._swap_rows(t, t + 1 + hit)
-                        continue
-                    hit = self._reduce(t, self.a[t, t + 1:], False)
-                    if hit is None:
-                        break
-                    self._swap_cols(t, t + 1 + hit)
+            # bounds every live entry of a; each row step raises it
+            self.bound = top
+            while True:
+                hit = self._reduce(t, self.a[t + 1:, t], True)
+                if hit is not None:
+                    self._swap_rows(t, t + 1 + hit)
+                    continue
+                hit = self._reduce(t, self.a[t, t + 1:], False)
+                if hit is None:
+                    break
+                self._swap_cols(t, t + 1 + hit)
             if self.a[t, t] < 0:
                 self.a[t] = -self.a[t]
                 if self.u is not None:
@@ -356,14 +341,10 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     makes the output a deterministic function of the input, so every basis
     derived from it is reproducible.
     """
-    run = _Smith(_array(A.entries, A.cols), np.eye(A.rows, dtype=np.int64),
+    run = _Smith(A.array.copy(), np.eye(A.rows, dtype=np.int64),
                  np.eye(A.cols, dtype=np.int64))
-    return SmithForm(
-        U=IntegerMatrix._wrap(run.u.tolist(), A.rows),
-        D=IntegerMatrix._wrap(run.a.tolist(), A.cols),
-        V=IntegerMatrix._wrap(run.v.tolist(), A.cols),
-        invariant_factors=run.factors,
-    )
+    return SmithForm(U=IntegerMatrix(run.u), D=IntegerMatrix(run.a),
+                     V=IntegerMatrix(run.v), invariant_factors=run.factors)
 
 
 def _reduced_rows(a: np.ndarray, m: int) -> np.ndarray:
@@ -371,12 +352,11 @@ def _reduced_rows(a: np.ndarray, m: int) -> np.ndarray:
     repeated rows dropped; the solution set mod m is unchanged.  The rows
     kept stay in first-occurrence order, which the pivot tie-break sees."""
     a = a % m
-    a = np.where(a > m // 2, a - m, a)
-    a = a[a.any(axis=1)]
+    a[a > m // 2] -= m
     key = tuple if a.dtype == object else bytes
     first: dict = {}
-    for i, row in enumerate(a):
-        first.setdefault(key(row), i)
+    for i in np.flatnonzero(a.any(axis=1)):
+        first.setdefault(key(a[i]), i)
     return a[list(first.values())]
 
 
@@ -399,7 +379,7 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     c = A.cols
     if c == 0:
         return []
-    work = _reduced_rows(_array(A.entries, c, m), m)
+    work = _reduced_rows(_array(A.array, m), m)
     work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
     run = _Smith(work, v=np.eye(c, dtype=np.int64), m=m)
     gens = []
@@ -424,8 +404,8 @@ def solve_mod(A: IntegerMatrix, b, m: int):
         raise ValueError("right-hand side length mismatch")
     # U @ A @ V == D; row i of D @ y == U @ b reads d_i * y_i == (U @ b)_i,
     # and U @ b is only read mod m
-    run = _Smith(_array(A.entries, A.cols, m) % m,
-                 _array([[e] for e in b], 1, m),
+    run = _Smith(_array(A.array, m) % m,
+                 _array(np.array(b, dtype=object).reshape(-1, 1), m),
                  np.eye(A.cols, dtype=np.int64), m)
     y = [0] * A.cols
     for i, ci in enumerate(run.u[:, 0].tolist()):

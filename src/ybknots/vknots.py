@@ -54,9 +54,10 @@ MAX_LETTERS = 4000
 # dense random W over Z_15 (see README).
 MAX_KERNEL_DIGITS = 224
 
-# Most int64 entries, colorings times d*k, of the digit array that lists
-# a kernel: the listing holds a few arrays of this size at once.
-MAX_KERNEL_ENTRIES = 2 ** 24
+# Most int64 entries of one listing array: colorings times d*k for the
+# digits that list a kernel, arcs times rows for the search; each holds a
+# few arrays of this size at once.
+MAX_ENTRIES = 2 ** 24
 
 # Most top arcs the search plans over: planning tries each candidate
 # arc at each branch, which grows as the cube of the top arcs.
@@ -242,7 +243,7 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     total = math.prod(orders)
     check_cap(stage, "colorings", total, MAX_TUPLES)
     check_cap(stage, "kernel entries colorings*d*k", total * d * word.strands,
-              MAX_KERNEL_ENTRIES)
+              MAX_ENTRIES)
     index = np.arange(total, dtype=np.int64)
     vectors = np.zeros((total, d * word.strands), dtype=np.int64)
     # mixed radix over the generator orders, the last generator fastest
@@ -392,8 +393,9 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
 def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     """The colorings of the closed word on a table-given solution, as
     strand tuples, found by running `_plan` on an (arcs, rows) array.
-    Consecutive branches are one step, so the cap is checked on the rows
-    they would make before any is allocated."""
+    Consecutive branches are one step, so the caps are checked on the rows
+    they would make, and on the entries of the array that holds them,
+    before any is allocated."""
     n_arcs, top, crossings = _arcs(word)
     check_cap(stage, "top arcs", len(set(top)), MAX_TOP_ARCS)
     report = X.verify_birack()
@@ -420,6 +422,8 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
             arcs = list(step[1])
             combos = n ** len(arcs)
             check_cap(stage, "search rows", n_rows * combos, MAX_TUPLES)
+            check_cap(stage, "search entries arcs*rows",
+                      n_arcs * n_rows * combos, MAX_ENTRIES)
             colors = _decode(np.arange(combos), n, len(arcs)).T
             cols = np.repeat(cols, combos, axis=1)
             cols[arcs] = np.tile(colors, n_rows)

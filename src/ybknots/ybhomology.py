@@ -280,17 +280,16 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     if n < 0:
         raise ValueError("arity must be non-negative")
     shape = (X.size ** (n + 1), X.size ** n)
-    # each entry becomes a Python int in a list of lists
+    # the matrix is one int64 array: 2^24 entries are 128 MB
     check_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", shape[0] * shape[1],
               MAX_TABLE_ENTRIES)
     check_cap("coboundary_matrix", "cube dimension", n + 1,
               MAX_CUBE_DIMENSION)
     signs = _schedule(n + 1).signs
-    # entries are bounded by the 2(n+1) facets, so int8 holds them
-    out = np.zeros(shape, dtype=np.int8)
+    out = np.zeros(shape, dtype=np.int64)
     for rows, columns in _facet_slabs(X, n + 1):
         np.add.at(out, (rows.reshape(-1, 1), columns), signs)
-    return IntegerMatrix._wrap(out.tolist(), shape[1])
+    return IntegerMatrix(out)
 
 
 def is_cocycle(X: FiniteYBSet, f: CochainTable) -> bool:
@@ -332,8 +331,7 @@ def cocycle_space(X: FiniteYBSet, n: int, m: int,
         fixed = np.zeros((2 * X.size, matrix.cols), dtype=np.int64)
         fixed[2 * a, _encode(np.stack((witness.x_of, a), 1), X.size)] = 1
         fixed[2 * a + 1, _encode(np.stack((a, witness.y_of), 1), X.size)] = 1
-        matrix = IntegerMatrix._wrap(matrix.entries + fixed.tolist(),
-                                     matrix.cols)
+        matrix = IntegerMatrix(np.concatenate((matrix.array, fixed)))
     return [CochainTable(n, X.size, m, g) for g in kernel_mod(matrix, m)]
 
 
@@ -375,9 +373,8 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     kernel = kernel_mod(coboundary_matrix(X, n), m)
     image = []
     if n >= 2:
-        previous = coboundary_matrix(X, n - 1).entries
-        columns = np.array(previous, dtype=np.int64).T % m
-        image = [col for col in columns.tolist() if any(col)]
+        columns = coboundary_matrix(X, n - 1).array.T % m
+        image = columns[columns.any(axis=1)].tolist()
     factors = quotient_invariant_factors(kernel, image, m)
     cocycle_order = prod(_orders(kernel, m))
     return CohomologyReport(

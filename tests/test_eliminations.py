@@ -116,15 +116,19 @@ def test_guard_moves_the_arrays_to_python_ints(monkeypatch):
 
 def test_entries_past_int64_start_on_python_ints():
     big = 2 ** 70
-    entries = [[big + 3, 2 * big], [6, big - 1]]
-    sf = smith_normal_form(IntegerMatrix(entries))
-    U, D, V, factors = oracle.smith(entries)
-    assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
-    m = 3 ** 50
-    assert kernel_mod(IntegerMatrix(entries), m) == \
-        oracle.kernel(entries, 2, m)
-    assert solve_mod(IntegerMatrix(entries), [1, 2], m) == \
-        oracle.solve(entries, 2, [1, 2], m)
+    for entries in ([[big + 3, 2 * big], [6, big - 1]],
+                    [[big, 4, 6], [2, 0, 8], [1, 3, 5]]):
+        sf = smith_normal_form(IntegerMatrix(entries))
+        U, D, V, factors = oracle.smith(entries)
+        assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+        assert sf.invariant_factors == factors
+        cols = len(entries[0])
+        b = list(range(1, len(entries) + 1))
+        for m in (12, 3 ** 50):
+            assert kernel_mod(IntegerMatrix(entries), m) == \
+                oracle.kernel(entries, cols, m)
+            assert solve_mod(IntegerMatrix(entries), b, m) == \
+                oracle.solve(entries, cols, b, m)
 
 
 def _in_span(rng, gens, count, c, m):

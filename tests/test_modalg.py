@@ -115,9 +115,23 @@ def test_matrix_ops():
     B = IntegerMatrix([[0, 1], [1, 0]])
     assert (A @ B).entries == [[2, 1], [4, 3]]
     assert A.transpose().entries == [[1, 3], [2, 4]]
+    # copies and entries lists are fresh: changing them leaves A alone
     C = A.copy()
-    C.entries[0][0] = 9
-    assert A.entries[0][0] == 1
+    C.array[0, 0] = 9
+    C.entries[0][1] = 9
+    A.entries[1][0] = 9
+    assert A.entries == [[1, 2], [3, 4]]
+    assert C.entries == [[9, 2], [3, 4]]
+    # past int64 the product and the copies stay exact
+    assert (IntegerMatrix([[2 ** 40, 1]]) @ IntegerMatrix([[2 ** 40], [1]])
+            ).entries == [[2 ** 80 + 1]]
+    big = [[2 ** 70, -3, 0], [5, 7, -2 ** 70]]
+    B = IntegerMatrix(big)
+    assert B.entries == big
+    assert B.transpose().entries == [list(col) for col in zip(*big)]
+    assert B.transpose().transpose() == B == B.copy()
+    assert B != IntegerMatrix([[2 ** 70 + 1, -3, 0], [5, 7, -2 ** 70]])
+    assert B[1, 2] == -2 ** 70
     # a matrix with no rows or no columns keeps both sizes
     Z = IntegerMatrix.zeros(0, 3)
     for M, shape in ((Z.copy(), (0, 3)),

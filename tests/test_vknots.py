@@ -564,7 +564,7 @@ def test_kernel_listing_cap_counts_entries():
     start = time.perf_counter()
     with pytest.raises(ResourceBound, match=rf"colorings: kernel entries "
                        rf"colorings\*d\*k = {24 * 2 ** 24} exceeds the cap "
-                       rf"{vknots.MAX_KERNEL_ENTRIES}"):
+                       rf"{vknots.MAX_ENTRIES}"):
         colorings(X, unknots)
     assert time.perf_counter() - start < 1
 
@@ -603,6 +603,31 @@ def test_search_cap_raises_before_allocating(monkeypatch):
                            match=rf"{name}: search rows = {15 ** 7} "
                            rf"exceeds the cap {vknots.MAX_TUPLES}"):
             call()
+
+
+def test_search_cap_counts_entries(monkeypatch):
+    # s1 s2 on 7 strands has 8 arcs, and its last branch colors the four
+    # unlinked strands at once: 15^5 rows, within the row cap, of 8 arcs
+    # each.  With the entries cap just below that, the branch is refused
+    # before it decodes its colors.
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    cap = 8 * 15 ** 5 - 1
+    monkeypatch.setattr(vknots, "MAX_ENTRIES", cap)
+    decoded = []
+    decode = vknots._decode
+
+    def spy(values, base, k):
+        decoded.append(k)
+        return decode(values, base, k)
+
+    monkeypatch.setattr(vknots, "_decode", spy)
+    with pytest.raises(ResourceBound,
+                       match=rf"count_colorings: search entries arcs\*rows "
+                       rf"= {8 * 15 ** 5} exceeds the cap {cap}"):
+        count_colorings(table, parse_braid("s1 s2", strands=7))
+    # only the first branch, one arc, was decoded
+    assert decoded == [1]
 
 
 def test_word_caps_raise_before_the_work(monkeypatch):
