@@ -11,21 +11,23 @@ below 2^62 and dtype=object past it; the coboundary matrices arrive in
 it and the Smith core starts from a copy of it.  Its `entries` is a
 fresh list of lists, so changing that list leaves the matrix alone.
 
-Two eliminations serve two kinds of output.  `_Smith` eliminates over Z
-with a fixed pivot rule, so the bases it yields (the transforms of
-`smith_normal_form`, the generators of `kernel_mod`, the solution of
-`solve_mod`) are a deterministic function of the input.  `_eliminate`
-works over Z/p^k for the prime-power factors of m, with residues below
-p^k; it serves the outputs that no basis is part of: the invariant
-factors of `quotient_invariant_factors` and the element set of a kernel
+Both eliminations follow one Smith rule: the pivot is the first entry
+of least absolute value in the trailing block, and the entries below and
+right of it are reduced by Euclidean remainders, the first remainder
+becoming the new pivot.  `_Smith` runs it over Z on numpy arrays, so the
+bases it yields (the transforms of `smith_normal_form`, the generators of
+`kernel_mod`, the solution of `solve_mod`) are a deterministic function
+of the input.  `_eliminate` runs it over Z/m itself on lists of residues
+in the symmetric range, with no factoring of m; it serves the outputs
+that no basis is part of: the invariant factors of
+`quotient_invariant_factors` and the element set of a kernel
 (`_cyclic_kernel`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -420,159 +422,99 @@ def solve_mod(A: IntegerMatrix, b, m: int):
             for row in run.v.tolist()]
 
 
-class _Split(Exception):
-    """A pivot's unit part shares the proper factor `factor` with p."""
+def _eliminate(a: list, m: int, companion: list | None = None) -> list[int]:
+    """Row-reduce a over Z/m in place; return the pivots.
 
-    def __init__(self, factor: int):
-        super().__init__(factor)
-        self.factor = factor
-
-
-def _valuation(x: int, p: int) -> int:
-    """The largest v with p^v dividing x != 0."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _eliminate(a: list, p: int, k: int,
-               companion: list | None = None) -> list[int]:
-    """Row-reduce a over Z/p^k in place; return the pivot valuations.
-
-    a holds lists of residues mod p^k.  Each pivot is an entry of least
-    p-valuation in the trailing block (Storjohann and Mulders; Howell),
-    scaled to p^v, so every entry below it and right of it is a multiple
-    of p^v and each step is an exact rank-1 update.  Pivot t ends at
-    a[t][t] = p^v_t with v_t ascending and the rows past the pivots zero;
-    the column operations that would clear each pivot row change nothing
-    else and are not made.  Row operations are mirrored mod p^k in
-    companion (as many rows as a).
-
-    p need not be prime: the elimination is exact whenever each pivot's
-    unit part is a unit mod p, and when one is not it raises _Split with
-    the factor it shares with p.
+    The Smith rule over Z/m: entries are held as residues in the
+    symmetric range mod m, each pivot is the first entry of least
+    absolute value in the trailing block, and the entries below it are
+    reduced by Euclidean remainders, the first remainder swapped in as
+    the new pivot; then the entries right of it, the same way.  Column t
+    is clear below the pivot by then, so a column step rewrites only row
+    t, to its remainder.  Pivot t ends at a[t][t] = p_t with every entry
+    below it zero and every entry right of it a multiple of p_t, and the
+    rows past the pivots zero: the column operations that would clear
+    each pivot row change nothing else and are not made.  So a is
+    equivalent to diag(p_t), and its row space is the sum of the
+    p_t (Z/m), each of order m / gcd(p_t, m).  Row operations are
+    mirrored mod m in companion (as many rows as a).
     """
-    q = p ** k
+    half = m // 2
     rows = len(a)
     cols = len(a[0]) if rows else 0
     side = companion if companion is not None else [[] for _ in a]
-    valuations = []
+    for i in range(rows):
+        a[i] = [(x + half) % m - half for x in a[i]]
+    pivots = []
     for t in range(min(rows, cols)):
-        best = None
+        best = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j]:
-                    v = _valuation(a[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if v == 0:
-                            break
-            if best is not None and best[0] == 0:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
                 break
-        if best is None:
+        if not best:
             break
-        v, i, j = best
-        a[t], a[i] = a[i], a[t]
-        side[t], side[i] = side[i], side[t]
-        if j != t:
-            for row in a[t:]:
-                row[t], row[j] = row[j], row[t]
-        pv = p ** v
-        unit = a[t][t] // pv
-        if gcd(unit, p) > 1:
-            raise _Split(gcd(unit, p))
-        inv = pow(unit, -1, q)
-        pivot = a[t][t:] = [x * inv % q for x in a[t][t:]]
-        lead = side[t] = [x * inv % q for x in side[t]]
-        for i in range(t + 1, rows):
-            f = a[i][t] // pv
-            if f:
-                a[i][t:] = [(x - f * y) % q for x, y in zip(a[i][t:], pivot)]
-                side[i] = [(x - f * y) % q for x, y in zip(side[i], lead)]
-        valuations.append(v)
-    return valuations
-
-
-def _coprime_base(numbers) -> list[int]:
-    """Pairwise coprime integers > 1 of which each of `numbers` is a
-    product of powers."""
-    base = [n for n in numbers if n > 1]
-    while True:
-        pair = next(((x, y) for x, y in combinations(base, 2)
-                     if gcd(x, y) > 1), None)
-        if pair is None:
-            return base
-        x, y = pair
-        g = gcd(x, y)
-        base.remove(x)
-        base.remove(y)
-        base += [n for n in (x // g, g, y // g) if n > 1]
-
-
-def _by_prime_powers(m: int, solve, entries) -> dict:
-    """{(p, k): solve(p, k)} over pairwise coprime p^k with product m.
-
-    The split of m is found, not computed: it starts from the gcds of m
-    with the matrix `entries`, and when solve raises _Split on p, p^k is
-    refined along the factor and its parts are solved again.  So m is
-    never factored, and a large prime factor costs nothing; a p that stays
-    composite is one no pivot could tell from a prime, and the elimination
-    over Z/p^k is exact all the same.
-    """
-    pending = {p: _valuation(m, p)
-               for p in _coprime_base([m, *{gcd(x, m) for x in entries}])}
-    done = {}
-    while pending:
-        p, k = pending.popitem()
-        try:
-            done[p, k] = solve(p, k)
-        except _Split as split:
-            for c in _coprime_base([split.factor, p // split.factor]):
-                pending[c] = k * _valuation(p, c)
-    return done
-
-
-def _idempotent(p: int, k: int, m: int) -> int:
-    """The residue mod m that is 1 mod p^k and 0 mod m / p^k."""
-    rest = m // p ** k
-    return rest * pow(rest, -1, p ** k) % m
+        while True:
+            a[t], a[pi] = a[pi], a[t]
+            side[t], side[pi] = side[pi], side[t]
+            if pj != t:
+                for row in a[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+            pivot, lead = a[t], side[t]
+            p = pivot[t]
+            # the row, then the column, whose remainder is the next pivot
+            pi = pj = t
+            for i in range(t + 1, rows):
+                row = a[i]
+                if row[t]:
+                    f = row[t] // p
+                    if f:
+                        row[t:] = [(x - f * y + half) % m - half
+                                   for x, y in zip(row[t:], pivot[t:])]
+                        side[i] = [(x - f * y) % m
+                                   for x, y in zip(side[i], lead)]
+                    if row[t]:
+                        pi = i
+                        break
+            if pi != t:
+                continue
+            for j in range(t + 1, cols):
+                if pivot[j]:
+                    pivot[j] %= p
+                    if pivot[j]:
+                        pj = j
+                        break
+            if pj == t:
+                break
+        pivots.append(a[t][t])
+    return pivots
 
 
 def _cyclic_kernel(a: list, m: int) -> tuple[list, list]:
     """Generators of {x in Z_m^cols : a @ x == 0 mod m} and their orders;
     the kernel is the direct sum of the cyclic groups they generate, so
-    its elements are the sums of c_i g_i with 0 <= c_i < order_i.  Which
-    generators come out depends on how m splits, not only on a; only
-    the element set and its order are determined."""
+    its elements are the sums of c_i g_i with 0 <= c_i < order_i.  Only
+    the element set and its order are pinned, not the generators."""
     cols = len(a[0]) if a else 0
-
-    def solve(p, k):
-        q = p ** k
-        # column operations on a are row operations on its transpose
-        at = [[row[j] % q for row in a] for j in range(cols)]
-        basis = [[int(i == j) for j in range(cols)] for i in range(cols)]
-        valuations = _eliminate(at, p, k, basis)
-        valuations += [k] * (cols - len(valuations))
-        # row t of the transform generates p^(k - v_t) times a summand
-        return sorted((([x * p ** (k - v) % q for x in basis[t]], p ** v)
-                       for t, v in enumerate(valuations) if v),
-                      key=lambda found: -found[1])
-
-    parts = _by_prime_powers(m, solve, {x for row in a for x in row})
+    # column operations on a are row operations on its transpose: if
+    # P @ a.T is reduced to pivots p_t, then x = P.T @ y and the kernel
+    # is p_t y_t == 0, so row t of P times m / gcd(p_t, m) generates it
+    at = [list(col) for col in zip(*a)]
+    basis = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    pivots = _eliminate(at, m, basis)
+    pivots += [0] * (cols - len(pivots))
     gens, orders = [], []
-    # pair the summands of each p^k, largest first, into cyclic summands
-    # of coprime orders
-    for j in range(max(map(len, parts.values()))):
-        gen, order = [0] * cols, 1
-        for (p, k), found in parts.items():
-            if j < len(found):
-                e = _idempotent(p, k, m)
-                gen = [(x + e * y) % m for x, y in zip(gen, found[j][0])]
-                order *= found[j][1]
-        gens.append(gen)
-        orders.append(order)
+    for row, p in zip(basis, pivots):
+        order = gcd(p, m)
+        if order > 1:
+            gens.append([x * (m // order) % m for x in row])
+            orders.append(order)
     return gens, orders
 
 
@@ -580,9 +522,9 @@ def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ..
     """Invariant factors (> 1) of span(kernel_gens) / span(image_gens) in Z_m^c.
 
     The image must be contained in the kernel span or ImageNotContained
-    is raised.  Returns () for the trivial quotient.  The quotient is the
-    direct sum of its parts over the factors p^k of m, computed apart by
-    `_eliminate`.
+    is raised.  Returns () for the trivial quotient.  Two eliminations
+    over Z/m (`_eliminate`) give the quotient as a sum of cyclic groups,
+    whose orders are paired by gcd and lcm into invariant factors.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
@@ -593,37 +535,32 @@ def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ..
     c = len(kernel_gens[0]) if kernel_gens else len(image_gens[0])
     if any(len(g) != c for g in kernel_gens + image_gens):
         raise ValueError("generator length mismatch")
-
-    def solve(p, k):
-        # If P @ K has pivots p^v_t, P maps span K onto the sum of the
-        # p^v_t (Z/p^k), t < r: x lies in it exactly when each (P @ x)_t
-        # is divisible by p^v_t (and zero past r), and the quotients,
-        # read mod p^(k - v_t), are its coordinates.
-        q = p ** k
-        kernel = [[g[i] % q for g in kernel_gens] for i in range(c)]
-        image = [[g[i] % q for g in image_gens] for i in range(c)]
-        valuations = _eliminate(kernel, p, k, image)
-        r = len(valuations)
-        for t, row in enumerate(image):
-            step = p ** valuations[t] if t < r else q
-            if any(x % step for x in row):
-                raise ImageNotContained(
-                    "image generator outside the span of the kernel "
-                    "generators")
-        relations = [[image[t][j] // p ** v for t, v in enumerate(valuations)]
-                     for j in range(len(image_gens))]
-        relations += [[p ** (k - v) % q * (s == t) for s in range(r)]
-                      for t, v in enumerate(valuations)]
-        found = _eliminate(relations, p, k)
-        return sorted((e for e in found + [k] * (r - len(found)) if e),
-                      reverse=True)
-
-    parts = _by_prime_powers(
-        m, solve, {x for g in kernel_gens + image_gens for x in g})
-    return tuple(sorted(
-        prod(p ** found[j] for (p, _), found in parts.items()
-             if j < len(found))
-        for j in range(max(map(len, parts.values())))))
+    # If P @ K has pivots p_t, P maps span K onto the sum of the
+    # g_t (Z/m), t < r, with g_t = gcd(p_t, m): x lies in it exactly when
+    # each (P @ x)_t is divisible by g_t (and zero past r), and the
+    # quotients, read mod m / g_t, are its coordinates.
+    kernel = [[g[i] for g in kernel_gens] for i in range(c)]
+    image = [[g[i] % m for g in image_gens] for i in range(c)]
+    steps = [gcd(p, m) for p in _eliminate(kernel, m, image)]
+    r = len(steps)
+    for t, row in enumerate(image):
+        step = steps[t] if t < r else m
+        if any(x % step for x in row):
+            raise ImageNotContained(
+                "image generator outside the span of the kernel generators")
+    relations = [[image[t][j] // g for t, g in enumerate(steps)]
+                 for j in range(len(image_gens))]
+    relations += [[m // g * (s == t) for s in range(r)]
+                  for t, g in enumerate(steps)]
+    found = _eliminate(relations, m)
+    orders = [gcd(p, m) for p in found] + [m] * (r - len(found))
+    # a pair of cyclic orders (a, b) is also (gcd, lcm); after slot i has
+    # met every later slot, it divides them all
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            g = gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] // g * orders[j]
+    return tuple(o for o in orders if o > 1)
 
 
 class GroupRingElement:

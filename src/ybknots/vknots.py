@@ -40,23 +40,19 @@ from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, check_cap
 from .modalg import GroupRingElement, _cyclic_kernel
 from .ybcore import CochainTable, FiniteYBSet, _check_colors, _decode
 
-# Most rows one call holds: the colorings listed for a solution with a
-# linear form, the partial colorings of the search for one given by its
-# tables (which bounds the colorings it lists too).
-MAX_TUPLES = 2 ** 24
-
 # Most letters a parsed word expands to: the trace, the arcs and the
 # search plan all walk every letter.
 MAX_LETTERS = 4000
 
 # Most digits d*k, the side of W, that the kernel path eliminates: the
-# elimination of W - I takes cubic time in it, about 1.7 s at 224 for a
-# dense random W over Z_15 (see README).
+# elimination of W - I takes cubic time in it, about 1.3 s at 224 for a
+# dense random W over Z_4096 and 0.9 s over Z_15 (see README).
 MAX_KERNEL_DIGITS = 224
 
 # Most int64 entries of one listing array: colorings times d*k for the
 # digits that list a kernel, arcs times rows for the search; each holds a
-# few arrays of this size at once.
+# few arrays of this size at once.  d*k and the arcs are at least 1, so
+# this bounds the rows (colorings, partial colorings) of a call too.
 MAX_ENTRIES = 2 ** 24
 
 # Most top arcs the search plans over: planning tries each candidate
@@ -241,7 +237,6 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     q, d = X.linear.q, X.linear.d
     gens, orders = _kernel(stage, X, word)
     total = math.prod(orders)
-    check_cap(stage, "colorings", total, MAX_TUPLES)
     check_cap(stage, "kernel entries colorings*d*k", total * d * word.strands,
               MAX_ENTRIES)
     index = np.arange(total, dtype=np.int64)
@@ -393,9 +388,9 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
 def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     """The colorings of the closed word on a table-given solution, as
     strand tuples, found by running `_plan` on an (arcs, rows) array.
-    Consecutive branches are one step, so the caps are checked on the rows
-    they would make, and on the entries of the array that holds them,
-    before any is allocated."""
+    Consecutive branches are one step, so the entries cap is checked on
+    the array that would hold the rows they make before any is
+    allocated."""
     n_arcs, top, crossings = _arcs(word)
     check_cap(stage, "top arcs", len(set(top)), MAX_TOP_ARCS)
     report = X.verify_birack()
@@ -421,7 +416,6 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
         if step[0] == "branch":
             arcs = list(step[1])
             combos = n ** len(arcs)
-            check_cap(stage, "search rows", n_rows * combos, MAX_TUPLES)
             check_cap(stage, "search entries arcs*rows",
                       n_arcs * n_rows * combos, MAX_ENTRIES)
             colors = _decode(np.arange(combos), n, len(arcs)).T
@@ -488,7 +482,7 @@ def colorings(X: FiniteYBSet, word: BraidWord) -> ColoringSet:
 
 def count_colorings(X: FiniteYBSet, word: BraidWord) -> int:
     """Number of colorings; with a linear form, the order of ker(W - I),
-    which enumerates nothing and so is not capped by MAX_TUPLES."""
+    which enumerates nothing and so is not capped by MAX_ENTRIES."""
     if X.linear is not None:
         return math.prod(_kernel("count_colorings", X, word)[1])
     return len(_fixed_rows("count_colorings", X, word)[0])

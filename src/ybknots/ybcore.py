@@ -41,8 +41,18 @@ _UNSET = object()
 MAX_TABLE_ENTRIES = 2 ** 24
 
 
-# Largest index a digit layout may reach: indices are int64.
+# Largest index a digit layout may reach, and largest cochain modulus:
+# indices and cochain values are int64.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_modulus(modulus: int, what: str = "modulus"):
+    """Raise ValueError unless 2 <= modulus <= 2^63 - 1, the moduli whose
+    residues a CochainTable holds in int64."""
+    if not 2 <= modulus <= _INT64_MAX:
+        raise ValueError(f"{what} must be at least 2 and at most 2^63 - 1 "
+                         f"(cochain values are int64), got {modulus}")
+
 
 # Most entries one slab of a vectorized check or cube coloring holds at
 # once; ybe_failure and the cube complex both read it.
@@ -526,9 +536,16 @@ class CochainTable:
     __slots__ = ("arity", "set_size", "modulus", "values")
 
     def __init__(self, arity: int, set_size: int, modulus: int, values):
-        if arity < 0 or set_size < 1 or modulus < 2:
-            raise ValueError("need arity >= 0, set_size >= 1, modulus >= 2")
-        values = np.asarray(values, dtype=np.int64).reshape(-1) % modulus
+        if arity < 0 or set_size < 1:
+            raise ValueError("need arity >= 0, set_size >= 1")
+        check_modulus(modulus)
+        values = np.asarray(values)
+        try:
+            values = values.astype(np.int64, casting="safe", copy=False)
+        except TypeError:
+            # values past int64 (Python ints, uint64): their residues fit
+            values = (values.astype(object) % modulus).astype(np.int64)
+        values = values.reshape(-1) % modulus
         if values.shape[0] != set_size ** arity:
             raise ValueError(
                 f"need {set_size ** arity} values, got {values.shape[0]}")

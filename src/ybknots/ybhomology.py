@@ -32,8 +32,8 @@ from .errors import (
 from . import ybcore
 from .modalg import (IntegerMatrix, _orders, kernel_mod,
                      quotient_invariant_factors, solve_mod)
-from .ybcore import (MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
-                     _check_colors, _decode, _encode)
+from .ybcore import (_INT64_MAX, MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
+                     _check_colors, _decode, _encode, check_modulus)
 
 DEFAULT_MAX_CELLS = 200000
 # Largest cube dimension n: the schedule's faces and edges grow as 4^n,
@@ -267,8 +267,13 @@ def coboundary(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     check_cap("coboundary", "cube dimension", f.arity + 1,
               MAX_CUBE_DIMENSION)
     signs = _schedule(f.arity + 1).signs
+    values = f.values
+    # each sum has len(signs) terms below the modulus; past int64 it
+    # takes Python ints
+    if len(signs) * f.modulus > _INT64_MAX:
+        values = values.astype(object)
     return CochainTable(f.arity + 1, X.size, f.modulus, np.concatenate(
-        [f.values[columns] @ signs
+        [values[columns] @ signs
          for _, columns in _facet_slabs(X, f.arity + 1)]))
 
 
@@ -321,7 +326,9 @@ def cocycle_space(X: FiniteYBSet, n: int, m: int,
     With type_one (arity 2 only) the rows forcing f to vanish on the
     fixed pairs (x_of[a], a) and (a, y_of[a]) are appended before taking
     the kernel, which carves out the cocycles usable as state-sum weights.
+    A modulus no CochainTable can hold raises ValueError first.
     """
+    check_modulus(m)
     matrix = coboundary_matrix(X, n)
     if type_one:
         if n != 2:
@@ -365,11 +372,14 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
 
     Assembling delta^n enumerates |X|^(n+1) cube colorings; max_cells
     (default 200000) caps that count and ResourceBound reports overruns.
+    A modulus no CochainTable can hold raises ValueError before any
+    matrix is built.
     """
     check_cap("cohomology_group", "|X|^(n+1)", X.size ** (n + 1),
               DEFAULT_MAX_CELLS if max_cells is None else max_cells)
     if n < 1:
         raise ValueError("arity must be at least 1")
+    check_modulus(m)
     kernel = kernel_mod(coboundary_matrix(X, n), m)
     image = []
     if n >= 2:
@@ -407,6 +417,8 @@ def obstruction_cocycle(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     up whose class obstructs lifting f to a mod-p^2 cocycle.
     """
     p = f.modulus
+    # the lift is a cochain mod p^2; checked before p is factored
+    check_modulus(p * p, "the lift's modulus p^2")
     if not _is_prime_power(p):
         raise ValueError(f"modulus {p} is not a prime power")
     # delta of the lift s(a) = a, taken mod p^2; mod p it is delta f

@@ -161,6 +161,20 @@ def test_oversized_inputs_exit_2(capsys, argv):
     assert "exceeds the cap" in err
 
 
+def test_moduli_past_int64_exit_2(capsys, tmp_path):
+    rc, out, err = run(capsys, "cohomology", "--affine", "3,1,2,2",
+                       "--arity", "1", "--modulus", str(2 ** 70))
+    assert rc == 2 and out == ""
+    assert "modulus must be at least 2 and at most 2^63 - 1" in err
+    # an arity-1 cochain mod 2^61 - 1: its lift to p^2 is refused
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(CochainTable.zero(1, 9, 2 ** 61 - 1).to_json()))
+    rc, out, err = run(capsys, "obstruct", "--affine", "3,1,2,2",
+                       "--cocycle", str(path))
+    assert rc == 2 and out == ""
+    assert "p^2 must be at least 2 and at most 2^63 - 1" in err
+
+
 def test_invariant_cochain_on_another_set_exits_2(capsys, tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(CochainTable.zero(2, 3, 4).to_json()))

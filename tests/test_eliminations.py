@@ -1,10 +1,11 @@
-"""The numpy Smith core and the Z/p^k elimination against the list oracle.
+"""The numpy Smith core and the Z/m elimination against the list oracle.
 
 `smith_oracle` holds the list Smith elimination over Z that the library
 used before.  The numpy core keeps its pivot rule and order of
 operations, so transforms and generators must agree entry for entry.
-The Z/p^k elimination returns no basis anyone pins, so its outputs are
-compared as invariants: invariant factors, and kernels as sets.
+The list elimination over Z/m (`modalg._eliminate`) returns no basis
+anyone pins, so its outputs are compared as invariants: invariant
+factors, and kernels as sets or, where listing is too large, by order.
 """
 
 import random
@@ -191,9 +192,8 @@ def test_image_outside_the_span_is_refused(m):
 
 
 def test_moduli_with_large_prime_factors_are_not_factored():
-    # m is split only along the factors that pivots reveal, so a modulus
-    # with a 61-bit prime factor costs no factoring; a base that stays
-    # composite is still exact
+    # the elimination works over Z/m itself, so a modulus with a 61-bit
+    # prime factor costs no factoring
     rng = random.Random(61)
     p = 2 ** 61 - 1
     for m in (p, 4 * p, p * p * 9, (2 ** 89 - 1) * p):
@@ -204,6 +204,26 @@ def test_moduli_with_large_prime_factors_are_not_factored():
             I = _in_span(rng, K, rng.randint(0, 3), c, m)
             assert quotient_invariant_factors(K, I, m) == \
                 oracle.quotient(K, I, m)
+
+
+@pytest.mark.parametrize("m", (4096, 2 ** 61 - 1, 4 * (2 ** 61 - 1), 486))
+def test_cyclic_kernel_orders_on_large_moduli(m):
+    # too many elements to list: the orders multiply to the oracle's
+    # kernel order, and each generator lies in the kernel with its order
+    rng = random.Random(m)
+    divisors = [d for d in (1, 2, 3, 4, 8, 64, 2 ** 61 - 1) if m % d == 0]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[rng.randrange(m) * rng.choice(divisors)
+                    if rng.random() < 0.7 else 0 for _ in range(cols)]
+                   for _ in range(rows)]
+        gens, orders = modalg._cyclic_kernel(entries, m)
+        assert prod(orders) == prod(_orders(oracle.kernel(entries, cols, m),
+                                            m))
+        assert _orders(gens, m) == orders
+        for g in gens:
+            assert all(sum(e * x for e, x in zip(row, g)) % m == 0
+                       for row in entries)
 
 
 def _elements(gens, orders, m, width):

@@ -524,8 +524,8 @@ def test_search_order_matches_oracle_under_relabelling():
            CochainTable.from_function(2, 4, 4, lambda x, y: 2 * x))],
     ids=lambda X: X.label)
 def test_kernel_path_matches_oracle(X):
-    # the kernel of W - I over each prime power of q, combined, lists the
-    # same colorings as tracing every tuple
+    # the kernel of W - I, eliminated over Z_q, lists the same colorings
+    # as tracing every tuple
     assert X.linear is not None
     rng = random.Random(X.label)
     for _ in range(8):
@@ -556,8 +556,8 @@ def test_long_word_count_matches_the_list_oracle():
 
 
 def test_kernel_listing_cap_counts_entries():
-    # 2^24 colorings fit the row cap, but their 24 digits each would take
-    # 3 GiB of int64; the entries are refused before any is allocated
+    # 2^24 colorings, but their 24 digits each would take 3 GiB of int64;
+    # the entries are refused before any is allocated
     X = make_affine(2, 1, 1)
     unknots = parse_braid("", strands=24)
     assert count_colorings(X, unknots) == 2 ** 24
@@ -573,10 +573,13 @@ def test_linear_path_reaches_past_brute_force():
     X = make_affine(15, 4, 11, 2)
     unknots = parse_braid("", strands=13)
     assert count_colorings(X, unknots) == 15 ** 13
-    with pytest.raises(ResourceBound, match="state_sum: colorings = "
-                       f"{15 ** 13}"):
+    # listing them would take d*k int64 entries per coloring
+    entries = 13 * X.linear.d * 15 ** 13
+    with pytest.raises(ResourceBound, match=r"state_sum: kernel entries "
+                       rf"colorings\*d\*k = {entries} exceeds the cap "
+                       rf"{vknots.MAX_ENTRIES}"):
         state_sum(X, CochainTable.zero(2, 15, 2), unknots)
-    with pytest.raises(ResourceBound, match="colorings: colorings = "):
+    with pytest.raises(ResourceBound, match=r"colorings: kernel entries "):
         colorings(X, unknots)
 
 
@@ -587,7 +590,7 @@ def test_search_cap_raises_before_allocating(monkeypatch):
     # holds at most 15^5 rows, within the cap, where |X|^k = 15^7 is not
     assert count_colorings(table, parse_braid("s1 s2", strands=7)) == \
         count_colorings(X, parse_braid("s1 s2", strands=7)) == 15 ** 5
-    # seven unlinked strands: one branch would make 15^7 rows
+    # seven unlinked strands: one branch would make 15^7 rows of 7 arcs
     unknots = parse_braid("", strands=7)
 
     def refuse(*args):
@@ -600,16 +603,17 @@ def test_search_cap_raises_before_allocating(monkeypatch):
                        (lambda: state_sum(table, CochainTable.zero(2, 15, 2),
                                           unknots), "state_sum")):
         with pytest.raises(ResourceBound,
-                           match=rf"{name}: search rows = {15 ** 7} "
-                           rf"exceeds the cap {vknots.MAX_TUPLES}"):
+                           match=rf"{name}: search entries arcs\*rows = "
+                           rf"{7 * 15 ** 7} exceeds the cap "
+                           rf"{vknots.MAX_ENTRIES}"):
             call()
 
 
 def test_search_cap_counts_entries(monkeypatch):
     # s1 s2 on 7 strands has 8 arcs, and its last branch colors the four
-    # unlinked strands at once: 15^5 rows, within the row cap, of 8 arcs
-    # each.  With the entries cap just below that, the branch is refused
-    # before it decodes its colors.
+    # unlinked strands at once: 15^5 rows of 8 arcs each.  With the
+    # entries cap just below that, the branch is refused before it decodes
+    # its colors.
     X = make_affine(15, 4, 11, 2)
     table = FiniteYBSet(X.r1, X.r2)
     cap = 8 * 15 ** 5 - 1

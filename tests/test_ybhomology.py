@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -411,6 +412,43 @@ def test_cohomology_guards():
         cohomology_group(z3_biquandle(), 0, 3)
 
 
+def test_moduli_past_int64_are_refused_before_the_matrix(monkeypatch):
+    # cochain values are int64, so a modulus past 2^63 - 1 is refused as
+    # a ValueError before any coboundary matrix is built
+    def refuse(*args):
+        raise AssertionError("built a matrix")
+
+    monkeypatch.setattr(ybhomology, "coboundary_matrix", refuse)
+    for call in (lambda: cohomology_group(make_affine(3, 1, 2, 2), 1, 2 ** 70),
+                 lambda: cocycle_space(make_affine(3, 1, 2, 2), 1, 2 ** 70),
+                 lambda: cohomology_group(make_block(3, 1, 1), 2, 2 ** 64),
+                 lambda: CochainTable(1, 3, 2 ** 63, [0, 1, 2])):
+        with pytest.raises(ValueError, match="at most 2"):
+            call()
+    for bad in (1, 2 ** 63):
+        with pytest.raises(ValueError):
+            ybcore.check_modulus(bad)
+    ybcore.check_modulus(2 ** 63 - 1)
+    # values past int64 are reduced, not refused or wrapped
+    assert CochainTable(1, 3, 7, [2 ** 70, -2 ** 80, 5]).values.tolist() == \
+        [2 ** 70 % 7, -2 ** 80 % 7, 5]
+    assert CochainTable(1, 2, 5, np.array([2 ** 63, 1], dtype=np.uint64)
+                        ).values.tolist() == [2 ** 63 % 5, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coboundary_is_exact_for_moduli_near_int64(n):
+    # 2(n+1) residues near 2^63 sum past int64; int64 sums would wrap
+    X = make_block(2, 1, 1)
+    rng = random.Random(n)
+    matrix = coboundary_matrix(X, n).entries
+    for m in (2 ** 63 - 25, 2 ** 62 + 1):
+        values = [rng.randrange(m) for _ in range(X.size ** n)]
+        delta = coboundary(X, CochainTable(n, X.size, m, values))
+        assert delta.values.tolist() == [
+            sum(a * v for a, v in zip(row, values)) % m for row in matrix]
+
+
 def test_coboundary_matrix_checks_its_cap_first(monkeypatch):
     def no_slabs(*args):
         raise AssertionError("a slab was colored")
@@ -509,3 +547,18 @@ def test_obstruction_validation():
     X6 = make_affine(6, 1, 5, 5)
     with pytest.raises(ValueError):
         obstruction_cocycle(X6, CochainTable.zero(1, 6, 6))
+
+
+def test_obstruction_refuses_a_lift_past_int64_before_factoring(monkeypatch):
+    # the lift to p^2 would not fit a CochainTable; p = 2^61 - 1 is refused
+    # before its primality is tested by trial division
+    def refuse(p):
+        raise AssertionError("factored the modulus")
+
+    monkeypatch.setattr(ybhomology, "_is_prime_power", refuse)
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"p\^2 must be .* got {p * p}"):
+        obstruction_cocycle(make_affine(3, 1, 2, 2),
+                            CochainTable.zero(1, 9, p))
+    assert time.perf_counter() - start < 1
