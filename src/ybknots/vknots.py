@@ -19,13 +19,22 @@ fix a crossing through R, and when the tables allow it the outputs fix
 it through Rbar, (x, z) through the left inverse of y -> R1(x, y), and
 (y, w) through the right inverse of x -> R2(x, y); a biquandle has all
 four.  Which arcs a rule fixes depends only on which arcs are known, so
-the search is planned once over arc ids (branch on an arc, derive arcs,
+the search is planned over arc ids (branch on an arc, derive arcs,
 check arcs already known) and then run on an array holding one partial
 coloring per row: a branch repeats every row once per color, a derived
 arc is a column gather, and a check drops the rows it fails.
 
 Either way the rows found are traced through the word, which checks
 that each is fixed and gives the state-sum weights.
+
+A closed braid is compiled once and reused: its arcs and search plan
+once per (word, rule set), since they depend on nothing else, and the
+generators and orders of ker(W - I) once per (form, word), since the
+constructors build a form's tables, and so W, from the form alone.  Each
+cache keeps the last `_CACHE_SIZE` = 16 keys and holds only tuples,
+never an array or a row.  The caps are checked on every call, outside
+the caches: MAX_TOP_ARCS and MAX_KERNEL_DIGITS before a cache is read,
+MAX_ENTRIES before each array is allocated.
 """
 
 from __future__ import annotations
@@ -58,6 +67,34 @@ MAX_ENTRIES = 2 ** 24
 # Most top arcs the search plans over: planning tries each candidate
 # arc at each branch, which grows as the cube of the top arcs.
 MAX_TOP_ARCS = 320
+
+# Most keys each compile cache keeps.  A word is reused within a few
+# calls (a count and a state sum, one word over Table 1's sets).  At the
+# word caps an entry takes about 1 MB (the plan of 4000 letters) or 2 MB
+# (224 generators of 224 entries), so a full cache stays within 32 MB.
+_CACHE_SIZE = 16
+
+# (word, rules) -> (arcs, top arcs, plan steps) and (form, word) ->
+# (kernel generators, orders); a dict keeps its keys in the order they
+# were last put in.  The tuples are built from lists, not generators:
+# CPython sizes a tuple(generator) by a guess and resizes it, so as the
+# entries churned, freed tuples kept filling its per-size free lists and
+# peak RSS climbed for the whole run (+1.6 MB over 25 s on braids_table).
+_plans: dict = {}
+_kernels: dict = {}
+
+
+def _cached(cache: dict, key, make):
+    """cache[key], made by make() the first time; past `_CACHE_SIZE` keys
+    the least recently used one is dropped."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = make()
+    cache[key] = value
+    if len(cache) > _CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return value
+
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -221,15 +258,20 @@ def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     return form.digits(end).reshape(len(units), -1).T
 
 
-def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[list, list]:
-    """Generators of ker(W - I) over Z_q and their orders.  They span a
-    direct sum, so each coloring is one combination sum c_i g_i with
-    0 <= c_i < order_i."""
-    q, d = X.linear.q, X.linear.d
-    check_cap(stage, "kernel digits d*k", d * word.strands,
-              MAX_KERNEL_DIGITS)
-    W = _word_matrix(X, word) - np.eye(d * word.strands, dtype=np.int64)
-    return _cyclic_kernel(W.tolist(), q)
+def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[tuple, tuple]:
+    """Generators of ker(W - I) over Z_q and their orders, as tuples.
+    They span a direct sum, so each coloring is one combination
+    sum c_i g_i with 0 <= c_i < order_i."""
+    form = X.linear
+    side = form.d * word.strands
+    check_cap(stage, "kernel digits d*k", side, MAX_KERNEL_DIGITS)
+
+    def make():
+        W = _word_matrix(X, word) - np.eye(side, dtype=np.int64)
+        gens, orders = _cyclic_kernel(W.tolist(), form.q)
+        return tuple([tuple(g) for g in gens]), tuple(orders)
+
+    return _cached(_kernels, (form, word), make)
 
 
 def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
@@ -294,8 +336,8 @@ def _arcs(word: BraidWord):
     number: dict[int, int] = {}
     arc = [number.setdefault(root(a), len(number))
            for a in range(len(parent))]
-    return (len(number), [arc[a] for a in range(k)],
-            [tuple(arc[a] for a in c) for c in crossings])
+    return (len(number), tuple([arc[a] for a in range(k)]),
+            tuple([tuple([arc[a] for a in c]) for c in crossings]))
 
 
 def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
@@ -385,14 +427,27 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
     return steps
 
 
+def _compiled(word: BraidWord, rules: tuple[int, ...]) -> tuple:
+    """(number of arcs, top arcs, `_plan`'s steps) of the closed word
+    under one rule set: everything of the search but the tables."""
+
+    def make():
+        n_arcs, top, crossings = _arcs(word)
+        return n_arcs, top, tuple(_plan(n_arcs, top, crossings, rules))
+
+    return _cached(_plans, (word, rules), make)
+
+
 def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     """The colorings of the closed word on a table-given solution, as
     strand tuples, found by running `_plan` on an (arcs, rows) array.
     Consecutive branches are one step, so the entries cap is checked on
     the array that would hold the rows they make before any is
     allocated."""
-    n_arcs, top, crossings = _arcs(word)
-    check_cap(stage, "top arcs", len(set(top)), MAX_TOP_ARCS)
+    # a strand has one top arc at most, so only a word with more strands
+    # than the cap needs its arcs counted before the plan is read
+    if word.strands > MAX_TOP_ARCS:
+        check_cap(stage, "top arcs", len(set(_arcs(word)[1])), MAX_TOP_ARCS)
     report = X.verify_birack()
     r1, r2 = X.r1, X.r2
     rules = [_FORWARD]
@@ -407,9 +462,10 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     if report.right_invertible:
         rules.append(_RIGHT)
         right = X.right_inverse
+    n_arcs, top, steps = _compiled(word, tuple(rules))
     n = X.size
     cols = np.zeros((n_arcs, 1), dtype=np.int64)
-    for step in _plan(n_arcs, top, crossings, rules):
+    for step in steps:
         n_rows = cols.shape[1]
         if n_rows == 0:
             break
@@ -440,7 +496,7 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
             keep = np.logical_and.reduce(
                 [v[slot] == cols[arcs[slot]] for slot in checks])
             cols = cols[:, keep]
-    return cols[top].T
+    return cols[list(top)].T
 
 
 def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
@@ -528,6 +584,8 @@ def state_sum(X: FiniteYBSet, psi: CochainTable, word: BraidWord) -> InvariantVa
         raise ArityMismatch(
             f"cochain set size {psi.set_size} does not match |X| = {X.size}")
     m = psi.modulus
+    # the value is dense in Z[Z_m], one coefficient per residue
+    check_cap("state_sum", "group-ring modulus m", m, MAX_ENTRIES)
     _, weights = _fixed_rows("state_sum", X, word, psi.as_array(), m)
     coefficients = np.bincount(weights, minlength=m)
     return InvariantValue(GroupRingElement(m, [int(c) for c in coefficients]))

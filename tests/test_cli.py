@@ -184,6 +184,16 @@ def test_invariant_cochain_on_another_set_exits_2(capsys, tmp_path):
     assert "cochain set size 3 does not match" in err
 
 
+def test_invariant_dense_group_ring_past_the_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(CochainTable.zero(2, 9, 2 ** 40).to_json()))
+    rc, out, err = run(capsys, "invariant", "--block", "3,1,1",
+                       "--word", "s1", "--cocycle", str(path))
+    assert rc == 2 and out == ""
+    assert "state_sum: group-ring modulus m = 1099511627776 exceeds the cap" \
+        in err
+
+
 def test_boundary_json(capsys):
     rc, out, _ = run(capsys, "boundary", "--affine", "4,1,-1,-1",
                      "--tuple", "1,2", "--json")

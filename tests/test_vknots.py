@@ -714,3 +714,174 @@ def test_unfixed_searched_row_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError,
                        match="colorings: a searched coloring is not fixed"):
         colorings(table, parse_braid("s1"))
+
+
+def test_state_sum_refuses_a_dense_group_ring_past_the_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched or traced past the cap")
+
+    monkeypatch.setattr(vknots, "_fixed_rows", refuse)
+    X = make_block(3, 1, 1)
+    for Y in (X, FiniteYBSet(X.r1, X.r2)):
+        for m in (vknots.MAX_ENTRIES + 1, 2 ** 40):
+            start = time.perf_counter()
+            with pytest.raises(ResourceBound,
+                               match=rf"state_sum: group-ring modulus m = "
+                               rf"{m} exceeds the cap {vknots.MAX_ENTRIES}"):
+                state_sum(Y, CochainTable.zero(2, 9, m), parse_braid("s1"))
+            assert time.perf_counter() - start < 1
+
+
+def _spy(monkeypatch, name):
+    """Clear both compile caches and record the arguments of every call
+    of vknots.<name>."""
+    vknots._plans.clear()
+    vknots._kernels.clear()
+    calls = []
+    real = getattr(vknots, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vknots, name, spy)
+    return calls
+
+
+def test_count_then_state_sum_plans_the_word_once(monkeypatch):
+    planned = _spy(monkeypatch, "_plan")
+    X = _relabelled(make_affine(15, 4, 11, 2), random.Random(2))
+    psi = CochainTable(2, 15, 3, [(x * y + x) % 3 for x in range(15)
+                                  for y in range(15)])
+    word = parse_braid(KISHINO_WORDS["K1"])
+    found, coefficients = _oracle(X, word, psi)
+    assert count_colorings(X, word) == len(found)
+    assert list(state_sum(X, psi, word).value.coefficients) == coefficients
+    # a word parsed again is equal, so it finds the same plan
+    assert colorings(X, parse_braid(word.text())).tuples == found
+    assert len(planned) == 1
+
+
+def test_rule_sets_never_share_a_plan(monkeypatch):
+    planned = _spy(monkeypatch, "_plan")
+    biquandle = FiniteYBSet(z3_biquandle().r1, z3_biquandle().r2)
+    # R = 1 is invertible, but neither y -> R1(x, y) = x nor
+    # x -> R2(x, y) = y is, so it has no sideways inverse
+    identity = FiniteYBSet([[x] * 3 for x in range(3)], [list(range(3))] * 3)
+    report = identity.verify_birack()
+    assert report.invertible
+    assert not report.left_invertible and not report.right_invertible
+    assert biquandle.verify_birack().left_invertible
+    word = parse_braid("s1 s2^-1 v1 s2 s1^-1", strands=3)
+    psi = CochainTable(2, 3, 4, [(2 * x + y) % 4 for x in range(3)
+                                 for y in range(3)])
+    for X in (biquandle, identity, biquandle, identity):
+        _assert_matches_oracle(X, word, psi)
+    rules = [args[3] for args in planned]
+    assert rules == [(0, 1, 2, 3), (0, 1)]
+    assert set(vknots._plans) == {(word, (0, 1, 2, 3)), (word, (0, 1))}
+    # the plan a set runs fires only the rules its tables have
+    _, _, steps = vknots._plans[word, (0, 1)]
+    assert {step[1] for step in steps if step[0] == "cross"} <= {0, 1}
+
+
+def test_relabelled_tables_share_a_plan_and_keep_their_rows(monkeypatch):
+    planned = _spy(monkeypatch, "_plan")
+    base = make_block(2, 1, 1)
+    word = parse_braid("s1 v2 s3^-1 s2 s1", strands=4)
+    rng = random.Random(5)
+    psi = CochainTable(2, 4, 3, [rng.randrange(3) for _ in range(16)])
+    found = set()
+    for _ in range(3):
+        X = _relabelled(base, rng)
+        _assert_matches_oracle(X, word, psi)
+        found.add(colorings(X, word).tuples)
+    assert len(planned) == 1
+    # one plan, but each set's rows come from its own tables
+    assert len(found) > 1
+
+
+def test_equal_forms_share_a_kernel(monkeypatch):
+    traced = _spy(monkeypatch, "_word_matrix")
+    word = parse_braid(KISHINO_WORDS["K3"])
+    X, Y = make_affine(15, 4, 11, 2), make_affine(15, 4, 11, 2)
+    assert X is not Y and X.linear == Y.linear
+    Z = make_affine(15, 4, 11, 4)
+    assert Z.linear != X.linear
+    psi = CochainTable.zero(2, 15, 2)
+    assert count_colorings(X, word) == TABLE1_COUNTS[2][2]
+    assert state_sum(Y, psi, word).colorings == TABLE1_COUNTS[2][2]
+    assert len(traced) == 1
+    assert count_colorings(Z, word) == TABLE1_COUNTS[4][2]
+    assert len(traced) == 2
+    assert set(vknots._kernels) == {(X.linear, word), (Z.linear, word)}
+
+
+def test_caps_are_checked_on_cached_words(monkeypatch):
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    word = parse_braid("s1 s2^-1 s1", strands=3)
+    count_colorings(X, word)
+    count_colorings(table, word)
+    monkeypatch.setattr(vknots, "MAX_KERNEL_DIGITS", 2)
+    with pytest.raises(ResourceBound, match=r"kernel digits d\*k = 3 "):
+        count_colorings(X, word)
+    monkeypatch.setattr(vknots, "MAX_TOP_ARCS", 2)
+    with pytest.raises(ResourceBound, match=r"top arcs = 3 "):
+        count_colorings(table, word)
+    monkeypatch.setattr(vknots, "MAX_TOP_ARCS", 3)
+    monkeypatch.setattr(vknots, "MAX_ENTRIES", 2)
+    with pytest.raises(ResourceBound, match=r"search entries arcs\*rows"):
+        count_colorings(table, word)
+
+
+def _only_tuples(value):
+    if isinstance(value, tuple):
+        return all(map(_only_tuples, value))
+    return isinstance(value, (int, str))
+
+
+def test_caches_hold_only_tuples():
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    word = parse_braid(KISHINO_WORDS["K2"])
+    psi = CochainTable.zero(2, 15, 3)
+    for Y in (X, table):
+        state_sum(Y, psi, word)
+        colorings(Y, word)
+    assert vknots._plans and vknots._kernels
+    for cache in (vknots._plans, vknots._kernels):
+        assert all(_only_tuples(value) for value in cache.values())
+    gens, orders = vknots._kernel("count_colorings", X, word)
+    with pytest.raises(TypeError):
+        gens[0][0] = 1
+    with pytest.raises(TypeError):
+        orders[0] = 1
+    # the caches keep their fixed size
+    for n in range(1, 2 * vknots._CACHE_SIZE):
+        count_colorings(X, parse_braid(f"s1^{n}"))
+        count_colorings(table, parse_braid(f"s1^{n}"))
+    assert len(vknots._plans) == len(vknots._kernels) == vknots._CACHE_SIZE
+
+
+@pytest.mark.parametrize("X", [
+    make_affine(15, 4, 11, 2), z4_biquandle()], ids=lambda X: X.label)
+def test_compiled_braids_match_oracle_cold_and_warm(X):
+    rng = random.Random(f"compiled/{X.label}")
+    psi = CochainTable(2, X.size, 4,
+                       [rng.randrange(4) for _ in range(X.size ** 2)])
+    words = [_random_word(rng, rng.randint(1, 3 if X.size > 9 else 4),
+                          rng.randint(0, 10)) for _ in range(6)]
+    for Y in (X, FiniteYBSet(X.r1, X.r2)):
+        for word in words:
+            found, coefficients = _oracle(Y, word, psi)
+            calls = (lambda: colorings(Y, word).tuples,
+                     lambda: count_colorings(Y, word),
+                     lambda: list(state_sum(Y, psi, word).value.coefficients))
+            want = (found, len(found), coefficients)
+            for call, value in zip(calls, want):
+                vknots._plans.clear()
+                vknots._kernels.clear()
+                assert call() == value, word
+            for call, value in zip(calls + calls, want + want):
+                assert call() == value, word
