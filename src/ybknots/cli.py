@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import reference, vknots, ybcore, ybhomology
 from .errors import NotACocycle, NotBiquandle, YBKError
@@ -349,8 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it
+    as it was, and YBK_MAX_CELLS is read when a command runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except YBKError as exc:

@@ -4,7 +4,9 @@ Dense integer matrices, Smith normal form with transform matrices,
 kernels and quotients of finitely generated modules over Z_m, and the
 group ring Z[Z_m] used to value state sums.  Everything here is exact:
 arrays hold int64 only while a bound shows no entry can overflow, and
-Python ints past it; never floats.
+Python ints past it; never floats.  In the Smith core only the
+eliminated matrix can move to Python ints part way; each transform's
+dtype is fixed when the elimination starts.
 
 An `IntegerMatrix` is one such 2-d array, int64 while every entry is
 below 2^62 and dtype=object past it; the coboundary matrices arrive in
@@ -126,7 +128,7 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # int64 entries stay below this in absolute value: a step whose result
-# could reach it first moves every working array to Python ints
+# could reach it first moves the eliminated array to Python ints
 _INT64_GUARD = 2 ** 62
 
 
@@ -169,36 +171,27 @@ class _Smith:
     of each.  The order of operations, and so every transform, is a
     deterministic function of the input.
 
-    The arrays start in int64.  Each step first bounds the entries it will
-    write; when a bound reaches the guard, every array moves to
-    dtype=object and this and all later steps run on Python ints.
+    Only a changes dtype during a run: each step first bounds the entries
+    it will write in a, and when a bound reaches the guard, a moves to
+    dtype=object for this and all later steps.  Each transform's dtype is
+    fixed on creation: Python ints when it is exact (no m) or when 2 m^2
+    reaches the guard, int64 residues otherwise.
     """
 
     def __init__(self, a, u=None, v=None, m=None):
-        self.a, self.u, self.v, self.m = a, u, v, m
-        # u and v stay in [0, m) and their multipliers are reduced mod m,
-        # so every step on them stays under 2 m^2
-        if a.dtype == object or (m is not None
-                                 and 2 * m * m >= _INT64_GUARD):
-            self._widen()
+        self.a, self.m = a, m
+        # u and v kept mod m stay in [0, m) and their multipliers are
+        # reduced mod m, so every step on them stays under 2 m^2
+        wide = m is None or 2 * m * m >= _INT64_GUARD
+        dtype = object if wide else np.int64
+        self.u = None if u is None else u.astype(dtype, copy=False)
+        self.v = None if v is None else v.astype(dtype, copy=False)
         self.factors = self._run()
 
-    def _widen(self):
-        self.a = self.a.astype(object)
-        if self.u is not None:
-            self.u = self.u.astype(object)
-        if self.v is not None:
-            self.v = self.v.astype(object)
-
     def _fit(self, bound: int):
+        """Move a to Python ints when an entry may reach the guard."""
         if bound >= _INT64_GUARD and self.a.dtype != object:
-            self._widen()
-
-    def _exact(self, x):
-        """x when it is an exact transform still held in int64."""
-        if x is not None and self.m is None and x.dtype != object:
-            return x
-        return None
+            self.a = self.a.astype(object)
 
     def _mod(self, x):
         return x if self.m is None else x % self.m
@@ -206,9 +199,6 @@ class _Smith:
     def _rows(self, t: int, sel, q):
         """rows sel -= q * row t, in a (from column t on) and in u; the
         caller has bounded a."""
-        u = self._exact(self.u)
-        if u is not None:
-            self._fit(_peak(u[sel]) + _peak(q) * _peak(u[t]))
         self.a[sel, t:] -= q[:, None] * self.a[t, t:]
         if self.u is not None:
             self.u[sel] = self._mod(
@@ -217,9 +207,6 @@ class _Smith:
     def _cols(self, t: int, sel, q, rem):
         """cols sel -= q * col t, in a and in v.  Column t of a holds only
         the pivot by now, so in a just row t changes, to the remainders."""
-        v = self._exact(self.v)
-        if v is not None:
-            self._fit(_peak(v[:, sel]) + _peak(q) * _peak(v[:, t]))
         self.a[t, sel] = rem
         if self.v is not None:
             self.v[:, sel] = self._mod(
@@ -312,9 +299,6 @@ class _Smith:
     def _col_axpy(self, i: int, j: int, q: int):
         """col i -= q * col j, in a and v."""
         self._fit(_peak(self.a[:, i]) + abs(q) * _peak(self.a[:, j]))
-        v = self._exact(self.v)
-        if v is not None:
-            self._fit(_peak(v[:, i]) + abs(q) * _peak(v[:, j]))
         self.a[:, i] -= q * self.a[:, j]
         if self.v is not None:
             self.v[:, i] = self._mod(
@@ -324,9 +308,6 @@ class _Smith:
         """Rows i and i + 1 become x ri + y rj and z ri + w rj, in a and u."""
         big = max(abs(x) + abs(y), abs(z) + abs(w))
         self._fit(big * _peak(self.a[i:i + 2]))
-        u = self._exact(self.u)
-        if u is not None:
-            self._fit(big * _peak(u[i:i + 2]))
         ri, rj = self.a[i].copy(), self.a[i + 1].copy()
         self.a[i], self.a[i + 1] = x * ri + y * rj, z * ri + w * rj
         if self.u is not None:
@@ -343,8 +324,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
     makes the output a deterministic function of the input, so every basis
     derived from it is reproducible.
     """
-    run = _Smith(A.array.copy(), np.eye(A.rows, dtype=np.int64),
-                 np.eye(A.cols, dtype=np.int64))
+    run = _Smith(A.array.copy(), np.eye(A.rows, dtype=object),
+                 np.eye(A.cols, dtype=object))
     return SmithForm(U=IntegerMatrix(run.u), D=IntegerMatrix(run.a),
                      V=IntegerMatrix(run.v), invariant_factors=run.factors)
 
@@ -407,7 +388,7 @@ def solve_mod(A: IntegerMatrix, b, m: int):
     # U @ A @ V == D; row i of D @ y == U @ b reads d_i * y_i == (U @ b)_i,
     # and U @ b is only read mod m
     run = _Smith(_array(A.array, m) % m,
-                 _array(np.array(b, dtype=object).reshape(-1, 1), m),
+                 np.array(b, dtype=object).reshape(-1, 1),
                  np.eye(A.cols, dtype=np.int64), m)
     y = [0] * A.cols
     for i, ci in enumerate(run.u[:, 0].tolist()):

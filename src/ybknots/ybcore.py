@@ -54,6 +54,30 @@ def check_modulus(modulus: int, what: str = "modulus"):
                          f"(cochain values are int64), got {modulus}")
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int.  Raise ValueError unless it is an integer:
+    a float (1.0 included), a boolean or a string is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(data, what: str) -> np.ndarray:
+    """data (an array or nested lists) as an array of integers: an integer
+    array as it is, anything else, once each entry is checked the way
+    `_integer` checks one, in int64, or in dtype=object past int64."""
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
+        return data
+    data = np.array(data, dtype=object)
+    for kind in set(map(type, data.flat)):
+        if issubclass(kind, bool) or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {kind.__name__}")
+    try:
+        return data.astype(np.int64)
+    except OverflowError:
+        return data
+
+
 # Most entries one slab of a vectorized check or cube coloring holds at
 # once; ybe_failure and the cube complex both read it.
 SLAB_ENTRIES = 500000
@@ -214,8 +238,8 @@ class FiniteYBSet:
     """
 
     def __init__(self, r1, r2, label: str | None = None):
-        r1 = np.array(r1, dtype=np.int64)
-        r2 = np.array(r2, dtype=np.int64)
+        r1 = _integers(r1, "table entries")
+        r2 = _integers(r2, "table entries")
         if r1.ndim != 2 or r1.shape[0] != r1.shape[1] or r1.shape != r2.shape:
             raise ValueError("component tables must be square and same shape")
         n = r1.shape[0]
@@ -224,7 +248,9 @@ class FiniteYBSet:
         for t in (r1, r2):
             if t.min() < 0 or t.max() >= n:
                 raise ValueError("table entries must lie in 0..n-1")
-        self._adopt(r1, r2, label, None)
+        # in range, so the int64 copies are exact
+        self._adopt(np.array(r1, dtype=np.int64),
+                    np.array(r2, dtype=np.int64), label, None)
 
     @classmethod
     def _built(cls, r1: np.ndarray, r2: np.ndarray, label: str,
@@ -420,7 +446,7 @@ class FiniteYBSet:
     @classmethod
     def from_json(cls, data: dict, label: str | None = None) -> "FiniteYBSet":
         try:
-            size = int(data["size"])
+            size = _integer(data["size"], "size")
             r1 = data["R1"]
             r2 = data["R2"]
         except (KeyError, TypeError) as exc:
@@ -536,10 +562,13 @@ class CochainTable:
     __slots__ = ("arity", "set_size", "modulus", "values")
 
     def __init__(self, arity: int, set_size: int, modulus: int, values):
+        arity = _integer(arity, "arity")
+        set_size = _integer(set_size, "set_size")
+        modulus = _integer(modulus, "modulus")
         if arity < 0 or set_size < 1:
             raise ValueError("need arity >= 0, set_size >= 1")
         check_modulus(modulus)
-        values = np.asarray(values)
+        values = _integers(values, "cochain values")
         try:
             values = values.astype(np.int64, casting="safe", copy=False)
         except TypeError:
@@ -603,8 +632,8 @@ class CochainTable:
     @classmethod
     def from_json(cls, data: dict) -> "CochainTable":
         try:
-            return cls(int(data["arity"]), int(data["set_size"]),
-                       int(data["modulus"]), data["values"])
+            return cls(data["arity"], data["set_size"], data["modulus"],
+                       data["values"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cochain data: {exc}") from exc
 
@@ -638,16 +667,15 @@ def _extension_form(base: LinearForm | None, m: int, psi1: CochainTable,
     q, d = base.q, base.d
     units = base.weights
     digits = base.digits(np.arange(q ** d))
-    fits = []
-    for psi in (psi1, psi2):
-        table = psi.as_array()
-        # the coefficients are psi's values on the unit pairs (e_j, 0) and
-        # (0, e_j); the fit must then reproduce the whole table
-        in_x, in_y = table[units, 0], table[0, units]
-        if table[0, 0] or not (
-                ((digits @ in_x)[:, None] + digits @ in_y) % q == table).all():
-            return None
-        fits.append([*in_x.tolist(), *in_y.tolist()])
+    # both tables are fitted in one pass: the coefficients are each psi's
+    # values on the unit pairs (e_j, 0) and (0, e_j), and the fit must
+    # then reproduce the whole table, its 0 at (0, 0) included
+    tables = np.array([psi1.as_array(), psi2.as_array()])
+    in_x, in_y = tables[:, units, 0], tables[:, 0, units]
+    fitted = (in_x @ digits.T)[:, :, None] + (in_y @ digits.T)[:, None, :]
+    if not np.array_equal(fitted % q, tables):
+        return None
+    fits = np.concatenate([in_x, in_y], axis=1).tolist()
 
     def row(a1, a2, on_x):
         # on_x holds the coefficients of the digits of x1, then x2

@@ -194,6 +194,59 @@ def test_invariant_dense_group_ring_past_the_cap_exits_2(capsys, tmp_path):
         in err
 
 
+@pytest.mark.parametrize("entry", [0.9, 1.0, True, "0"],
+                         ids=["fraction", "float", "bool", "string"])
+def test_color_table_with_a_non_integer_entry_exits_2(capsys, tmp_path,
+                                                       entry):
+    from ybknots import make_affine
+    data = make_affine(4, 1, 3, 3).to_json()
+    data["R1"][0][0] = entry
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "color", "--table", str(path), "--word", "s1")
+    assert rc == 2 and out == ""
+    assert "table entries must be integers" in err
+
+
+def test_invariant_fractional_cocycle_exits_2(capsys, tmp_path):
+    # every value raised by 0.6 used to truncate back to the z4 cocycle
+    data = z4_cocycle().to_json()
+    data["values"] = [v + 0.6 for v in data["values"]]
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "invariant", "--affine", "4,1,-1,-1",
+                       "--word", "s1^4", "--cocycle", str(path))
+    assert rc == 2 and out == ""
+    assert "cochain values must be integers, got float" in err
+
+
+@pytest.mark.parametrize("key,value", [("modulus", 3.5), ("modulus", 4.0),
+                                       ("arity", True), ("set_size", "4")])
+def test_invariant_non_integer_cochain_header_exits_2(capsys, tmp_path,
+                                                      key, value):
+    data = z4_cocycle().to_json()
+    data[key] = value
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "invariant", "--affine", "4,1,-1,-1",
+                       "--word", "s1", "--cocycle", str(path))
+    assert rc == 2 and out == ""
+    assert f"{key} must be an integer" in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, "verify", "--affine", "4,1,-1,-1")
+
+    def rebuilt():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    for _ in range(2):
+        rc, out, _ = run(capsys, "color", "--affine", "4,1,-1,-1",
+                         "--word", "s1 s1")
+        assert rc == 0 and out == "8\n"
+
+
 def test_boundary_json(capsys):
     rc, out, _ = run(capsys, "boundary", "--affine", "4,1,-1,-1",
                      "--tuple", "1,2", "--json")

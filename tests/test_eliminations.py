@@ -89,16 +89,18 @@ def test_coboundary_kernels_match_the_list_core(X, n, m):
 
 def test_guard_moves_the_arrays_to_python_ints(monkeypatch):
     # with the guard at 2^12 the entries start under it and grow past it,
-    # so the core switches to dtype=object part way and carries on
+    # so the core moves a to dtype=object part way and carries on
     monkeypatch.setattr(modalg, "_INT64_GUARD", 2 ** 12)
     widened = []
-    original = modalg._Smith._widen
+    original = modalg._Smith._fit
 
-    def spy(self):
-        widened.append(self.a.dtype)
-        original(self)
+    def spy(self, bound):
+        dtype = self.a.dtype
+        original(self, bound)
+        if self.a.dtype != dtype:
+            widened.append(dtype)
 
-    monkeypatch.setattr(modalg._Smith, "_widen", spy)
+    monkeypatch.setattr(modalg._Smith, "_fit", spy)
     rng = random.Random(7)
     for _ in range(12):
         entries = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
@@ -130,6 +132,40 @@ def test_entries_past_int64_start_on_python_ints():
                 oracle.kernel(entries, cols, m)
             assert solve_mod(IntegerMatrix(entries), b, m) == \
                 oracle.solve(entries, cols, b, m)
+
+
+@pytest.mark.parametrize("m", [2 ** 40 + 15, 3 ** 50, 2 ** 63 - 25])
+def test_int64_matrices_under_moduli_past_the_guard(m):
+    # the matrices are int64, the modulus is not (or 2 m^2 is not): the
+    # eliminated array must be read exactly under m, and the transforms
+    # kept mod m must start on Python ints
+    rng = random.Random(m % 1000)
+    cases = [[[2, 4], [6, 8]]]
+    cases += [_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5), 36)
+              for _ in range(20)]
+    for entries in cases:
+        A = IntegerMatrix(entries)
+        assert A.array.dtype == np.int64
+        assert kernel_mod(A, m) == oracle.kernel(entries, A.cols, m)
+        x0 = [rng.randrange(m) for _ in range(A.cols)]
+        b = [sum(e * x for e, x in zip(row, x0)) for row in entries]
+        if rng.random() < 0.3:
+            b[rng.randrange(len(b))] += rng.randrange(1, m)
+        assert solve_mod(A, b, m) == oracle.solve(entries, A.cols, b, m)
+
+
+def test_smith_transforms_come_back_in_int64_under_the_guard():
+    # U and V run on Python ints, but every entry here stays small, so the
+    # returned matrices hold int64 like any other small IntegerMatrix
+    rng = random.Random(11)
+    for _ in range(10):
+        entries = _random_matrix(rng, 5, 4, 12)
+        sf = smith_normal_form(IntegerMatrix(entries))
+        assert sf.U.array.dtype == np.int64
+        assert sf.V.array.dtype == np.int64
+        assert sf.D.array.dtype == np.int64
+        U, D, V, _ = oracle.smith(entries)
+        assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
 
 
 def _in_span(rng, gens, count, c, m):

@@ -531,6 +531,64 @@ def test_table_validation():
         FiniteYBSet([[0, 5], [0, 0]], [[0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("entry", [0.9, 1.0, True, np.float64(1), "1"],
+                         ids=["fraction", "float", "bool", "numpy-float",
+                              "string"])
+def test_tables_refuse_non_integer_entries(entry):
+    # floats (whole ones too), booleans and strings are refused rather
+    # than truncated or read as 0/1
+    data = make_affine(4, 1, 3, 3).to_json()
+    data["R1"][0][1] = entry
+    with pytest.raises(ValueError, match="table entries must be integers"):
+        FiniteYBSet.from_json(data)
+    for bad in (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                np.array([[False, True], [True, False]])):
+        with pytest.raises(ValueError, match="table entries must be integers"):
+            FiniteYBSet(bad, [[0, 1], [1, 0]])
+    data = make_affine(4, 1, 3, 3).to_json()
+    data["size"] = entry
+    with pytest.raises(ValueError, match="size must be an integer"):
+        FiniteYBSet.from_json(data)
+
+
+def test_tables_accept_integer_types_and_refuse_huge_entries():
+    r1 = [[np.int32(1), 0], [1, np.uint8(0)]]
+    X = FiniteYBSet(r1, np.array([[0, 1], [0, 1]], dtype=np.uint16))
+    assert X.r1.dtype == np.int64 and X.r2.dtype == np.int64
+    assert X.r1.tolist() == [[1, 0], [1, 0]]
+    with pytest.raises(ValueError, match="must lie in 0..n-1"):
+        FiniteYBSet([[2 ** 70, 0], [0, 0]], [[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("value", [0.6, 2.0, False, "1", None])
+def test_cochains_refuse_non_integer_values(value):
+    data = CochainTable.from_function(1, 3, 3, lambda x: x).to_json()
+    data["values"][1] = value
+    with pytest.raises(ValueError, match="cochain values must be integers"):
+        CochainTable.from_json(data)
+    with pytest.raises(ValueError, match="cochain values must be integers"):
+        CochainTable(1, 2, 3, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("key", ["arity", "set_size", "modulus"])
+@pytest.mark.parametrize("value", [3.5, 3.0, True, "3"])
+def test_cochain_headers_refuse_non_integers(key, value):
+    # a modulus of 3.5 used to be read as 3
+    data = CochainTable.zero(1, 3, 3).to_json()
+    data[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        CochainTable.from_json(data)
+
+
+def test_cochains_keep_integer_types_and_big_values():
+    f = CochainTable(1, 3, 7, [np.int64(9), 2 ** 70, np.uint64(2 ** 63)])
+    assert f.values.dtype == np.int64
+    assert f.values.tolist() == [2, 2 ** 70 % 7, 2 ** 63 % 7]
+    g = CochainTable(np.int64(1), np.int32(3), np.int64(7), [0, 1, 2])
+    assert (g.arity, g.set_size, g.modulus) == (1, 3, 7)
+    assert all(type(x) is int for x in (g.arity, g.set_size, g.modulus))
+
+
 def test_set_json_round_trip():
     X = make_affine(15, 4, 11, 2)
     data = X.to_json()
