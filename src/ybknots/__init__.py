@@ -8,7 +8,6 @@ from .errors import (
     BraidSyntaxError,
     ColoringIncomplete,
     ColoringInconsistent,
-    ImageNotContained,
     IndexOutOfRange,
     ModulusMismatch,
     NotACocycle,
@@ -23,7 +22,6 @@ from .modalg import (
     IntegerMatrix,
     SmithForm,
     kernel_mod,
-    quotient_invariant_factors,
     smith_normal_form,
     solve_mod,
 )

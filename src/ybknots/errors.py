@@ -26,10 +26,6 @@ class ArityMismatch(YBKError):
     """Cochain arity, set size, or modulus inconsistent with the operation."""
 
 
-class ImageNotContained(YBKError):
-    """Quotient requested of modules without the required containment."""
-
-
 class NotBiquandle(YBKError):
     """The fixed-pair condition fails for some element."""
 

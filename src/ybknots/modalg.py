@@ -1,12 +1,12 @@
 """Exact modular and integer linear algebra.
 
 Dense integer matrices, Smith normal form with transform matrices,
-kernels and quotients of finitely generated modules over Z_m, and the
-group ring Z[Z_m] used to value state sums.  Everything here is exact:
-arrays hold int64 only while a bound shows no entry can overflow, and
-Python ints past it; never floats.  In the Smith core only the
-eliminated matrix can move to Python ints part way; each transform's
-dtype is fixed when the elimination starts.
+kernels and solutions of linear systems over Z_m, and the group ring
+Z[Z_m] used to value state sums.  Everything here is exact: arrays hold
+int64 only while a bound shows no entry can overflow, and Python ints
+past it; never floats.  In the Smith core only the eliminated matrix
+can move to Python ints part way; each transform's dtype is fixed when
+the elimination starts.
 
 An `IntegerMatrix` is one such 2-d array, int64 while every entry is
 below 2^62 and dtype=object past it; the coboundary matrices arrive in
@@ -20,10 +20,8 @@ becoming the new pivot.  `_Smith` runs it over Z on numpy arrays, so the
 bases it yields (the transforms of `smith_normal_form`, the generators of
 `kernel_mod`, the solution of `solve_mod`) are a deterministic function
 of the input.  `_eliminate` runs it over Z/m itself on lists of residues
-in the symmetric range, with no factoring of m; it serves the outputs
-that no basis is part of: the invariant factors of
-`quotient_invariant_factors` and the element set of a kernel
-(`_cyclic_kernel`).
+in the symmetric range, with no factoring of m; it serves the braid
+kernel (`_cyclic_kernel`), whose element set is pinned but no basis.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ImageNotContained, ModulusMismatch
+from .errors import ModulusMismatch
+from .ybcore import _integer, _integers
 
 
 class IntegerMatrix:
@@ -343,6 +342,17 @@ def _reduced_rows(a: np.ndarray, m: int) -> np.ndarray:
     return a[list(first.values())]
 
 
+def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
+    """The Smith run of A's rows reduced mod m stacked over m*I, with V
+    kept mod m when v is set.  The stack has full column rank, and its
+    factors are gcd(d_i, m) for the invariant factors d_i of A, then m
+    for each column past A's rank."""
+    c = A.cols
+    work = _reduced_rows(_array(A.array, m), m)
+    work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
+    return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m)
+
+
 def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     """Generators of {x in Z_m^cols : A @ x == 0 mod m}.
 
@@ -355,16 +365,13 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
 
     Because V is unimodular, the generators span a direct sum of cyclic
     groups, so the order of the kernel is the product of the generators'
-    orders (`_orders`).
+    orders (`_orders`), which run in the chain order of the factors.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
-    c = A.cols
-    if c == 0:
+    if A.cols == 0:
         return []
-    work = _reduced_rows(_array(A.array, m), m)
-    work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
-    run = _Smith(work, v=np.eye(c, dtype=np.int64), m=m)
+    run = _stacked_smith(A, m, v=True)
     gens = []
     for i, d in enumerate(run.factors):
         mult = m // gcd(d, m)
@@ -403,7 +410,7 @@ def solve_mod(A: IntegerMatrix, b, m: int):
             for row in run.v.tolist()]
 
 
-def _eliminate(a: list, m: int, companion: list | None = None) -> list[int]:
+def _eliminate(a: list, m: int, companion: list) -> list[int]:
     """Row-reduce a over Z/m in place; return the pivots.
 
     The Smith rule over Z/m: entries are held as residues in the
@@ -418,12 +425,12 @@ def _eliminate(a: list, m: int, companion: list | None = None) -> list[int]:
     each pivot row change nothing else and are not made.  So a is
     equivalent to diag(p_t), and its row space is the sum of the
     p_t (Z/m), each of order m / gcd(p_t, m).  Row operations are
-    mirrored mod m in companion (as many rows as a).
+    mirrored mod m in companion (as many rows as a); the kernel of
+    `_cyclic_kernel` is read off it.
     """
     half = m // 2
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    side = companion if companion is not None else [[] for _ in a]
     for i in range(rows):
         a[i] = [(x + half) % m - half for x in a[i]]
     pivots = []
@@ -443,11 +450,11 @@ def _eliminate(a: list, m: int, companion: list | None = None) -> list[int]:
             break
         while True:
             a[t], a[pi] = a[pi], a[t]
-            side[t], side[pi] = side[pi], side[t]
+            companion[t], companion[pi] = companion[pi], companion[t]
             if pj != t:
                 for row in a[t:]:
                     row[t], row[pj] = row[pj], row[t]
-            pivot, lead = a[t], side[t]
+            pivot, lead = a[t], companion[t]
             p = pivot[t]
             # the row, then the column, whose remainder is the next pivot
             pi = pj = t
@@ -458,8 +465,8 @@ def _eliminate(a: list, m: int, companion: list | None = None) -> list[int]:
                     if f:
                         row[t:] = [(x - f * y + half) % m - half
                                    for x, y in zip(row[t:], pivot[t:])]
-                        side[i] = [(x - f * y) % m
-                                   for x, y in zip(side[i], lead)]
+                        companion[i] = [(x - f * y) % m
+                                        for x, y in zip(companion[i], lead)]
                     if row[t]:
                         pi = i
                         break
@@ -499,44 +506,11 @@ def _cyclic_kernel(a: list, m: int) -> tuple[list, list]:
     return gens, orders
 
 
-def quotient_invariant_factors(kernel_gens, image_gens, m: int) -> tuple[int, ...]:
-    """Invariant factors (> 1) of span(kernel_gens) / span(image_gens) in Z_m^c.
-
-    The image must be contained in the kernel span or ImageNotContained
-    is raised.  Returns () for the trivial quotient.  Two eliminations
-    over Z/m (`_eliminate`) give the quotient as a sum of cyclic groups,
-    whose orders are paired by gcd and lcm into invariant factors.
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
-    kernel_gens = [list(map(int, g)) for g in kernel_gens]
-    image_gens = [list(map(int, g)) for g in image_gens]
-    if not kernel_gens and not image_gens:
-        return ()
-    c = len(kernel_gens[0]) if kernel_gens else len(image_gens[0])
-    if any(len(g) != c for g in kernel_gens + image_gens):
-        raise ValueError("generator length mismatch")
-    # If P @ K has pivots p_t, P maps span K onto the sum of the
-    # g_t (Z/m), t < r, with g_t = gcd(p_t, m): x lies in it exactly when
-    # each (P @ x)_t is divisible by g_t (and zero past r), and the
-    # quotients, read mod m / g_t, are its coordinates.
-    kernel = [[g[i] for g in kernel_gens] for i in range(c)]
-    image = [[g[i] % m for g in image_gens] for i in range(c)]
-    steps = [gcd(p, m) for p in _eliminate(kernel, m, image)]
-    r = len(steps)
-    for t, row in enumerate(image):
-        step = steps[t] if t < r else m
-        if any(x % step for x in row):
-            raise ImageNotContained(
-                "image generator outside the span of the kernel generators")
-    relations = [[image[t][j] // g for t, g in enumerate(steps)]
-                 for j in range(len(image_gens))]
-    relations += [[m // g * (s == t) for s in range(r)]
-                  for t, g in enumerate(steps)]
-    found = _eliminate(relations, m)
-    orders = [gcd(p, m) for p in found] + [m] * (r - len(found))
-    # a pair of cyclic orders (a, b) is also (gcd, lcm); after slot i has
-    # met every later slot, it divides them all
+def _invariant_form(orders) -> tuple[int, ...]:
+    """The invariant factors (> 1) of the sum of cyclic groups of the
+    given orders: a pair of orders (a, b) is also (gcd, lcm), and after
+    slot i has met every later slot, it divides them all."""
+    orders = list(orders)
     for i in range(len(orders)):
         for j in range(i + 1, len(orders)):
             g = gcd(orders[i], orders[j])
@@ -651,4 +625,8 @@ class GroupRingElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupRingElement":
-        return cls(int(data["modulus"]), data["coefficients"])
+        try:
+            return cls(_integer(data["modulus"], "modulus"),
+                       _integers(data["coefficients"], "coefficients"))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed group-ring data: {exc}") from exc

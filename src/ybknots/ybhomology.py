@@ -30,8 +30,8 @@ from .errors import (
     check_cap,
 )
 from . import ybcore
-from .modalg import (IntegerMatrix, _orders, kernel_mod,
-                     quotient_invariant_factors, solve_mod)
+from .modalg import (IntegerMatrix, _invariant_form, _orders, _stacked_smith,
+                     kernel_mod, solve_mod)
 from .ybcore import (_INT64_MAX, MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
                      _check_colors, _decode, _encode, check_modulus)
 
@@ -370,6 +370,16 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
                      max_cells: int | None = None) -> CohomologyReport:
     """Invariant factors of ker(delta^n) / im(delta^(n-1)) over Z_m.
 
+    By the universal coefficient theorem H^n(X; Z_m) is
+    Hom(H_n, Z_m) + Ext(H_(n-1), Z_m), so no quotient of spans is
+    taken.  The cocycles are Hom(H_n, Z_m) + Z_m^r, r the rank of
+    delta^(n-1), so the orders of `kernel_mod`'s generators, in chain
+    order, end in at least r copies of m.  Each invariant factor d of
+    delta^(n-1) adds Z_gcd(d, m) to Ext(H_(n-1), Z_m) and bounds one of
+    those Z_m; the Smith run of delta^(n-1) stacked over m*I has one
+    factor gcd(d, m) for each d and m for each column past the rank, so
+    its factors below m are the summands that replace a Z_m.
+
     Assembling delta^n enumerates |X|^(n+1) cube colorings; max_cells
     (default 200000) caps that count and ResourceBound reports overruns.
     A modulus no CochainTable can hold raises ValueError before any
@@ -381,18 +391,20 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
         raise ValueError("arity must be at least 1")
     check_modulus(m)
     kernel = kernel_mod(coboundary_matrix(X, n), m)
-    image = []
-    if n >= 2:
-        columns = coboundary_matrix(X, n - 1).array.T % m
-        image = columns[columns.any(axis=1)].tolist()
-    factors = quotient_invariant_factors(kernel, image, m)
-    cocycle_order = prod(_orders(kernel, m))
+    orders = _orders(kernel, m)
+    traded = [f for f in _stacked_smith(coboundary_matrix(X, n - 1), m).factors
+              if f < m]
+    kept = len(orders) - len(traded)
+    if orders[kept:] != [m] * len(traded):
+        raise RuntimeError(
+            f"cohomology_group: the cocycles of arity {n} mod {m} lack the "
+            f"{len(traded)} summands Z_{m} that delta^{n - 1} bounds")
     return CohomologyReport(
         arity=n,
         modulus=m,
-        invariant_factors=factors,
-        cocycle_order=cocycle_order,
-        coboundary_order=cocycle_order // prod(factors),
+        invariant_factors=_invariant_form(orders[:kept] + traded),
+        cocycle_order=prod(orders),
+        coboundary_order=prod(m // f for f in traded),
         generators=tuple(CochainTable(n, X.size, m, g) for g in kernel),
     )
 

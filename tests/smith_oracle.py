@@ -4,13 +4,16 @@ This is the elimination the library ran before its numpy and Z/p^k
 eliminations: Python ints in lists of lists, one row or column operation
 at a time, with the pivot rule and restart order that the numpy core
 keeps.  The functions after `_snf_core` are the library's earlier
-`smith_normal_form`, `kernel_mod`, `solve_mod` and
-`quotient_invariant_factors` on it, returning plain lists and tuples.
+`smith_normal_form`, `kernel_mod` and `solve_mod` on it, and `quotient`,
+the invariant factors of a quotient of two spans (once the library's
+H^n route), returning plain lists and tuples.
 """
 
 from math import gcd
 
-from ybknots.errors import ImageNotContained
+
+class ImageNotContained(Exception):
+    """`quotient` was given an image outside the span of the kernel."""
 
 
 def _identity(n):

@@ -4,8 +4,10 @@
 used before.  The numpy core keeps its pivot rule and order of
 operations, so transforms and generators must agree entry for entry.
 The list elimination over Z/m (`modalg._eliminate`) returns no basis
-anyone pins, so its outputs are compared as invariants: invariant
-factors, and kernels as sets or, where listing is too large, by order.
+anyone pins, so its kernels are compared as sets or, where listing is
+too large, by order.  H^n, which `cohomology_group` reads off Smith runs
+by universal coefficients, is compared with the list core's quotient of
+the cocycle span by the coboundary span.
 """
 
 import random
@@ -16,17 +18,19 @@ import numpy as np
 import pytest
 
 from ybknots import (
+    FiniteYBSet,
     IntegerMatrix,
     coboundary_matrix,
+    cohomology_group,
     kernel_mod,
     make_affine,
     make_block,
-    quotient_invariant_factors,
+    make_omega,
     smith_normal_form,
     solve_mod,
+    swap_set,
 )
 from ybknots import modalg
-from ybknots.errors import ImageNotContained
 
 import smith_oracle as oracle
 
@@ -168,78 +172,69 @@ def test_smith_transforms_come_back_in_int64_under_the_guard():
         assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
 
 
-def _in_span(rng, gens, count, c, m):
-    # one coefficient per generator for each image vector; coefficients
-    # drawn per coordinate would leave the span
-    out = []
-    for _ in range(count):
-        coefficients = [rng.randrange(m) for _ in gens]
-        out.append([sum(a * g[j] for a, g in zip(coefficients, gens)) % m
-                    for j in range(c)])
-    return out
+def _oracle_cohomology(X, n, m):
+    """(invariant factors, cocycle order, kernel) of H^n mod m from the
+    list core: its kernel, and its quotient by the columns of delta^(n-1)."""
+    kernel = oracle.kernel(coboundary_matrix(X, n).entries, X.size ** n, m)
+    image = [col for col in
+             (coboundary_matrix(X, n - 1).array.T % m).tolist() if any(col)]
+    return (oracle.quotient(kernel, image, m), prod(_orders(kernel, m)),
+            kernel)
 
 
-@pytest.mark.parametrize("m", MODULI + (2, 5, 30, 72))
+def _cohomology_sets():
+    z3, z4 = make_affine(3, 1, 2, 2), make_affine(4, 1, -1, -1)
+    return [z3, z4, FiniteYBSet(z3.r1, z3.r2), FiniteYBSet(z4.r1, z4.r2),
+            swap_set(2), swap_set(3), make_affine(3, 2, 1),
+            make_affine(4, 1, 3), make_affine(5, 2, 1), make_affine(6, 5, 1),
+            make_affine(6, 1, 5, 5), make_affine(9, 4, 7),
+            make_block(2, 1, 1), make_omega(2, 2, 2)]
+
+
+COHOMOLOGY_MODULI = (2, 3, 4, 5, 6, 8, 9, 12, 25, 27, 30, 36, 72)
+# every (set, arity) with |X|^(n+1) <= 1000; the list core takes up to
+# 0.5 s a modulus past 100 cells, so each such case runs under one
+# modulus, the moduli taken in turn
+COHOMOLOGY_CASES = [(X, n) for X in _cohomology_sets() for n in range(1, 5)
+                    if X.size ** (n + 1) <= 1000]
+LARGE_CASES = [(X, n) for X, n in COHOMOLOGY_CASES if X.size ** (n + 1) > 100]
+
+
+@pytest.mark.parametrize("m", COHOMOLOGY_MODULI)
 def test_quotient_matches_the_list_core(m):
-    rng = random.Random(300 + m)
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
-    for _ in range(60):
-        c = rng.randint(1, 7)
-        # generators scaled by divisors of m give summands of every order
-        K = [[rng.randrange(m) * rng.choice(divisors) % m for _ in range(c)]
-             for _ in range(rng.randint(0, 6))]
-        I = _in_span(rng, K, rng.randint(0, 6), c, m)
-        if not K and not I:
-            continue
-        assert quotient_invariant_factors(K, I, m) == \
-            oracle.quotient(K, I, m)
+    # H^n by universal coefficients against the quotient of the spans
+    turn = COHOMOLOGY_MODULI.index(m)
+    cases = [(X, n) for X, n in COHOMOLOGY_CASES
+             if X.size ** (n + 1) <= 100] + \
+        LARGE_CASES[turn::len(COHOMOLOGY_MODULI)]
+    for X, n in cases:
+        H = cohomology_group(X, n, m)
+        factors, cocycle_order, kernel = _oracle_cohomology(X, n, m)
+        assert H.invariant_factors == factors, (X.label, n)
+        assert H.cocycle_order == cocycle_order
+        assert H.coboundary_order * H.order == cocycle_order
+        assert [g.values.tolist() for g in H.generators] == kernel
 
 
 def test_quotient_of_cohomology_spans_matches_the_list_core():
     X = make_affine(6, 5, 1)
     for m in (4, 6, 12):
-        kernel = kernel_mod(coboundary_matrix(X, 2), m)
-        image = [col for col in
-                 (np.array(coboundary_matrix(X, 1).entries).T % m).tolist()
-                 if any(col)]
-        assert quotient_invariant_factors(kernel, image, m) == \
-            oracle.quotient(kernel, image, m)
-
-
-@pytest.mark.parametrize("m", MODULI)
-def test_image_outside_the_span_is_refused(m):
-    rng = random.Random(500 + m)
-    refused = 0
-    for _ in range(40):
-        c = rng.randint(1, 4)
-        K = [[rng.randrange(0, m, rng.choice((2, 3))) for _ in range(c)]
-             for _ in range(rng.randint(0, 3))]
-        I = _in_span(rng, K, rng.randint(0, 2), c, m)
-        I.append([rng.randrange(m) for _ in range(c)])
-        try:
-            expected = oracle.quotient(K, I, m)
-        except ImageNotContained:
-            refused += 1
-            with pytest.raises(ImageNotContained):
-                quotient_invariant_factors(K, I, m)
-        else:
-            assert quotient_invariant_factors(K, I, m) == expected
-    assert refused
+        assert cohomology_group(X, 2, m).invariant_factors == \
+            _oracle_cohomology(X, 2, m)[0]
 
 
 def test_moduli_with_large_prime_factors_are_not_factored():
-    # the elimination works over Z/m itself, so a modulus with a 61-bit
-    # prime factor costs no factoring
-    rng = random.Random(61)
+    # H^n reads gcds of Smith factors with m, so a modulus with a 61-bit
+    # prime factor costs no factoring; 4p is just under 2^63
     p = 2 ** 61 - 1
-    for m in (p, 4 * p, p * p * 9, (2 ** 89 - 1) * p):
-        for _ in range(10):
-            c = rng.randint(1, 4)
-            K = [[rng.choice((0, 1, 2, 3, 4, p, 2 * p, m - 1))
-                  for _ in range(c)] for _ in range(rng.randint(1, 3))]
-            I = _in_span(rng, K, rng.randint(0, 3), c, m)
-            assert quotient_invariant_factors(K, I, m) == \
-                oracle.quotient(K, I, m)
+    for m in (p, 2 * p, 4 * p):
+        for X, n in ((make_affine(3, 1, 2, 2), 2),
+                     (make_affine(4, 1, -1, -1), 2),
+                     (make_block(2, 1, 1), 2), (make_affine(6, 5, 1), 1)):
+            H = cohomology_group(X, n, m)
+            factors, cocycle_order, _ = _oracle_cohomology(X, n, m)
+            assert H.invariant_factors == factors
+            assert H.cocycle_order == cocycle_order
 
 
 @pytest.mark.parametrize("m", (4096, 2 ** 61 - 1, 4 * (2 ** 61 - 1), 486))

@@ -3,17 +3,18 @@
 import random
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from ybknots import (
     GroupRingElement,
     IntegerMatrix,
     kernel_mod,
-    quotient_invariant_factors,
     smith_normal_form,
     solve_mod,
 )
-from ybknots.errors import ImageNotContained
+
+import smith_oracle as oracle
 
 
 def _det(entries):
@@ -219,13 +220,17 @@ def test_solve_round_trip(m):
             for i in range(rows))
 
 
+# The list core's quotient of two spans is the oracle that H^n is
+# checked against (test_eliminations); these tests hold it to frozen
+# values and to brute force.
+
 def test_quotient_frozen_examples():
     units = [[1, 0], [0, 1]]
-    assert quotient_invariant_factors(units, [[2, 0]], 4) == (2, 4)
-    assert quotient_invariant_factors(units, [], 2) == (2, 2)
-    assert quotient_invariant_factors(units, units, 6) == ()
-    with pytest.raises(ImageNotContained):
-        quotient_invariant_factors([[2, 0]], [[1, 0]], 4)
+    assert oracle.quotient(units, [[2, 0]], 4) == (2, 4)
+    assert oracle.quotient(units, [], 2) == (2, 2)
+    assert oracle.quotient(units, units, 6) == ()
+    with pytest.raises(oracle.ImageNotContained):
+        oracle.quotient([[2, 0]], [[1, 0]], 4)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12])
@@ -249,10 +254,10 @@ def test_quotient_matches_brute_force(m):
         span_k, span_i = _span(K, m, c), _span(I, m, c)
         if not span_i <= span_k:
             outside += 1
-            with pytest.raises(ImageNotContained):
-                quotient_invariant_factors(K, I, m)
+            with pytest.raises(oracle.ImageNotContained):
+                oracle.quotient(K, I, m)
             continue
-        factors = quotient_invariant_factors(K, I, m)
+        factors = oracle.quotient(K, I, m)
         assert all(f > 1 and m % f == 0 for f in factors)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         for t in divisors:
@@ -304,4 +309,37 @@ def test_group_ring_render():
 def test_group_ring_json_round_trip():
     g = GroupRingElement(4, (16, 0, 48, 0))
     assert g.to_json() == {"modulus": 4, "coefficients": [16, 0, 48, 0]}
+    assert GroupRingElement.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("data", [
+    {"modulus": 4.5, "coefficients": [1, 0, 0, 0]},
+    {"modulus": 4.0, "coefficients": [1, 0, 0, 0]},
+    {"modulus": True, "coefficients": [1]},
+    {"modulus": "4", "coefficients": [1, 0, 0, 0]},
+    {"modulus": 4, "coefficients": [1.7, True, "3", 0]},
+    {"modulus": 4, "coefficients": [1.0, 0, 0, 0]},
+    {"modulus": 4, "coefficients": [0, 0, 0, False]},
+    {"modulus": 4, "coefficients": "1234"},
+    {"modulus": 4, "coefficients": 5},
+    {"modulus": 4, "coefficients": [[1, 0], [0, 0]]},
+    {"modulus": 4, "coefficients": [1, 0, 0]},
+    {"modulus": 4},
+    {"coefficients": [1, 0, 0, 0]},
+    [4, [1, 0, 0, 0]],
+    None,
+])
+def test_group_ring_from_json_refuses_non_integers(data):
+    # a float, boolean or string is refused, not cast; a missing or
+    # mistyped field is a ValueError like any malformed input
+    with pytest.raises(ValueError):
+        GroupRingElement.from_json(data)
+
+
+def test_group_ring_from_json_keeps_integers_exact():
+    g = GroupRingElement.from_json(
+        {"modulus": np.int64(3), "coefficients": [2 ** 70, np.int32(-1), 0]})
+    assert g.modulus == 3 and type(g.modulus) is int
+    assert g.coefficients == (2 ** 70, -1, 0)
+    assert all(type(c) is int for c in g.coefficients)
     assert GroupRingElement.from_json(g.to_json()) == g

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -378,9 +379,10 @@ def test_cohomology_frozen_values():
 
 
 @pytest.mark.parametrize("maker,m", [(z3_biquandle, 3), (z4_biquandle, 4),
-                                     (z4_biquandle, 2)])
+                                     (z4_biquandle, 2), (z3_biquandle, 6)])
 def test_cohomology_orders_match_spans(maker, m):
-    # the orders are read off the kernel basis; count both spans instead
+    # the orders and factors are read off Smith runs; count both spans
+    # instead.  z3 mod 6 has an Ext part: H^2 is Z3 x Z3 x Z6.
     X = maker()
     H = cohomology_group(X, 2, m)
     width = X.size ** 2
@@ -391,6 +393,15 @@ def test_cohomology_orders_match_spans(maker, m):
     assert H.cocycle_order == len(cocycles)
     assert H.coboundary_order == len(coboundaries)
     assert H.order == len(cocycles) // len(coboundaries)
+    # the t-torsion of H^n, {x : t x a coboundary} over the coboundaries,
+    # has order prod gcd(t, a_i) for each t dividing m
+    assert all(b % a == 0 for a, b in zip(H.invariant_factors,
+                                          H.invariant_factors[1:]))
+    for t in (t for t in range(1, m + 1) if m % t == 0):
+        torsion = sum(tuple(t * v % m for v in x) in coboundaries
+                      for x in cocycles)
+        assert torsion == len(coboundaries) * prod(
+            gcd(t, a) for a in H.invariant_factors)
 
 
 def test_cohomology_generators_are_cocycles():
