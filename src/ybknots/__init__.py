@@ -26,7 +26,6 @@ from .modalg import (
     solve_mod,
 )
 from .ybcore import (
-    AffineParams,
     BiquandleWitness,
     BirackReport,
     CochainTable,

@@ -44,12 +44,7 @@ class IntegerMatrix:
     __slots__ = ("array",)
 
     def __init__(self, entries):
-        if not isinstance(entries, np.ndarray):
-            rows = [[int(e) for e in row] for row in entries]
-            cols = len(rows[0]) if rows else 0
-            if any(len(row) != cols for row in rows):
-                raise ValueError("ragged rows")
-            entries = np.array(rows, dtype=object).reshape(len(rows), cols)
+        entries = _integers(entries, "matrix entries")
         if entries.ndim != 2:
             raise ValueError("an integer matrix is 2-d")
         self.array = _array(entries)
@@ -367,8 +362,7 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     groups, so the order of the kernel is the product of the generators'
     orders (`_orders`), which run in the chain order of the factors.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
+    m = _integer(m, "modulus", 2)
     if A.cols == 0:
         return []
     run = _stacked_smith(A, m, v=True)
@@ -387,11 +381,12 @@ def _orders(gens, m: int) -> list[int]:
 
 def solve_mod(A: IntegerMatrix, b, m: int):
     """One solution of A @ x == b (mod m), or None if there is none."""
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
-    b = [int(e) % m for e in b]
-    if len(b) != A.rows:
+    m = _integer(m, "modulus", 2)
+    b = _integers(b, "right-hand side")
+    if b.shape != (A.rows,):
         raise ValueError("right-hand side length mismatch")
+    # residues of Python ints: m may pass int64
+    b = [e % m for e in b.tolist()]
     # U @ A @ V == D; row i of D @ y == U @ b reads d_i * y_i == (U @ b)_i,
     # and U @ b is only read mod m
     run = _Smith(_array(A.array, m) % m,
@@ -525,9 +520,9 @@ class GroupRingElement:
     __slots__ = ("modulus", "coefficients")
 
     def __init__(self, modulus: int, coefficients):
-        if modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {modulus}")
-        coefficients = tuple(int(e) for e in coefficients)
+        modulus = _integer(modulus, "modulus", 2)
+        coefficients = tuple([_integer(e, "coefficient")
+                              for e in coefficients])
         if len(coefficients) != modulus:
             raise ValueError(
                 f"need {modulus} coefficients, got {len(coefficients)}")
@@ -536,13 +531,14 @@ class GroupRingElement:
 
     @classmethod
     def zero(cls, modulus: int) -> "GroupRingElement":
-        return cls(modulus, (0,) * modulus)
+        return cls.term(0, 0, modulus)
 
     @classmethod
     def term(cls, coefficient: int, exponent: int, modulus: int) -> "GroupRingElement":
         """coefficient * x^exponent with the exponent reduced mod m."""
+        modulus = _integer(modulus, "modulus", 2)
         coeffs = [0] * modulus
-        coeffs[exponent % modulus] = int(coefficient)
+        coeffs[_integer(exponent, "exponent") % modulus] = coefficient
         return cls(modulus, coeffs)
 
     def _check(self, other):
@@ -626,7 +622,6 @@ class GroupRingElement:
     @classmethod
     def from_json(cls, data: dict) -> "GroupRingElement":
         try:
-            return cls(_integer(data["modulus"], "modulus"),
-                       _integers(data["coefficients"], "coefficients"))
+            return cls(data["modulus"], data["coefficients"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed group-ring data: {exc}") from exc

@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, check_cap
 from .modalg import GroupRingElement, _cyclic_kernel
-from .ybcore import CochainTable, FiniteYBSet, _check_colors, _decode
+from .ybcore import (CochainTable, FiniteYBSet, _check_colors, _decode,
+                     _integer)
 
 # Most letters a parsed word expands to: the trace, the arcs and the
 # search plan all walk every letter.
@@ -112,6 +113,7 @@ class BraidGenerator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        object.__setattr__(self, "index", _integer(self.index, "index"))
         if self.index < 1:
             raise ValueError("generator index is 1-based")
 
@@ -139,6 +141,7 @@ class BraidWord:
     generators: tuple[BraidGenerator, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "strands", _integer(self.strands, "strands"))
         if self.strands < 1:
             raise ValueError("need at least one strand")
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -192,9 +195,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         else:
             generators.extend([BraidGenerator(NEGATIVE, index)] * -exponent)
     needed = max_index + 1 if max_index else 1
-    if strands is None:
-        strands = needed
-    elif strands < needed:
+    strands = needed if strands is None else _integer(strands, "strands")
+    if strands < needed:
         raise IndexOutOfRange(
             f"word uses index {max_index}, needs {needed} strands, "
             f"got {strands}")
@@ -210,7 +212,7 @@ def apply_word(X: FiniteYBSet, word: BraidWord, colors) -> tuple[int, ...]:
     if len(colors) != word.strands:
         raise ArityMismatch(
             f"{word.strands} strands but {len(colors)} colors")
-    _check_colors(X.size, colors)
+    colors = _check_colors(X.size, colors)
     end, _ = _trace_word(X, word, np.array([colors], dtype=np.int64),
                          None, None)
     return tuple(end[0].tolist())
@@ -588,7 +590,7 @@ def state_sum(X: FiniteYBSet, psi: CochainTable, word: BraidWord) -> InvariantVa
     check_cap("state_sum", "group-ring modulus m", m, MAX_ENTRIES)
     _, weights = _fixed_rows("state_sum", X, word, psi.as_array(), m)
     coefficients = np.bincount(weights, minlength=m)
-    return InvariantValue(GroupRingElement(m, [int(c) for c in coefficients]))
+    return InvariantValue(GroupRingElement(m, coefficients.tolist()))
 
 
 def _splice(word: BraidWord, at: int, drop: int, pieces) -> BraidWord:

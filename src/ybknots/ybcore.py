@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -46,27 +47,37 @@ MAX_TABLE_ENTRIES = 2 ** 24
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def check_modulus(modulus: int, what: str = "modulus"):
-    """Raise ValueError unless 2 <= modulus <= 2^63 - 1, the moduli whose
-    residues a CochainTable holds in int64."""
+def check_modulus(modulus, what: str = "modulus") -> int:
+    """modulus as a Python int, through `_integer`.  Raise ValueError
+    unless 2 <= modulus <= 2^63 - 1, the moduli whose residues a
+    CochainTable holds in int64."""
+    modulus = _integer(modulus, what)
     if not 2 <= modulus <= _INT64_MAX:
         raise ValueError(f"{what} must be at least 2 and at most 2^63 - 1 "
                          f"(cochain values are int64), got {modulus}")
+    return modulus
 
 
-def _integer(value, what: str) -> int:
-    """value as a Python int.  Raise ValueError unless it is an integer:
-    a float (1.0 included), a boolean or a string is refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _integer(value, what: str, least: int | None = None) -> int:
+    """value as a Python int: the package's one integer gate, with
+    `_integers` for arrays.  A float (1.0 included), a boolean or a
+    string raises ValueError rather than being cast, as does a value
+    below `least`."""
+    if type(value) is not int:  # a plain int, the common case, is kept
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _integers(data, what: str) -> np.ndarray:
-    """data (an array or nested lists) as an array of integers: an integer
-    array as it is, anything else, once each entry is checked the way
-    `_integer` checks one, in int64, or in dtype=object past int64."""
-    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
+    """data (an array or nested lists) as an integer array, each entry
+    checked as `_integer` checks one.  An integer array other than uint64
+    is kept; else int64, or past int64 dtype=object of Python ints."""
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iu" and \
+            data.dtype != np.uint64:
         return data
     data = np.array(data, dtype=object)
     for kind in set(map(type, data.flat)):
@@ -75,7 +86,7 @@ def _integers(data, what: str) -> np.ndarray:
     try:
         return data.astype(np.int64)
     except OverflowError:
-        return data
+        return np.asarray(np.frompyfunc(int, 1, 1)(data), dtype=object)
 
 
 # Most entries one slab of a vectorized check or cube coloring holds at
@@ -123,16 +134,16 @@ class LinearForm:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.q < 2 or self.d < 1:
-            raise ValueError(f"need q >= 2 and d >= 1, got q = {self.q}, "
-                             f"d = {self.d}")
-        check_cap("LinearForm", "q^d", self.q ** self.d, _INT64_MAX)
-        matrix = tuple(tuple(int(e) % self.q for e in row)
+        q, d = _integer(self.q, "q"), _integer(self.d, "d")
+        if q < 2 or d < 1:
+            raise ValueError(f"need q >= 2 and d >= 1, got q = {q}, d = {d}")
+        check_cap("LinearForm", "q^d", q ** d, _INT64_MAX)
+        matrix = tuple(tuple([_integer(e, "matrix entry") % q for e in row])
                        for row in self.matrix)
-        if len(matrix) != 2 * self.d or any(len(row) != 2 * self.d
-                                            for row in matrix):
-            raise ValueError(f"need a {2 * self.d} x {2 * self.d} matrix")
-        object.__setattr__(self, "matrix", matrix)
+        if len(matrix) != 2 * d or any(len(row) != 2 * d for row in matrix):
+            raise ValueError(f"need a {2 * d} x {2 * d} matrix")
+        for name, value in (("q", q), ("d", d), ("matrix", matrix)):
+            object.__setattr__(self, name, value)
 
     @property
     def weights(self) -> np.ndarray:
@@ -458,43 +469,26 @@ class FiniteYBSet:
         return made
 
 
-@dataclass(frozen=True)
-class AffineParams:
-    """Parameters of the one-dimensional affine family on Z_q.
-
-    s, t, u must be units mod q and (1-s)(1-t) must vanish mod q; these
-    are exactly the conditions for the map below to satisfy the
-    Yang-Baxter equation and be invertible.
-    """
-
-    q: int
-    s: int
-    t: int
-    u: int = 1
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
-        object.__setattr__(self, "s", self.s % self.q)
-        object.__setattr__(self, "t", self.t % self.q)
-        object.__setattr__(self, "u", self.u % self.q)
-        for name in ("s", "t", "u"):
-            value = getattr(self, name)
-            if gcd(value, self.q) != 1:
-                raise NotAUnit(value, self.q)
-        if (1 - self.s) * (1 - self.t) % self.q:
-            raise ProductNotZero(
-                f"(1-s)(1-t) = {(1 - self.s) * (1 - self.t) % self.q} != 0 mod {self.q}")
-
-
 def make_affine(q: int, s: int, t: int, u: int = 1) -> FiniteYBSet:
-    """Affine solution R(x, y) = ((1-s)x + u*s*y, t/u*x + (1-t)y) on Z_q."""
-    p = AffineParams(q, s, t, u)
+    """Affine solution R(x, y) = ((1-s)x + u*s*y, t/u*x + (1-t)y) on Z_q.
+
+    q is an integer of at least 2 and s, t, u are integers (ValueError
+    otherwise), read mod q.  s, t and u must be units mod q (NotAUnit)
+    and (1-s)(1-t) must vanish mod q (ProductNotZero): exactly the
+    conditions for R to satisfy the Yang-Baxter equation and be
+    invertible.
+    """
+    q = _integer(q, "q", 2)
+    s, t, u = _integer(s, "s") % q, _integer(t, "t") % q, _integer(u, "u") % q
+    for value in (s, t, u):
+        if gcd(value, q) != 1:
+            raise NotAUnit(value, q)
+    if (1 - s) * (1 - t) % q:
+        raise ProductNotZero(
+            f"(1-s)(1-t) = {(1 - s) * (1 - t) % q} != 0 mod {q}")
     check_cap("make_affine", "n^2", q * q, MAX_TABLE_ENTRIES)
-    u_inv = pow(p.u, -1, q)
-    form = LinearForm(q, 1, ((1 - p.s, p.u * p.s), (u_inv * p.t, 1 - p.t)))
-    return FiniteYBSet._from_linear(
-        form, f"affine(q={q},s={p.s},t={p.t},u={p.u})")
+    form = LinearForm(q, 1, ((1 - s, u * s), (pow(u, -1, q) * t, 1 - t)))
+    return FiniteYBSet._from_linear(form, f"affine(q={q},s={s},t={t},u={u})")
 
 
 def make_block(q: int, s: int, t: int) -> FiniteYBSet:
@@ -504,10 +498,8 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     R(x, y) = ((E-Y)x + Yy, Zx + (E-Z)y); pairs are indexed as
     x1*q + x2 with the first coordinate most significant.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    s %= q
-    t %= q
+    q = _integer(q, "q", 2)
+    s, t = _integer(s, "s") % q, _integer(t, "t") % q
     check_cap("make_block", "n^2", q ** 4, MAX_TABLE_ENTRIES)
     # columns x1 x2 y1 y2; rows R1 = (y1 + s(y2 - x2), y2),
     # R2 = (x1 + t(x2 - y2), x2)
@@ -526,6 +518,7 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     a, ..., a^(h-1), then b, ..., b^(k-1); they are the digits of its
     index in the declared form.
     """
+    q, h, k = _integer(q, "q"), _integer(h, "h"), _integer(k, "k")
     if q < 2 or h < 1 or k < 1:
         raise ValueError("need q >= 2 and h, k >= 1")
     d = h + k - 1
@@ -544,12 +537,15 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     return FiniteYBSet._from_linear(form, f"omega(q={q},h={h},k={k})")
 
 
-def _check_colors(size: int, colors):
-    """Refuse a tuple with an entry outside 0..size-1, which would read
-    another tuple's entry of a table rather than fail."""
+def _check_colors(size: int, colors) -> tuple[int, ...]:
+    """colors as a tuple of Python ints, each through `_integer`.  Refuse
+    an entry outside 0..size-1, which would read another tuple's entry of
+    a table rather than fail."""
+    colors = tuple([_integer(v, "tuple entry") for v in colors])
     for v in colors:
         if not 0 <= v < size:
             raise ValueError(f"tuple entry {v} outside 0..{size - 1}")
+    return colors
 
 
 class CochainTable:
@@ -564,17 +560,14 @@ class CochainTable:
     def __init__(self, arity: int, set_size: int, modulus: int, values):
         arity = _integer(arity, "arity")
         set_size = _integer(set_size, "set_size")
-        modulus = _integer(modulus, "modulus")
+        modulus = check_modulus(modulus)
         if arity < 0 or set_size < 1:
             raise ValueError("need arity >= 0, set_size >= 1")
-        check_modulus(modulus)
         values = _integers(values, "cochain values")
-        try:
-            values = values.astype(np.int64, casting="safe", copy=False)
-        except TypeError:
-            # values past int64 (Python ints, uint64): their residues fit
-            values = (values.astype(object) % modulus).astype(np.int64)
-        values = values.reshape(-1) % modulus
+        if values.dtype == object:
+            # values past int64 are Python ints; their residues fit
+            values = values % modulus
+        values = values.astype(np.int64, copy=False).reshape(-1) % modulus
         if values.shape[0] != set_size ** arity:
             raise ValueError(
                 f"need {set_size ** arity} values, got {values.shape[0]}")
@@ -587,8 +580,11 @@ class CochainTable:
     @classmethod
     def from_function(cls, arity: int, set_size: int, modulus: int,
                       fn) -> "CochainTable":
-        shape = (set_size,) * arity
-        values = [fn(*idx) for idx in np.ndindex(shape)]
+        """The table of fn over X^arity, tuples in lexicographic order;
+        the values are checked once, by the constructor."""
+        arity = _integer(arity, "arity")
+        values = [fn(*xs) for xs in product(
+            range(_integer(set_size, "set_size")), repeat=arity)]
         return cls(arity, set_size, modulus, values)
 
     @classmethod
@@ -599,10 +595,9 @@ class CochainTable:
     def index(self, xs) -> int:
         if len(xs) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(xs)}")
-        _check_colors(self.set_size, xs)
         idx = 0
-        for x in xs:
-            idx = idx * self.set_size + int(x)
+        for x in _check_colors(self.set_size, xs):
+            idx = idx * self.set_size + x
         return idx
 
     def __call__(self, *xs) -> int:
@@ -703,8 +698,7 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     tables are the same either way: the form was fitted to psi's whole
     tables, and X's tables come from its own form.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
+    m = _integer(m, "modulus", 2)
     if psi2 is None:
         psi2 = psi1
     _check_extension_cochain(psi1, X, m, "psi1")
@@ -771,6 +765,7 @@ def omega_extension_check(q: int, h: int, k: int) -> bool:
 
 def swap_set(n: int) -> FiniteYBSet:
     """The trivial solution R(x, y) = (y, x) on n elements."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("need at least one element")
     check_cap("swap_set", "n^2", n * n, MAX_TABLE_ENTRIES)

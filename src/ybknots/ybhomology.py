@@ -33,7 +33,8 @@ from . import ybcore
 from .modalg import (IntegerMatrix, _invariant_form, _orders, _stacked_smith,
                      kernel_mod, solve_mod)
 from .ybcore import (_INT64_MAX, MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
-                     _check_colors, _decode, _encode, check_modulus)
+                     _check_colors, _decode, _encode, _integer,
+                     check_modulus)
 
 DEFAULT_MAX_CELLS = 200000
 # Largest cube dimension n: the schedule's faces and edges grow as 4^n,
@@ -66,7 +67,8 @@ class CubeColoring:
     def color(self, direction: int, corner: int) -> int:
         check_cap("CubeColoring.color", "cube dimension", self.dimension,
                   MAX_CUBE_DIMENSION)
-        edge = CubeEdge(direction, corner)
+        edge = CubeEdge(_integer(direction, "direction"),
+                        _integer(corner, "corner"))
         slot = _schedule(self.dimension).slots.get(edge)
         if slot is None:
             raise ValueError(f"{edge} is not an edge of the "
@@ -174,7 +176,7 @@ def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
     ColoringInconsistent on a conflict and ColoringIncomplete if edges
     stay uncolored; neither happens when X satisfies the Yang-Baxter
     equation."""
-    _check_colors(X.size, initial)
+    initial = _check_colors(X.size, initial)
     check_cap("color_cube", "cube dimension", len(initial),
               MAX_CUBE_DIMENSION)
     row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))
@@ -186,6 +188,7 @@ def face_tuple(coloring: CubeColoring, axis: int, side: int) -> tuple[int, ...]:
     is frozen at `side`: the j-th entry is the edge in the j-th remaining
     direction, earlier remaining coordinates at 1, later ones at 0."""
     n = coloring.dimension
+    axis, side = _integer(axis, "axis"), _integer(side, "side")
     if not 1 <= axis <= n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     if side not in (0, 1):
@@ -239,11 +242,10 @@ class FormalChain:
 def boundary(X: FiniteYBSet, tup) -> FormalChain:
     """Signed sum of the 2n facet readings of the cube colored by `tup`;
     the facet at coordinate k, side d carries sign (-1)^(n-k+d)."""
-    tup = tuple(int(x) for x in tup)
+    tup = _check_colors(X.size, tup)
     n = len(tup)
     if n < 1:
         raise ValueError("boundary needs at least a 1-tuple")
-    _check_colors(X.size, tup)
     check_cap("boundary", "cube dimension", n, MAX_CUBE_DIMENSION)
     sched = _schedule(n)
     row = _edge_table(X, np.array([tup], dtype=np.int64))[0]
@@ -282,6 +284,7 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     indexed by X^(n+1), columns by X^n (lexicographic, first coordinate
     most significant), entry = signed multiplicity of the column tuple
     among the facet readings of the row tuple's cube."""
+    n = _integer(n, "arity")
     if n < 0:
         raise ValueError("arity must be non-negative")
     shape = (X.size ** (n + 1), X.size ** n)
@@ -313,7 +316,7 @@ def is_coboundary(X: FiniteYBSet, f: CochainTable):
     if f.arity < 2:
         raise ValueError("is_coboundary needs a cochain of arity >= 2")
     matrix = coboundary_matrix(X, f.arity - 1)
-    solution = solve_mod(matrix, [int(v) for v in f.values], f.modulus)
+    solution = solve_mod(matrix, f.values, f.modulus)
     if solution is None:
         return None
     return CochainTable(f.arity - 1, X.size, f.modulus, solution)
@@ -328,7 +331,7 @@ def cocycle_space(X: FiniteYBSet, n: int, m: int,
     the kernel, which carves out the cocycles usable as state-sum weights.
     A modulus no CochainTable can hold raises ValueError first.
     """
-    check_modulus(m)
+    m = check_modulus(m)
     matrix = coboundary_matrix(X, n)
     if type_one:
         if n != 2:
@@ -385,11 +388,13 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     A modulus no CochainTable can hold raises ValueError before any
     matrix is built.
     """
+    n = _integer(n, "arity")
     check_cap("cohomology_group", "|X|^(n+1)", X.size ** (n + 1),
-              DEFAULT_MAX_CELLS if max_cells is None else max_cells)
+              DEFAULT_MAX_CELLS if max_cells is None
+              else _integer(max_cells, "max_cells"))
     if n < 1:
         raise ValueError("arity must be at least 1")
-    check_modulus(m)
+    m = check_modulus(m)
     kernel = kernel_mod(coboundary_matrix(X, n), m)
     orders = _orders(kernel, m)
     traded = [f for f in _stacked_smith(coboundary_matrix(X, n - 1), m).factors
