@@ -564,9 +564,10 @@ class GroupRingElement:
         return GroupRingElement(self.modulus, [-a for a in self.coefficients])
 
     def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, int):
+        if not isinstance(other, GroupRingElement):
+            scalar = _integer(other, "scalar")
             return GroupRingElement(
-                self.modulus, [other * a for a in self.coefficients])
+                self.modulus, [scalar * a for a in self.coefficients])
         self._check(other)
         m = self.modulus
         out = [0] * m

@@ -32,9 +32,20 @@ once per (word, rule set), since they depend on nothing else, and the
 generators and orders of ker(W - I) once per (form, word), since the
 constructors build a form's tables, and so W, from the form alone.  Each
 cache keeps the last `_CACHE_SIZE` = 16 keys and holds only tuples,
-never an array or a row.  The caps are checked on every call, outside
-the caches: MAX_TOP_ARCS and MAX_KERNEL_DIGITS before a cache is read,
-MAX_ENTRIES before each array is allocated.
+never an array or a row.  A word hashes itself once, when it is built,
+so a lookup does not walk its letters.
+
+The rows a search finds depend on the tables too, so they are held by
+the set, not by a module cache: a table-given set keeps the colorings
+of the last word searched on it, once the trace has checked them fixed,
+and lets them go with itself or before it searches another word.  A
+count or a listing of that word then neither searches nor traces, and a
+state sum traces only for its weights.
+
+The caps are checked on every call, outside the caches and the held
+rows: MAX_TOP_ARCS and MAX_KERNEL_DIGITS before a cache is read,
+MAX_ENTRIES before each array is allocated and on held rows as arcs
+times rows.
 """
 
 from __future__ import annotations
@@ -150,6 +161,18 @@ class BraidWord:
                 raise IndexOutOfRange(
                     f"generator {g.token()} needs {g.index + 1} strands, "
                     f"word has {self.strands}")
+        # a word keys the compile caches, so it is hashed once, not letter
+        # by letter on every lookup
+        object.__setattr__(self, "_hash",
+                           hash((self.strands, self.generators)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so an unpickled word
+        # hashes itself afresh
+        return BraidWord, (self.strands, self.generators)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -173,6 +196,8 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     largest index used.
     """
     generators: list[BraidGenerator] = []
+    # one generator per distinct letter, so equal letters are one object
+    letters: dict[tuple[str, int], BraidGenerator] = {}
     max_index = 0
     for match in re.finditer(r"\S+", text):
         token = match.group()
@@ -189,11 +214,13 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
                   MAX_LETTERS)
         max_index = max(max_index, index)
         if kind_char == "v":
-            generators.extend([BraidGenerator(VIRTUAL, index)] * abs(exponent))
-        elif exponent >= 0:
-            generators.extend([BraidGenerator(POSITIVE, index)] * exponent)
+            kind = VIRTUAL
         else:
-            generators.extend([BraidGenerator(NEGATIVE, index)] * -exponent)
+            kind = POSITIVE if exponent >= 0 else NEGATIVE
+        letter = letters.get((kind, index))
+        if letter is None:
+            letter = letters[kind, index] = BraidGenerator(kind, index)
+        generators.extend([letter] * abs(exponent))
     needed = max_index + 1 if max_index else 1
     strands = needed if strands is None else _integer(strands, "strands")
     if strands < needed:
@@ -440,31 +467,44 @@ def _compiled(word: BraidWord, rules: tuple[int, ...]) -> tuple:
     return _cached(_plans, (word, rules), make)
 
 
+def _check_top_arcs(stage: str, word: BraidWord):
+    # a strand has one top arc at most, so only a word with more strands
+    # than the cap needs its arcs counted before the plan is read
+    if word.strands > MAX_TOP_ARCS:
+        check_cap(stage, "top arcs", len(set(_arcs(word)[1])), MAX_TOP_ARCS)
+
+
+def _rules(X: FiniteYBSet, word: BraidWord) -> tuple[int, ...]:
+    """The rules the search fires on X's tables: R always, Rbar when R
+    is invertible or the word has a negative crossing (X.rbar1 then
+    raises ValueError when R has none), and each sideways inverse R has."""
+    report = X.verify_birack()
+    rules = [_FORWARD]
+    if report.invertible or _needs_inverse(word):
+        rules.append(_BACKWARD)
+    if report.left_invertible:
+        rules.append(_LEFT)
+    if report.right_invertible:
+        rules.append(_RIGHT)
+    return tuple(rules)
+
+
 def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     """The colorings of the closed word on a table-given solution, as
     strand tuples, found by running `_plan` on an (arcs, rows) array.
     Consecutive branches are one step, so the entries cap is checked on
     the array that would hold the rows they make before any is
     allocated."""
-    # a strand has one top arc at most, so only a word with more strands
-    # than the cap needs its arcs counted before the plan is read
-    if word.strands > MAX_TOP_ARCS:
-        check_cap(stage, "top arcs", len(set(_arcs(word)[1])), MAX_TOP_ARCS)
-    report = X.verify_birack()
+    _check_top_arcs(stage, word)
+    rules = _rules(X, word)
     r1, r2 = X.r1, X.r2
-    rules = [_FORWARD]
-    # a word with a negative crossing needs Rbar, and X.rbar1 raises
-    # ValueError when R has none
-    if report.invertible or _needs_inverse(word):
-        rules.append(_BACKWARD)
+    if _BACKWARD in rules:
         rbar1, rbar2 = X.rbar1, X.rbar2
-    if report.left_invertible:
-        rules.append(_LEFT)
+    if _LEFT in rules:
         left = X.left_inverse
-    if report.right_invertible:
-        rules.append(_RIGHT)
+    if _RIGHT in rules:
         right = X.right_inverse
-    n_arcs, top, steps = _compiled(word, tuple(rules))
+    n_arcs, top, steps = _compiled(word, rules)
     n = X.size
     cols = np.zeros((n_arcs, 1), dtype=np.int64)
     for step in steps:
@@ -501,20 +541,47 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     return cols[list(top)].T
 
 
+def _held_rows(stage: str, X: FiniteYBSet, word: BraidWord):
+    """The rows X holds for the word, or None when it holds another
+    word's.  The caps are checked on them as the search checks them."""
+    held = X._colorings
+    if held is None or held[0] != word:
+        return None
+    _check_top_arcs(stage, word)
+    rows = held[1]
+    check_cap(stage, "search entries arcs*rows",
+              _compiled(word, _rules(X, word))[0] * len(rows), MAX_ENTRIES)
+    return rows
+
+
 def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
                 psi_array=None, modulus=None):
     """The colorings of the closed word as rows, in no set order, with
-    their accumulated weights (None without a cochain)."""
+    their accumulated weights (None without a cochain).
+
+    A table-given set holds the rows of the last word searched on it once
+    the trace has checked them fixed, so a later call on that word skips
+    the search, and traces them again only for weights."""
     if X.linear is not None:
         start = _kernel_rows(stage, X, word)
         found = "a kernel element of W - I"
     else:
+        start = _held_rows(stage, X, word)
+        if start is not None:
+            if psi_array is None:
+                return start, None
+            return start, _trace_word(X, word, start, psi_array, modulus)[1]
+        # another word's rows are let go before the search allocates
+        X._colorings = None
         start = _searched_rows(stage, X, word)
         found = "a searched coloring"
     end, weights = _trace_word(X, word, start, psi_array, modulus)
     if not np.array_equal(end, start):
         raise RuntimeError(
             f"{stage}: {found} is not fixed by {word!r} on {X.label}")
+    if X.linear is None:
+        start.setflags(write=False)
+        X._colorings = (word, start)
     return start, weights
 
 

@@ -295,6 +295,9 @@ class FiniteYBSet:
         self._left_inverse = None
         self._right_inverse = None
         self._witness = None
+        # (word, rows): the colorings of the last closed word the braid
+        # search found on these tables and checked fixed by tracing
+        self._colorings = None
         self._linear = linear
 
     @property

@@ -46,6 +46,7 @@ ROWS = {
     "GroupRingElement modulus": lambda v: GroupRingElement(v, [0]),
     "GroupRingElement coefficients": lambda v: GroupRingElement(2, [0, v]),
     "GroupRingElement.term": lambda v: GroupRingElement.term(1, v, 2),
+    "GroupRingElement scalar": lambda v: GroupRingElement(2, [1, -2]) * v,
     "LinearForm q": lambda v: LinearForm(v, 1, ((0, 0), (0, 0))),
     "LinearForm d": lambda v: LinearForm(2, v, ((1, 0), (0, 1))),
     "LinearForm entries": lambda v: LinearForm(2, 1, ((v, 0), (0, 1))),

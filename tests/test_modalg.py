@@ -291,6 +291,17 @@ def test_group_ring_laws(m):
         assert 3 * f == f + f + f
 
 
+def test_group_ring_scalars_pass_the_integer_gate():
+    g = GroupRingElement(3, (1, -2, 0))
+    for scalar in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert g * scalar == scalar * g == g * 2 == g + g
+    assert (g * 2 ** 70).coefficients == (2 ** 70, -2 ** 71, 0)
+    assert all(type(c) is int for c in (g * np.int64(2)).coefficients)
+    for bad in (True, False, 2.0, np.float64(2), "2"):
+        with pytest.raises(ValueError, match="scalar must be an integer"):
+            g * bad
+
+
 def test_group_ring_exponent_wrap():
     x3 = GroupRingElement.term(1, 3, 4)
     x2 = GroupRingElement.term(1, 2, 4)

@@ -1,7 +1,11 @@
 """Braid words, colorings, and the cocycle state-sum invariant."""
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -885,3 +889,128 @@ def test_compiled_braids_match_oracle_cold_and_warm(X):
                 assert call() == value, word
             for call, value in zip(calls + calls, want + want):
                 assert call() == value, word
+
+
+def test_extension_counts_match_state_sums():
+    # On Z_m x X with S((a1, x1), (a2, x2)) = ((a2 + psi(x1, x2), R1),
+    # (a1, R2)), the Z_m label of a one-component closure gains the
+    # crossing weights along the strand, so it closes up exactly when the
+    # total is 0: the count on the extension (a table search, as T has
+    # no form) is m times the x^0 coefficient of the state sum on X.
+    # With psi on both outputs each crossing is passed twice, so the
+    # label closes up when twice the total is 0.
+    cases = [(z4_biquandle(), z4_cocycle())] + [
+        (z3_biquandle(), z3_cocycle(*q))
+        for q in itertools.product(range(3), repeat=3)]
+    checked = 0
+    for X, psi in cases:
+        m = psi.modulus
+        table = FiniteYBSet(X.r1, X.r2)
+        for _, text in word_corpus():
+            word = parse_braid(text)
+            if _cycle_count(_word_permutation(word)) != 1:
+                continue
+            value = state_sum(X, psi, word).value.coefficients
+            E = extend(table, m, psi, CochainTable.zero(2, X.size, m))
+            assert E.linear is None
+            assert count_colorings(E, word) == m * value[0], text
+            E = extend(table, m, psi, psi)
+            assert count_colorings(E, word) == m * sum(
+                c for e, c in enumerate(value) if 2 * e % m == 0), text
+            checked += 1
+    assert checked == 28 * 12
+    # each component closes up on its own, so a link breaks the identity
+    X, psi = z4_biquandle(), z4_cocycle()
+    E = extend(FiniteYBSet(X.r1, X.r2), 4, psi, CochainTable.zero(2, 4, 4))
+    for text in ("s1^4", BORROMEAN_WORD):
+        word = parse_braid(text)
+        assert count_colorings(E, word) != \
+            4 * state_sum(X, psi, word).value.coefficients[0], text
+
+
+def _sharing_case():
+    X = _relabelled(make_block(2, 1, 1), random.Random(7))
+    psi = CochainTable(2, 4, 3, [(x * y + 2 * y) % 3 for x in range(4)
+                                 for y in range(4)])
+    return X, psi, parse_braid("s1 v2 s3^-1 s2 s1 s3", strands=4)
+
+
+def test_count_and_state_sum_share_one_search(monkeypatch):
+    searched = _spy(monkeypatch, "_searched_rows")
+    X, psi, word = _sharing_case()
+    found, coefficients = _oracle(X, word, psi)
+    fresh = FiniteYBSet(X.r1, X.r2)
+    want = (len(found), coefficients, found)
+    calls = (lambda Y: count_colorings(Y, word),
+             lambda Y: list(state_sum(Y, psi, word).value.coefficients),
+             lambda Y: colorings(Y, word).tuples)
+    for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
+        Y = FiniteYBSet(X.r1, X.r2)
+        searched.clear()
+        for i in order:
+            assert calls[i](Y) == want[i] == calls[i](fresh), order
+        # the first call searched Y; the others read what it held
+        assert sum(args[1] is Y for args in searched) == 1, order
+
+
+def test_held_rows_follow_the_last_word(monkeypatch):
+    searched = _spy(monkeypatch, "_searched_rows")
+    X, psi, word = _sharing_case()
+    other = parse_braid("s1 s2^-1 v1 s2", strands=4)
+    for w in (word, other, word):
+        found, coefficients = _oracle(X, w, psi)
+        assert list(state_sum(X, psi, w).value.coefficients) == coefficients
+        assert colorings(X, w).tuples == found
+        assert X._colorings[0] == w
+    # each change of word searches afresh; a repeat of it does not
+    assert [args[2] for args in searched] == [word, other, word]
+    # a word parsed again is equal, so it reads the held rows
+    assert count_colorings(X, parse_braid(word.text(), 4)) == \
+        len(_oracle(X, word, psi)[0])
+    assert len(searched) == 3
+
+
+def test_sets_with_equal_tables_share_no_rows(monkeypatch):
+    searched = _spy(monkeypatch, "_searched_rows")
+    X, psi, word = _sharing_case()
+    Y = FiniteYBSet(X.r1, X.r2)
+    assert X == Y
+    assert count_colorings(X, word) == count_colorings(Y, word)
+    assert [id(args[1]) for args in searched] == [id(X), id(Y)]
+    assert X._colorings[1] is not Y._colorings[1]
+    # the held rows are read-only, so no caller can change them
+    with pytest.raises(ValueError):
+        X._colorings[1][0, 0] = 1
+    # a set with a declared form lists its kernel and holds nothing
+    Z = make_block(2, 1, 1)
+    colorings(Z, word)
+    assert Z._colorings is None
+
+
+def test_parse_makes_each_letter_once():
+    word = parse_braid("s1 s2^-1 s1^2 v1 s2^-1 v1^-1")
+    first = {}
+    for g in word.generators:
+        assert first.setdefault(g, g) is g
+    assert len(first) == 3
+    # the hash is the one the fields give, taken once, and an equal word
+    # from another parse keys the same cache entry
+    again = parse_braid(word.text())
+    assert again == word and hash(again) == hash(word) == \
+        hash((word.strands, word.generators))
+    assert {word: 1}[again] == 1
+
+
+def test_an_unpickled_word_hashes_afresh():
+    # string hashes differ between processes, so a hash taken where the
+    # word was pickled would miss its equal words here
+    text = "s1 v1 s2^-1 s1"
+    code = ("import pickle, sys; from ybknots import parse_braid; "
+            f"sys.stdout.buffer.write(pickle.dumps(parse_braid({text!r})))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(vknots.__file__)))
+    data = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True).stdout
+    word = pickle.loads(data)
+    assert hash(word) == hash(parse_braid(text))
+    assert {parse_braid(text): 1}[word] == 1
