@@ -27,39 +27,39 @@ arc is a column gather, and a check drops the rows it fails.
 Either way the rows found are traced through the word, which checks
 that each is fixed and gives the state-sum weights.
 
-A closed braid is compiled once and reused: its arcs and search plan
-once per (word, rule set), since they depend on nothing else, and the
-generators and orders of ker(W - I) once per (form, word), since the
-constructors build a form's tables, and so W, from the form alone.  Each
-cache keeps the last `_CACHE_SIZE` = 16 keys and holds only tuples,
-never an array or a row.  A word hashes itself once, when it is built,
-so a lookup does not walk its letters.
+Two memos reuse what a closed braid needs.  Its arcs and search plan
+depend only on the word and the rule set, so `_compiled` keeps them in
+an LRU cache of `_CACHE_SIZE` = 16 tuples, shared by every set.  What
+the tables give, the colorings, is kept for one closure only: the last
+(set, word) any call found, with the generators and orders of
+ker(W - I) on a set with a form, or the read-only rows the trace
+checked fixed, with their arc count, on a table-given set.  The memo
+holds the set by a weak reference, lets the rows go before another
+search and goes with the set, so live sets hold one closure's rows
+between them.  A count or a listing of that
+closure then neither searches nor traces, and a state sum traces only
+for its weights.  A word hashes itself once, when it is built, so a
+lookup does not walk its letters.
 
-The rows a search finds depend on the tables too, so they are held by
-the set, not by a module cache: a table-given set keeps the colorings
-of the last word searched on it, once the trace has checked them fixed,
-and lets them go with itself or before it searches another word.  A
-count or a listing of that word then neither searches nor traces, and a
-state sum traces only for its weights.
-
-The caps are checked on every call, outside the caches and the held
-rows: MAX_TOP_ARCS and MAX_KERNEL_DIGITS before a cache is read,
-MAX_ENTRIES before each array is allocated and on held rows as arcs
-times rows.
+The caps are checked on every call, outside both memos: MAX_TOP_ARCS
+and MAX_KERNEL_DIGITS before a memo is read, MAX_ENTRIES before each
+array is allocated and on held rows as arcs times rows.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, check_cap
 from .modalg import GroupRingElement, _cyclic_kernel
-from .ybcore import (CochainTable, FiniteYBSet, _check_colors, _decode,
-                     _integer)
+from .ybcore import (MAX_ENTRIES, CochainTable, FiniteYBSet, _check_colors,
+                     _decode, _integer)
 
 # Most letters a parsed word expands to: the trace, the arcs and the
 # search plan all walk every letter.
@@ -70,42 +70,42 @@ MAX_LETTERS = 4000
 # dense random W over Z_4096 and 0.9 s over Z_15 (see README).
 MAX_KERNEL_DIGITS = 224
 
-# Most int64 entries of one listing array: colorings times d*k for the
-# digits that list a kernel, arcs times rows for the search; each holds a
-# few arrays of this size at once.  d*k and the arcs are at least 1, so
-# this bounds the rows (colorings, partial colorings) of a call too.
-MAX_ENTRIES = 2 ** 24
-
 # Most top arcs the search plans over: planning tries each candidate
 # arc at each branch, which grows as the cube of the top arcs.
 MAX_TOP_ARCS = 320
 
-# Most keys each compile cache keeps.  A word is reused within a few
-# calls (a count and a state sum, one word over Table 1's sets).  At the
-# word caps an entry takes about 1 MB (the plan of 4000 letters) or 2 MB
-# (224 generators of 224 entries), so a full cache stays within 32 MB.
+# Most plans `_compiled` keeps.  A word is reused within a few calls (a
+# count and a state sum, one word over Table 1's sets).  At the word caps
+# a plan of 4000 letters takes about 1 MB, so a full cache stays within
+# 16 MB.
 _CACHE_SIZE = 16
 
-# (word, rules) -> (arcs, top arcs, plan steps) and (form, word) ->
-# (kernel generators, orders); a dict keeps its keys in the order they
-# were last put in.  The tuples are built from lists, not generators:
-# CPython sizes a tuple(generator) by a guess and resizes it, so as the
-# entries churned, freed tuples kept filling its per-size free lists and
-# peak RSS climbed for the whole run (+1.6 MB over 25 s on braids_table).
-_plans: dict = {}
-_kernels: dict = {}
+# The last closure any call found: (weak reference to the set, word,
+# kernel generators and orders) on a set with a form, (..., (arc count,
+# rows)) on a table-given set; None once it was let go or its set died.
+_closure = None
 
 
-def _cached(cache: dict, key, make):
-    """cache[key], made by make() the first time; past `_CACHE_SIZE` keys
-    the least recently used one is dropped."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = make()
-    cache[key] = value
-    if len(cache) > _CACHE_SIZE:
-        del cache[next(iter(cache))]
-    return value
+def _held(X: FiniteYBSet, word: BraidWord):
+    """What the memo holds for X's closure of word, or None."""
+    held = _closure
+    if held is None or held[0]() is not X or held[1] != word:
+        return None
+    return held[2]
+
+
+def _hold(X: FiniteYBSet | None, word=None, value=None):
+    """Keep value as X's closure of word until X goes; with no X, let
+    the memo go."""
+    global _closure
+    _closure = None if X is None else (weakref.ref(X, _release), word, value)
+
+
+def _release(ref):
+    """Let the memo go with its set, so a dead set's rows are freed."""
+    global _closure
+    if _closure is not None and _closure[0] is ref:
+        _closure = None
 
 
 POSITIVE = "positive"
@@ -294,13 +294,13 @@ def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[tuple, tuple]:
     form = X.linear
     side = form.d * word.strands
     check_cap(stage, "kernel digits d*k", side, MAX_KERNEL_DIGITS)
-
-    def make():
+    kernel = _held(X, word)
+    if kernel is None:
         W = _word_matrix(X, word) - np.eye(side, dtype=np.int64)
         gens, orders = _cyclic_kernel(W.tolist(), form.q)
-        return tuple([tuple(g) for g in gens]), tuple(orders)
-
-    return _cached(_kernels, (form, word), make)
+        kernel = tuple([tuple(g) for g in gens]), tuple(orders)
+        _hold(X, word, kernel)
+    return kernel
 
 
 def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
@@ -456,15 +456,17 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
     return steps
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(word: BraidWord, rules: tuple[int, ...]) -> tuple:
     """(number of arcs, top arcs, `_plan`'s steps) of the closed word
-    under one rule set: everything of the search but the tables."""
+    under one rule set: everything of the search but the tables.
 
-    def make():
-        n_arcs, top, crossings = _arcs(word)
-        return n_arcs, top, tuple(_plan(n_arcs, top, crossings, rules))
-
-    return _cached(_plans, (word, rules), make)
+    The tuples are built from lists, not generators: CPython sizes a
+    tuple(generator) by a guess and resizes it, so as entries churned,
+    freed tuples kept filling its per-size free lists and peak RSS
+    climbed for the whole run (+1.6 MB over 25 s on braids_table)."""
+    n_arcs, top, crossings = _arcs(word)
+    return n_arcs, top, tuple(_plan(n_arcs, top, crossings, rules))
 
 
 def _check_top_arcs(stage: str, word: BraidWord):
@@ -542,15 +544,15 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
 
 
 def _held_rows(stage: str, X: FiniteYBSet, word: BraidWord):
-    """The rows X holds for the word, or None when it holds another
-    word's.  The caps are checked on them as the search checks them."""
-    held = X._colorings
-    if held is None or held[0] != word:
+    """The rows the memo holds for X's closure of word, or None.  The
+    caps are checked on them as the search checks them."""
+    held = _held(X, word)
+    if held is None:
         return None
     _check_top_arcs(stage, word)
-    rows = held[1]
-    check_cap(stage, "search entries arcs*rows",
-              _compiled(word, _rules(X, word))[0] * len(rows), MAX_ENTRIES)
+    n_arcs, rows = held
+    check_cap(stage, "search entries arcs*rows", n_arcs * len(rows),
+              MAX_ENTRIES)
     return rows
 
 
@@ -559,9 +561,10 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
     """The colorings of the closed word as rows, in no set order, with
     their accumulated weights (None without a cochain).
 
-    A table-given set holds the rows of the last word searched on it once
-    the trace has checked them fixed, so a later call on that word skips
-    the search, and traces them again only for weights."""
+    On a table-given set the memo holds the rows of the last closure
+    searched once the trace has checked them fixed, so a later call on
+    that closure skips the search, and traces them again only for
+    weights."""
     if X.linear is not None:
         start = _kernel_rows(stage, X, word)
         found = "a kernel element of W - I"
@@ -571,8 +574,8 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
             if psi_array is None:
                 return start, None
             return start, _trace_word(X, word, start, psi_array, modulus)[1]
-        # another word's rows are let go before the search allocates
-        X._colorings = None
+        # another closure's rows are let go before the search allocates
+        _hold(None)
         start = _searched_rows(stage, X, word)
         found = "a searched coloring"
     end, weights = _trace_word(X, word, start, psi_array, modulus)
@@ -581,7 +584,8 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
             f"{stage}: {found} is not fixed by {word!r} on {X.label}")
     if X.linear is None:
         start.setflags(write=False)
-        X._colorings = (word, start)
+        # the search has just planned the word, so its arc count is a hit
+        _hold(X, word, (_compiled(word, _rules(X, word))[0], start))
     return start, weights
 
 

@@ -20,7 +20,7 @@ on its matrix rather than on all |X|^3 triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
@@ -35,11 +35,10 @@ from .errors import (
     check_cap,
 )
 
-_UNSET = object()
-
-# Largest n*n a solution constructor builds: one int64 table of this
-# many entries takes 128 MB.
-MAX_TABLE_ENTRIES = 2 ** 24
+# Most int64 entries of one array the package allocates: a solution
+# table n*n, a coboundary matrix, a braid search or kernel listing.  One
+# such array takes 128 MB.
+MAX_ENTRIES = 2 ** 24
 
 
 # Largest index a digit layout may reach, and largest cochain modulus:
@@ -216,11 +215,6 @@ def _linear_ybe_failure(form: LinearForm):
     return tuple(triple)
 
 
-def _frozen(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
-
-
 @dataclass(frozen=True)
 class BirackReport:
     """Invertibility summary for a YB set."""
@@ -240,12 +234,14 @@ class BiquandleWitness:
 
 
 class FiniteYBSet:
-    """Lookup-table map R on {0..n-1}^2 with cached verification results.
+    """Lookup-table map R on {0..n-1}^2.
 
-    The tables are frozen at construction; verification methods cache
-    their answers and, when R is invertible, populate the inverse tables
-    used for negative crossings.  `linear` is the Z_q-linear form the
-    solution was built from, or None for a solution given by its tables.
+    The tables are frozen at construction.  What is derived from them
+    alone is computed once, on first use, and kept as a cached property
+    of the set: the Yang-Baxter failure, the inverse tables of the maps
+    R has inverses of (with their `BirackReport`) and the biquandle
+    witness.  `linear` is the Z_q-linear form the solution was built
+    from, or None for a solution given by its tables.
     """
 
     def __init__(self, r1, r2, label: str | None = None):
@@ -288,16 +284,6 @@ class FiniteYBSet:
         self.r1 = r1
         self.r2 = r2
         self.label = label if label is not None else f"table(n={n})"
-        self._ybe_failure = _UNSET
-        self._birack = None
-        self._rbar1 = None
-        self._rbar2 = None
-        self._left_inverse = None
-        self._right_inverse = None
-        self._witness = None
-        # (word, rows): the colorings of the last closed word the braid
-        # search found on these tables and checked fixed by tracing
-        self._colorings = None
         self._linear = linear
 
     @property
@@ -316,40 +302,40 @@ class FiniteYBSet:
         slabs of first coordinates so memory stays bounded for large
         carriers and failing tables exit early.
         """
-        if self._ybe_failure is _UNSET and self._linear is not None:
-            self._ybe_failure = _linear_ybe_failure(self._linear)
-        if self._ybe_failure is _UNSET:
-            n = self.size
-            # int32 is plenty for any table that fits in memory and halves
-            # the traffic of the n^3 gathers below.
-            r1 = self.r1.astype(np.int32)
-            r2 = self.r2.astype(np.int32)
-            step = max(1, SLAB_ENTRIES // (n * n))
-            y = np.arange(n).reshape(1, n, 1)
-            z = np.arange(n).reshape(1, 1, n)
-            d1 = r1[y, z]
-            d2 = r2[y, z]
-            self._ybe_failure = None
-            for start in range(0, n, step):
-                x = np.arange(start, min(start + step, n)).reshape(-1, 1, 1)
-                blk = (x.shape[0], n, n)
-                a1 = np.broadcast_to(r1[x, y], blk)
-                a2 = np.broadcast_to(r2[x, y], blk)
-                b1 = r1[a2, z]
-                b2 = r2[a2, z]
-                lhs1 = r1[a1, b1]
-                lhs2 = r2[a1, b1]
-                e1 = r1[x, d1]
-                e2 = r2[x, d1]
-                f1 = r1[e2, np.broadcast_to(d2, blk)]
-                f2 = r2[e2, np.broadcast_to(d2, blk)]
-                ok = (lhs1 == e1) & (lhs2 == f1) & (b2 == f2)
-                if not ok.all():
-                    flat = int(np.argmax(~ok))
-                    i, j, k = np.unravel_index(flat, blk)
-                    self._ybe_failure = (start + int(i), int(j), int(k))
-                    break
         return self._ybe_failure
+
+    @cached_property
+    def _ybe_failure(self):
+        if self._linear is not None:
+            return _linear_ybe_failure(self._linear)
+        n = self.size
+        # int32 is plenty for any table that fits in memory and halves
+        # the traffic of the n^3 gathers below.
+        r1 = self.r1.astype(np.int32)
+        r2 = self.r2.astype(np.int32)
+        step = max(1, SLAB_ENTRIES // (n * n))
+        y = np.arange(n).reshape(1, n, 1)
+        z = np.arange(n).reshape(1, 1, n)
+        d1 = r1[y, z]
+        d2 = r2[y, z]
+        for start in range(0, n, step):
+            x = np.arange(start, min(start + step, n)).reshape(-1, 1, 1)
+            blk = (x.shape[0], n, n)
+            a1 = np.broadcast_to(r1[x, y], blk)
+            a2 = np.broadcast_to(r2[x, y], blk)
+            b1 = r1[a2, z]
+            b2 = r2[a2, z]
+            lhs1 = r1[a1, b1]
+            lhs2 = r2[a1, b1]
+            e1 = r1[x, d1]
+            e2 = r2[x, d1]
+            f1 = r1[e2, np.broadcast_to(d2, blk)]
+            f2 = r2[e2, np.broadcast_to(d2, blk)]
+            ok = (lhs1 == e1) & (lhs2 == f1) & (b2 == f2)
+            if not ok.all():
+                i, j, k = np.unravel_index(int(np.argmax(~ok)), blk)
+                return start + int(i), int(j), int(k)
+        return None
 
     def verify_ybe(self) -> bool:
         return self.ybe_failure() is None
@@ -359,46 +345,51 @@ class FiniteYBSet:
         each map that is invertible gets its inverse table: `rbar1` and
         `rbar2` for negative crossings, `left_inverse` and
         `right_inverse` for the sideways maps."""
-        if self._birack is None:
-            n = self.size
-            elements = np.arange(n)
-            packed = (self.r1 * n + self.r2).reshape(-1)
-            invertible = bool(np.array_equal(np.sort(packed),
-                                             np.arange(n * n)))
-            rows_perm = np.sort(self.r1, axis=1)
-            left = bool((rows_perm == elements).all())
-            cols_perm = np.sort(self.r2, axis=0)
-            right = bool((cols_perm == elements.reshape(n, 1)).all())
-            if invertible:
-                inv = np.empty(n * n, dtype=np.int64)
-                inv[packed] = np.arange(n * n)
-                self._rbar1 = _frozen((inv // n).reshape(n, n))
-                self._rbar2 = _frozen((inv % n).reshape(n, n))
-            if left:
-                # left_inverse[a, R1(a, b)] = b
-                table = np.empty((n, n), dtype=np.int64)
-                table[elements[:, None], self.r1] = elements
-                self._left_inverse = _frozen(table)
-            if right:
-                # right_inverse[b, R2(a, b)] = a
-                table = np.empty((n, n), dtype=np.int64)
-                table[elements, self.r2] = elements[:, None]
-                self._right_inverse = _frozen(table)
-            self._birack = BirackReport(invertible, left, right)
-        return self._birack
+        return self._birack[0]
+
+    @cached_property
+    def _birack(self) -> tuple[BirackReport, dict]:
+        """The report and the inverse tables R has, by property name."""
+        n = self.size
+        elements = np.arange(n)
+        packed = (self.r1 * n + self.r2).reshape(-1)
+        invertible = bool(np.array_equal(np.sort(packed), np.arange(n * n)))
+        left = bool((np.sort(self.r1, axis=1) == elements).all())
+        right = bool((np.sort(self.r2, axis=0)
+                      == elements.reshape(n, 1)).all())
+        tables = {}
+        if invertible:
+            inv = np.empty(n * n, dtype=np.int64)
+            inv[packed] = np.arange(n * n)
+            tables["rbar1"] = (inv // n).reshape(n, n)
+            tables["rbar2"] = (inv % n).reshape(n, n)
+        if left:
+            # left_inverse[a, R1(a, b)] = b
+            table = tables["left_inverse"] = np.empty((n, n), dtype=np.int64)
+            table[elements[:, None], self.r1] = elements
+        if right:
+            # right_inverse[b, R2(a, b)] = a
+            table = tables["right_inverse"] = np.empty((n, n), dtype=np.int64)
+            table[elements, self.r2] = elements[:, None]
+        for table in tables.values():
+            table.setflags(write=False)
+        return BirackReport(invertible, left, right), tables
+
+    def _inverse(self, name: str, what: str) -> np.ndarray:
+        """The inverse table `name`; ValueError when R is not `what`."""
+        table = self._birack[1].get(name)
+        if table is None:
+            raise ValueError(f"{self.label}: R is not {what}")
+        return table
 
     @property
     def rbar1(self) -> np.ndarray:
         """First component of the inverse map: R(rbar1[a,b], rbar2[a,b]) == (a, b)."""
-        if self._rbar1 is None and not self.verify_birack().invertible:
-            raise ValueError(f"{self.label}: R is not invertible")
-        return self._rbar1
+        return self._inverse("rbar1", "invertible")
 
     @property
     def rbar2(self) -> np.ndarray:
-        if self._rbar2 is None and not self.verify_birack().invertible:
-            raise ValueError(f"{self.label}: R is not invertible")
-        return self._rbar2
+        return self._inverse("rbar2", "invertible")
 
     def rbar(self, a: int, b: int) -> tuple[int, int]:
         return int(self.rbar1[a, b]), int(self.rbar2[a, b])
@@ -407,42 +398,37 @@ class FiniteYBSet:
     def left_inverse(self) -> np.ndarray:
         """Inverse of b -> R1(a, b) for each a:
         left_inverse[a, R1(a, b)] == b."""
-        if self._left_inverse is None and \
-                not self.verify_birack().left_invertible:
-            raise ValueError(f"{self.label}: R is not left invertible")
-        return self._left_inverse
+        return self._inverse("left_inverse", "left invertible")
 
     @property
     def right_inverse(self) -> np.ndarray:
         """Inverse of a -> R2(a, b) for each b:
         right_inverse[b, R2(a, b)] == a."""
-        if self._right_inverse is None and \
-                not self.verify_birack().right_invertible:
-            raise ValueError(f"{self.label}: R is not right invertible")
-        return self._right_inverse
+        return self._inverse("right_inverse", "right invertible")
 
     def biquandle_witness(self) -> BiquandleWitness:
         """Unique-fixed-pair maps, raising NotBiquandle at the first element
         whose row or column does not contain exactly one fixed pair."""
-        if self._witness is None:
-            n = self.size
-            grid_x = np.arange(n).reshape(n, 1)
-            grid_y = np.arange(n).reshape(1, n)
-            fixed = (self.r1 == grid_x) & (self.r2 == grid_y)
-            col_counts = fixed.sum(axis=0)
-            for a in range(n):
-                if col_counts[a] != 1:
-                    raise NotBiquandle(
-                        a, f"{int(col_counts[a])} fixed pairs (*, {a})")
-            row_counts = fixed.sum(axis=1)
-            for a in range(n):
-                if row_counts[a] != 1:
-                    raise NotBiquandle(
-                        a, f"{int(row_counts[a])} fixed pairs ({a}, *)")
-            x_of = tuple(int(v) for v in fixed.argmax(axis=0))
-            y_of = tuple(int(v) for v in fixed.argmax(axis=1))
-            self._witness = BiquandleWitness(x_of, y_of)
         return self._witness
+
+    @cached_property
+    def _witness(self) -> BiquandleWitness:
+        n = self.size
+        grid_x = np.arange(n).reshape(n, 1)
+        grid_y = np.arange(n).reshape(1, n)
+        fixed = (self.r1 == grid_x) & (self.r2 == grid_y)
+        col_counts = fixed.sum(axis=0)
+        for a in range(n):
+            if col_counts[a] != 1:
+                raise NotBiquandle(
+                    a, f"{int(col_counts[a])} fixed pairs (*, {a})")
+        row_counts = fixed.sum(axis=1)
+        for a in range(n):
+            if row_counts[a] != 1:
+                raise NotBiquandle(
+                    a, f"{int(row_counts[a])} fixed pairs ({a}, *)")
+        return BiquandleWitness(tuple(int(v) for v in fixed.argmax(axis=0)),
+                                tuple(int(v) for v in fixed.argmax(axis=1)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteYBSet)
@@ -489,7 +475,7 @@ def make_affine(q: int, s: int, t: int, u: int = 1) -> FiniteYBSet:
     if (1 - s) * (1 - t) % q:
         raise ProductNotZero(
             f"(1-s)(1-t) = {(1 - s) * (1 - t) % q} != 0 mod {q}")
-    check_cap("make_affine", "n^2", q * q, MAX_TABLE_ENTRIES)
+    check_cap("make_affine", "n^2", q * q, MAX_ENTRIES)
     form = LinearForm(q, 1, ((1 - s, u * s), (pow(u, -1, q) * t, 1 - t)))
     return FiniteYBSet._from_linear(form, f"affine(q={q},s={s},t={t},u={u})")
 
@@ -503,7 +489,7 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     """
     q = _integer(q, "q", 2)
     s, t = _integer(s, "s") % q, _integer(t, "t") % q
-    check_cap("make_block", "n^2", q ** 4, MAX_TABLE_ENTRIES)
+    check_cap("make_block", "n^2", q ** 4, MAX_ENTRIES)
     # columns x1 x2 y1 y2; rows R1 = (y1 + s(y2 - x2), y2),
     # R2 = (x1 + t(x2 - y2), x2)
     form = LinearForm(q, 2, ((0, -s, 1, s),
@@ -525,7 +511,7 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     if q < 2 or h < 1 or k < 1:
         raise ValueError("need q >= 2 and h, k >= 1")
     d = h + k - 1
-    check_cap("make_omega", "n^2", q ** (2 * d), MAX_TABLE_ENTRIES)
+    check_cap("make_omega", "n^2", q ** (2 * d), MAX_ENTRIES)
     # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
     a_chain, b_chain = list(range(h)), [0, *range(h, d)]
     # multiplying by a or b shifts the digits one step along its chain
@@ -708,7 +694,7 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     _check_extension_cochain(psi2, X, m, "psi2")
     n = X.size
     big = m * n
-    check_cap("extend", "n^2", big * big, MAX_TABLE_ENTRIES)
+    check_cap("extend", "n^2", big * big, MAX_ENTRIES)
     a1 = np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
     x1 = np.arange(n, dtype=np.int64).reshape(1, n, 1, 1)
     a2 = np.arange(m, dtype=np.int64).reshape(1, 1, m, 1)
@@ -771,7 +757,7 @@ def swap_set(n: int) -> FiniteYBSet:
     n = _integer(n, "n")
     if n < 1:
         raise ValueError("need at least one element")
-    check_cap("swap_set", "n^2", n * n, MAX_TABLE_ENTRIES)
+    check_cap("swap_set", "n^2", n * n, MAX_ENTRIES)
     i = np.arange(n, dtype=np.int64)
     r1 = np.broadcast_to(i.reshape(1, n), (n, n))
     r2 = np.broadcast_to(i.reshape(n, 1), (n, n))

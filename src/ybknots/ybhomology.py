@@ -32,7 +32,7 @@ from .errors import (
 from . import ybcore
 from .modalg import (IntegerMatrix, _invariant_form, _orders, _stacked_smith,
                      kernel_mod, solve_mod)
-from .ybcore import (_INT64_MAX, MAX_TABLE_ENTRIES, CochainTable, FiniteYBSet,
+from .ybcore import (_INT64_MAX, MAX_ENTRIES, CochainTable, FiniteYBSet,
                      _check_colors, _decode, _encode, _integer,
                      check_modulus)
 
@@ -51,10 +51,10 @@ class CubeEdge:
     corner: int
 
     def __post_init__(self):
-        if self.direction < 1:
-            raise ValueError("direction is 1-based")
-        object.__setattr__(self, "corner",
-                           self.corner & ~(1 << (self.direction - 1)))
+        direction = _integer(self.direction, "direction", 1)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "corner", _integer(self.corner, "corner")
+                           & ~(1 << (direction - 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,8 +67,7 @@ class CubeColoring:
     def color(self, direction: int, corner: int) -> int:
         check_cap("CubeColoring.color", "cube dimension", self.dimension,
                   MAX_CUBE_DIMENSION)
-        edge = CubeEdge(_integer(direction, "direction"),
-                        _integer(corner, "corner"))
+        edge = CubeEdge(direction, corner)
         slot = _schedule(self.dimension).slots.get(edge)
         if slot is None:
             raise ValueError(f"{edge} is not an edge of the "
@@ -100,8 +99,10 @@ def _schedule(n: int) -> _Schedule:
     a face fires once both inputs are colored, assigning each uncolored
     output and comparing each colored one.  Sweeping again only repeats
     a fired face's steps on the same colors, so each face fires once.
+    The sweep keys edges by (direction, corner) pairs, whose corners
+    already have their own bit zeroed; each slot gets its CubeEdge once.
     """
-    index = {CubeEdge(i, (1 << (i - 1)) - 1): i - 1 for i in range(1, n + 1)}
+    index = {(i, (1 << (i - 1)) - 1): i - 1 for i in range(1, n + 1)}
     pending = [(i, j, base) for i in range(1, n + 1)
                for j in range(i + 1, n + 1) for base in range(1 << n)
                if not base & (1 << (i - 1) | 1 << (j - 1))]
@@ -109,13 +110,13 @@ def _schedule(n: int) -> _Schedule:
     while pending:
         waiting = []
         for i, j, base in pending:
-            in1 = index.get(CubeEdge(i, base))
-            in2 = index.get(CubeEdge(j, base | 1 << (i - 1)))
+            in1 = index.get((i, base))
+            in2 = index.get((j, base | 1 << (i - 1)))
             if in1 is None or in2 is None:
                 waiting.append((i, j, base))
                 continue
-            for part, edge in enumerate((CubeEdge(j, base),
-                                         CubeEdge(i, base | 1 << (j - 1)))):
+            for part, edge in enumerate(((j, base),
+                                         (i, base | 1 << (j - 1)))):
                 if edge in index:
                     compare.append((index[edge], in1, in2, part))
                 else:
@@ -127,13 +128,15 @@ def _schedule(n: int) -> _Schedule:
     if len(index) < n << (n - 1):
         raise ColoringIncomplete(f"{len(index)} of {n << (n - 1)} edges colored")
     # the edges that face_tuple reads
-    facets = [[index[CubeEdge(d, (1 << (d - 1)) - 1 & ~(1 << (axis - 1))
-                              | side << (axis - 1))]
+    facets = [[index[d, (1 << (d - 1)) - 1 & ~(1 << (axis - 1))
+                     | side << (axis - 1)]
                for d in range(1, n + 1) if d != axis]
               for axis in range(1, n + 1) for side in (0, 1)]
     signs = [(-1) ** (n - axis + side)
              for axis in range(1, n + 1) for side in (0, 1)]
-    return _Schedule(tuple(index), index, tuple(assign),
+    edges = tuple([CubeEdge(*edge) for edge in index])
+    return _Schedule(edges, dict(zip(edges, range(len(edges)))),
+                     tuple(assign),
                      np.array(compare, dtype=np.intp).reshape(-1, 4).T,
                      np.array(facets, dtype=np.intp).reshape(2 * n, n - 1),
                      np.array(signs, dtype=np.int64))
@@ -290,7 +293,7 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     shape = (X.size ** (n + 1), X.size ** n)
     # the matrix is one int64 array: 2^24 entries are 128 MB
     check_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", shape[0] * shape[1],
-              MAX_TABLE_ENTRIES)
+              MAX_ENTRIES)
     check_cap("coboundary_matrix", "cube dimension", n + 1,
               MAX_CUBE_DIMENSION)
     signs = _schedule(n + 1).signs

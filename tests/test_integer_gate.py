@@ -10,6 +10,7 @@ from ybknots import (
     BraidGenerator,
     BraidWord,
     CochainTable,
+    CubeEdge,
     GroupRingElement,
     IntegerMatrix,
     LinearForm,
@@ -65,6 +66,8 @@ ROWS = {
     "boundary": lambda v: boundary(X, (0, v)),
     "color_cube": lambda v: color_cube(X, [0, v]),
     "CubeColoring.color": lambda v: CUBE.color(v, 0),
+    "CubeEdge direction": lambda v: CubeEdge(v, 0),
+    "CubeEdge corner": lambda v: CubeEdge(1, v),
     "face_tuple axis": lambda v: face_tuple(CUBE, v, 0),
     "face_tuple side": lambda v: face_tuple(CUBE, 1, v),
     "apply_word": lambda v: apply_word(X, WORD, (0, v)),

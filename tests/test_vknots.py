@@ -1,5 +1,6 @@
 """Braid words, colorings, and the cocycle state-sum invariant."""
 
+import gc
 import itertools
 import os
 import pickle
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -736,11 +738,16 @@ def test_state_sum_refuses_a_dense_group_ring_past_the_cap(monkeypatch):
             assert time.perf_counter() - start < 1
 
 
+def _forget():
+    """Empty the plan cache and let the closure memo go."""
+    vknots._compiled.cache_clear()
+    vknots._hold(None)
+
+
 def _spy(monkeypatch, name):
-    """Clear both compile caches and record the arguments of every call
-    of vknots.<name>."""
-    vknots._plans.clear()
-    vknots._kernels.clear()
+    """Empty both memos and record the arguments of every call of
+    vknots.<name>."""
+    _forget()
     calls = []
     real = getattr(vknots, name)
 
@@ -783,10 +790,12 @@ def test_rule_sets_never_share_a_plan(monkeypatch):
         _assert_matches_oracle(X, word, psi)
     rules = [args[3] for args in planned]
     assert rules == [(0, 1, 2, 3), (0, 1)]
-    assert set(vknots._plans) == {(word, (0, 1, 2, 3)), (word, (0, 1))}
-    # the plan a set runs fires only the rules its tables have
-    _, _, steps = vknots._plans[word, (0, 1)]
+    assert vknots._compiled.cache_info().currsize == 2
+    # the plan a set runs fires only the rules its tables have; reading
+    # it back is a hit, not a new plan
+    _, _, steps = vknots._compiled(word, (0, 1))
     assert {step[1] for step in steps if step[0] == "cross"} <= {0, 1}
+    assert len(planned) == 2
 
 
 def test_relabelled_tables_share_a_plan_and_keep_their_rows(monkeypatch):
@@ -805,20 +814,22 @@ def test_relabelled_tables_share_a_plan_and_keep_their_rows(monkeypatch):
     assert len(found) > 1
 
 
-def test_equal_forms_share_a_kernel(monkeypatch):
+def test_state_sum_then_count_traces_the_kernel_once(monkeypatch):
     traced = _spy(monkeypatch, "_word_matrix")
     word = parse_braid(KISHINO_WORDS["K3"])
     X, Y = make_affine(15, 4, 11, 2), make_affine(15, 4, 11, 2)
     assert X is not Y and X.linear == Y.linear
-    Z = make_affine(15, 4, 11, 4)
-    assert Z.linear != X.linear
     psi = CochainTable.zero(2, 15, 2)
+    assert state_sum(X, psi, word).colorings == TABLE1_COUNTS[2][2]
     assert count_colorings(X, word) == TABLE1_COUNTS[2][2]
-    assert state_sum(Y, psi, word).colorings == TABLE1_COUNTS[2][2]
+    assert colorings(X, word).count == TABLE1_COUNTS[2][2]
     assert len(traced) == 1
-    assert count_colorings(Z, word) == TABLE1_COUNTS[4][2]
+    # the memo is keyed on the set, so an equal form is traced afresh
+    assert count_colorings(Y, word) == TABLE1_COUNTS[2][2]
     assert len(traced) == 2
-    assert set(vknots._kernels) == {(X.linear, word), (Z.linear, word)}
+    assert count_colorings(make_affine(15, 4, 11, 4), word) == \
+        TABLE1_COUNTS[4][2]
+    assert len(traced) == 3
 
 
 def test_caps_are_checked_on_cached_words(monkeypatch):
@@ -846,6 +857,7 @@ def _only_tuples(value):
 
 
 def test_caches_hold_only_tuples():
+    _forget()
     X = make_affine(15, 4, 11, 2)
     table = FiniteYBSet(X.r1, X.r2)
     word = parse_braid(KISHINO_WORDS["K2"])
@@ -853,19 +865,29 @@ def test_caches_hold_only_tuples():
     for Y in (X, table):
         state_sum(Y, psi, word)
         colorings(Y, word)
-    assert vknots._plans and vknots._kernels
-    for cache in (vknots._plans, vknots._kernels):
-        assert all(_only_tuples(value) for value in cache.values())
-    gens, orders = vknots._kernel("count_colorings", X, word)
+    plans = vknots._compiled.cache_info()
+    assert plans.currsize == 1
+    assert _only_tuples(vknots._compiled(word, vknots._rules(table, word)))
+    assert vknots._compiled.cache_info().misses == plans.misses
+    # the memo holds table's rows, read-only, with their arc count
+    n_arcs, rows = vknots._held(table, word)
+    assert isinstance(n_arcs, int) and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    # a kernel is held as tuples
+    count_colorings(X, word)
+    gens, orders = vknots._held(X, word)
+    assert _only_tuples((gens, orders))
     with pytest.raises(TypeError):
         gens[0][0] = 1
     with pytest.raises(TypeError):
         orders[0] = 1
-    # the caches keep their fixed size
+    # the plan cache keeps its fixed size
     for n in range(1, 2 * vknots._CACHE_SIZE):
         count_colorings(X, parse_braid(f"s1^{n}"))
         count_colorings(table, parse_braid(f"s1^{n}"))
-    assert len(vknots._plans) == len(vknots._kernels) == vknots._CACHE_SIZE
+    info = vknots._compiled.cache_info()
+    assert info.currsize == info.maxsize == vknots._CACHE_SIZE
 
 
 @pytest.mark.parametrize("X", [
@@ -884,8 +906,7 @@ def test_compiled_braids_match_oracle_cold_and_warm(X):
                      lambda: list(state_sum(Y, psi, word).value.coefficients))
             want = (found, len(found), coefficients)
             for call, value in zip(calls, want):
-                vknots._plans.clear()
-                vknots._kernels.clear()
+                _forget()
                 assert call() == value, word
             for call, value in zip(calls + calls, want + want):
                 assert call() == value, word
@@ -939,16 +960,17 @@ def test_count_and_state_sum_share_one_search(monkeypatch):
     searched = _spy(monkeypatch, "_searched_rows")
     X, psi, word = _sharing_case()
     found, coefficients = _oracle(X, word, psi)
-    fresh = FiniteYBSet(X.r1, X.r2)
     want = (len(found), coefficients, found)
     calls = (lambda Y: count_colorings(Y, word),
              lambda Y: list(state_sum(Y, psi, word).value.coefficients),
              lambda Y: colorings(Y, word).tuples)
+    # each call on a set of its own searches
+    assert [call(FiniteYBSet(X.r1, X.r2)) for call in calls] == list(want)
     for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
         Y = FiniteYBSet(X.r1, X.r2)
         searched.clear()
         for i in order:
-            assert calls[i](Y) == want[i] == calls[i](fresh), order
+            assert calls[i](Y) == want[i], order
         # the first call searched Y; the others read what it held
         assert sum(args[1] is Y for args in searched) == 1, order
 
@@ -961,7 +983,7 @@ def test_held_rows_follow_the_last_word(monkeypatch):
         found, coefficients = _oracle(X, w, psi)
         assert list(state_sum(X, psi, w).value.coefficients) == coefficients
         assert colorings(X, w).tuples == found
-        assert X._colorings[0] == w
+        assert vknots._closure[1] == w
     # each change of word searches afresh; a repeat of it does not
     assert [args[2] for args in searched] == [word, other, word]
     # a word parsed again is equal, so it reads the held rows
@@ -977,14 +999,59 @@ def test_sets_with_equal_tables_share_no_rows(monkeypatch):
     assert X == Y
     assert count_colorings(X, word) == count_colorings(Y, word)
     assert [id(args[1]) for args in searched] == [id(X), id(Y)]
-    assert X._colorings[1] is not Y._colorings[1]
-    # the held rows are read-only, so no caller can change them
+    # the memo holds Y's rows only, read-only, so no caller can change them
+    assert vknots._held(X, word) is None
+    _, rows = vknots._held(Y, word)
     with pytest.raises(ValueError):
-        X._colorings[1][0, 0] = 1
-    # a set with a declared form lists its kernel and holds nothing
+        rows[0, 0] = 1
+    # a set with a declared form holds its kernel, not rows
     Z = make_block(2, 1, 1)
     colorings(Z, word)
-    assert Z._colorings is None
+    assert vknots._held(Y, word) is None
+    assert _only_tuples(vknots._held(Z, word))
+
+
+def test_the_memo_frees_rows_and_keeps_no_set_alive(monkeypatch):
+    searched = _spy(monkeypatch, "_searched_rows")
+    X, psi, word = _sharing_case()
+    Y = FiniteYBSet(X.r1, X.r2)
+    count_colorings(X, word)
+    rows = weakref.ref(vknots._held(X, word)[1])
+    count_colorings(Y, word)
+    gc.collect()
+    # a search on another set let X's rows go, though X is alive
+    assert rows() is None
+    assert [args[1] for args in searched] == [X, Y]
+    searched.clear()
+    # the memo holds Y weakly, so Y goes with its last reference, and
+    # Y's rows go with Y
+    held, rows = weakref.ref(Y), weakref.ref(vknots._held(Y, word)[1])
+    del Y
+    gc.collect()
+    assert held() is None and rows() is None and vknots._closure is None
+    # and a set made after it is not taken for the held one
+    assert count_colorings(FiniteYBSet(X.r1, X.r2), word) == \
+        count_colorings(X, word)
+    assert len(searched) == 2
+
+
+def test_held_rows_are_let_go_before_a_search(monkeypatch):
+    _forget()
+    held = []
+    real = vknots._searched_rows
+
+    def spy(stage, X, word):
+        held.append(vknots._closure)
+        return real(stage, X, word)
+
+    monkeypatch.setattr(vknots, "_searched_rows", spy)
+    X, psi, word = _sharing_case()
+    other = parse_braid("s1 s2^-1 v1 s2", strands=4)
+    count_colorings(X, word)
+    count_colorings(X, other)
+    count_colorings(FiniteYBSet(X.r1, X.r2), other)
+    # no search allocates while another closure's rows are held
+    assert held == [None, None, None]
 
 
 def test_parse_makes_each_letter_once():

@@ -517,6 +517,34 @@ def test_identity_map_has_no_witness():
         X.biquandle_witness()
 
 
+def test_derived_values_are_computed_once(monkeypatch):
+    calls = []
+    real = ybcore._linear_ybe_failure
+    monkeypatch.setattr(ybcore, "_linear_ybe_failure",
+                        lambda form: calls.append(form) or real(form))
+    X = make_affine(4, 1, -1, -1)
+    assert X.verify_ybe() and X.ybe_failure() is None
+    assert len(calls) == 1
+    table = FiniteYBSet(X.r1, X.r2)
+    assert table.verify_birack() is table.verify_birack()
+    assert table.biquandle_witness() is table.biquandle_witness()
+    for name in ("rbar1", "rbar2", "left_inverse", "right_inverse"):
+        assert getattr(table, name) is getattr(table, name)
+        with pytest.raises(ValueError):
+            getattr(table, name)[0, 0] = 1
+    # a table failure is kept too: the answer no longer reads the tables
+    bad = FiniteYBSet([[(x + y) % 3 for y in range(3)] for x in range(3)],
+                      [[x for _ in range(3)] for x in range(3)])
+    assert bad.ybe_failure() == (1, 0, 0)
+    bad.r1 = bad.r2 = swap_set(3).r1
+    assert bad.ybe_failure() == (1, 0, 0)
+    # a failed witness is not kept: each call raises again
+    identity = FiniteYBSet([[x] * 3 for x in range(3)], [list(range(3))] * 3)
+    for _ in range(2):
+        with pytest.raises(NotBiquandle):
+            identity.biquandle_witness()
+
+
 def test_ybe_failure_location():
     bad = FiniteYBSet([[(x + y) % 3 for y in range(3)] for x in range(3)],
                       [[x for _ in range(3)] for x in range(3)])

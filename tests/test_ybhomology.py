@@ -480,7 +480,7 @@ def test_coboundary_matrix_checks_its_cap_first(monkeypatch):
 def test_cube_dimension_cap_raises_before_the_schedule(monkeypatch):
     # every arity the matrix cap admits for |X| >= 2 stays within the cap
     n = 0
-    while 2 ** (n + 2) * 2 ** (n + 1) <= ybcore.MAX_TABLE_ENTRIES:
+    while 2 ** (n + 2) * 2 ** (n + 1) <= ybcore.MAX_ENTRIES:
         n += 1
     assert n + 1 <= ybhomology.MAX_CUBE_DIMENSION
 
