@@ -19,9 +19,12 @@ right of it are reduced by Euclidean remainders, the first remainder
 becoming the new pivot.  `_Smith` runs it over Z on numpy arrays, so the
 bases it yields (the transforms of `smith_normal_form`, the generators of
 `kernel_mod`, the solution of `solve_mod`) are a deterministic function
-of the input.  `_eliminate` runs it over Z/m itself on lists of residues
-in the symmetric range, with no factoring of m; it serves the braid
-kernel (`_cyclic_kernel`), whose element set is pinned but no basis.
+of the input.  It finds the first least entry as the first unit when the
+block holds one, and by an argmin with the zeros masked only when it
+holds none; a pivot of +-1 reduces its row and column with no division.
+`_eliminate` runs the rule over Z/m itself on lists of residues in the
+symmetric range, with no factoring of m; it serves the braid kernel
+(`_cyclic_kernel`), whose element set is pinned but no basis.
 """
 
 from __future__ import annotations
@@ -156,14 +159,18 @@ class _Smith:
     `factors` is the non-zero diagonal.
 
     Pivot rule: smallest non-zero absolute value in the trailing block,
-    first such entry in row-major order.  The rows below the pivot are
-    reduced in order, and the first one left with a remainder is swapped
-    in as the new pivot row; then the columns right of it, the same way;
-    until neither leaves a remainder.  The reductions before a swap do not
-    depend on each other, so each is one rank-1 update of the rows (or
-    columns) it reaches; a pivot of +-1 leaves no remainder and takes one
-    of each.  The order of operations, and so every transform, is a
-    deterministic function of the input.
+    first such entry in row-major order.  The search takes the first unit
+    (one compare with 1 and a bool argmax) and, only when the block holds
+    no +-1, the first least entry once its zeros read as the block's
+    largest plus one.  The rows below the pivot are reduced in order, and
+    the first one left with a remainder is swapped in as the new pivot
+    row; then the columns right of it, the same way; until neither leaves
+    a remainder.  The reductions before a swap do not depend on each
+    other, so each is one rank-1 update of the rows (or columns) it
+    reaches.  A pivot p of +-1 leaves no remainder: its quotients are the
+    entries times p, with no division, and it takes one update of each.
+    The order of operations, and so every transform, is a deterministic
+    function of the input.
 
     Only a changes dtype during a run: each step first bounds the entries
     it will write in a, and when a bound reaches the guard, a moves to
@@ -222,13 +229,18 @@ class _Smith:
 
     def _reduce(self, t: int, line, below: bool):
         """Reduce `line`, the entries below (or right of) the pivot, in
-        order up to its first remainder; return that offset or None."""
+        order up to its first remainder; return that offset or None.  A
+        pivot p of +-1 divides every entry, so its quotients are line * p
+        and no division is taken."""
         p = self.a[t, t]
-        q = line // p
-        rem = line - q * p
-        hits = rem.nonzero()[0]
-        stop = hits[0] + 1 if hits.size else len(line)
-        moved = q[:stop].nonzero()[0]
+        if p == 1 or p == -1:
+            q, rem, hit = line * p, None, None
+        else:
+            q = line // p
+            rem = line - q * p
+            hits = rem.nonzero()[0]
+            hit = int(hits[0]) if hits.size else None
+        moved = (q if hit is None else q[:hit + 1]).nonzero()[0]
         if moved.size:
             sel, q = moved + (t + 1), q[moved]
             if below:
@@ -236,8 +248,21 @@ class _Smith:
                 self._fit(self.bound)
                 self._rows(t, sel, q)
             else:
-                self._cols(t, sel, q, rem[moved])
-        return int(hits[0]) if hits.size else None
+                self._cols(t, sel, q, 0 if rem is None else rem[moved])
+        return hit
+
+    @staticmethod
+    def _first_least(mag, top: int) -> int:
+        """Flat index of the first least non-zero entry of mag, a fresh
+        array of absolute values whose largest is top > 0.  That is the
+        first unit when there is one; else mag's zeros are overwritten
+        with top + 1 and it is the first least entry."""
+        unit = mag == 1
+        flat = unit.argmax()
+        if not unit.flat[flat]:
+            mag[mag == 0] = top + 1
+            flat = mag.argmin()
+        return int(flat)
 
     def _run(self) -> tuple[int, ...]:
         rows, cols = self.a.shape
@@ -247,11 +272,7 @@ class _Smith:
             top = int(mag.max())
             if top == 0:
                 break
-            # the first entry of least magnitude; when the largest is 1,
-            # that is the first largest
-            flat = mag.argmax() if top == 1 else \
-                np.where(mag, mag, top + 1).argmin()
-            pi, pj = divmod(int(flat), cols - t)
+            pi, pj = divmod(self._first_least(mag, top), cols - t)
             if pi:
                 self._swap_rows(t, t + pi)
             if pj:

@@ -121,6 +121,124 @@ def test_guard_moves_the_arrays_to_python_ints(monkeypatch):
     assert max(abs(e) for row in U + V for e in row) >= 2 ** 12
 
 
+# The pivot search takes the first unit when the trailing block holds a
+# +-1 and falls back to the first least entry when it holds none; a pivot
+# of +-1 reduces with no division.  Each family below reaches one of these
+# paths in a way a slip in it would show against the list core.
+SEARCH_CASES = {
+    # no +-1 anywhere, ever: every search takes the fallback
+    "no unit": [[4, 6, 0], [-2, 8, 6], [6, 0, -4]],
+    "bare m*I": [[6 * (i == j) for j in range(4)] for i in range(4)],
+    "m*I stack": [[4, -6, 2], [6, 0, 4]] +
+                 [[6 * (i == j) for j in range(3)] for i in range(3)],
+    # the first unit is -1, ahead of a later +1
+    "first unit -1": [[5, 3, 0, -1], [2, 1, 7, -3], [1, -1, 4, 2]],
+    "only -1": [[3, -1, 2], [-1, 4, 5], [2, 6, -1]],
+    # the first unit follows larger entries in row-major order
+    "unit after larger": [[7, 4, 1], [1, 2, 3]],
+    "unit in last row": [[9, 6, 4], [8, 5, 7], [3, 2, 1]],
+    # no unit until a reduction leaves one
+    "late unit": [[2, 3], [4, 5]],
+    "late unit wide": [[4, 6, 9], [6, 10, 15], [10, 14, 21]],
+    # the trailing block turns all zero after a pivot, or starts so
+    "rank one": [[2, 4], [4, 8], [0, 0]],
+    "rank one unit": [[-1, 2, 3], [2, -4, -6]],
+    "zero matrix": [[0, 0], [0, 0]],
+    "zero past a pivot": [[0, 0, 0], [0, 6, 0]],
+}
+
+
+def _search_family(rng, family):
+    """A random matrix of one family: no unit ("even"), one to three
+    units of either sign among larger entries ("units"), or units only
+    after a reduction ("late")."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    if family == "even":
+        return [[rng.choice((0, 2, -2, 4, -4, 6, -6)) for _ in range(cols)]
+                for _ in range(rows)]
+    if family == "late":
+        return [[rng.choice((0, 2, -2, 3, -3, 5, -5)) for _ in range(cols)]
+                for _ in range(rows)]
+    out = [[rng.choice((0, 2, -3, 4, 5, -7)) for _ in range(cols)]
+           for _ in range(rows)]
+    for _ in range(rng.randint(1, 3)):
+        out[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((1, -1))
+    return out
+
+
+def _assert_matches_the_list_core(entries, moduli=(2, 4, 6, 9)):
+    sf = smith_normal_form(IntegerMatrix(entries))
+    U, D, V, factors = oracle.smith(entries)
+    assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+    assert sf.invariant_factors == factors
+    A, cols = IntegerMatrix(entries), len(entries[0])
+    for m in moduli:
+        assert kernel_mod(A, m) == oracle.kernel(entries, cols, m)
+        for b in ([1] * A.rows, list(range(A.rows))):
+            assert solve_mod(A, b, m) == oracle.solve(entries, cols, b, m)
+
+
+def _spy_search(monkeypatch):
+    """A list that gets, for each pivot search, whether the pivot found is
+    a unit (the unit branch) or not (the fallback), and whether mag is
+    dtype=object."""
+    seen = []
+    original = modalg._Smith._first_least
+
+    def spy(mag, top):
+        flat = original(mag, top)
+        seen.append((bool(mag.flat[flat] == 1), mag.dtype == object))
+        return flat
+
+    monkeypatch.setattr(modalg._Smith, "_first_least", staticmethod(spy))
+    return seen
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_pivot_search_cases_match_the_list_core(name):
+    _assert_matches_the_list_core(SEARCH_CASES[name])
+
+
+@pytest.mark.parametrize("family", ["even", "units", "late"])
+def test_pivot_search_families_match_the_list_core(family):
+    rng = random.Random(family)
+    for _ in range(30):
+        _assert_matches_the_list_core(_search_family(rng, family))
+
+
+def test_both_search_branches_run(monkeypatch):
+    seen = _spy_search(monkeypatch)
+    # delta^2 of block(3,1,1) over 3*I: the largest entry is 3 at every
+    # pivot, and the first least is a unit at most of them
+    matrix = coboundary_matrix(make_block(3, 1, 1), 2)
+    assert kernel_mod(matrix, 3) == oracle.kernel(matrix.entries,
+                                                  matrix.cols, 3)
+    assert any(unit for unit, _ in seen)
+    seen.clear()
+    _assert_matches_the_list_core(SEARCH_CASES["no unit"], moduli=(4,))
+    assert seen and not any(unit for unit, _ in seen)
+
+
+def test_both_search_branches_run_on_python_ints(monkeypatch):
+    # with the guard at 2^12 these entries start past it, so the arrays
+    # searched are dtype=object on both branches
+    monkeypatch.setattr(modalg, "_INT64_GUARD", 2 ** 12)
+    seen = _spy_search(monkeypatch)
+    big = 2 ** 13
+    for entries in ([[2 * big, 6, 4], [10, 2 * big + 2, 8], [4, 6, 14]],
+                    [[big, 4, -6], [2, 0, 8], [6, -2, 2 * big]],
+                    [[big + 1, -1, 3], [5, big, 1], [-1, 7, 2]],
+                    [[big, 3, 2], [5, 7, big + 3]]):
+        _assert_matches_the_list_core(entries, moduli=(4, 6))
+    rng = random.Random(13)
+    for family in ("even", "units", "late"):
+        for _ in range(5):
+            entries = _search_family(rng, family)
+            entries[0][0] += big
+            _assert_matches_the_list_core(entries, moduli=(6,))
+    assert {(True, True), (False, True)} <= set(seen)
+
+
 def test_entries_past_int64_start_on_python_ints():
     big = 2 ** 70
     for entries in ([[big + 3, 2 * big], [6, big - 1]],
