@@ -357,10 +357,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _silence_stdout():
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's flush at exit finds no closed pipe.  A stdout with no
+    descriptor (an in-process caller's StringIO) is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`ybk ... | head -n 1`): it has
+        # read all it wanted, which is not an error
+        _silence_stdout()
+        return 0
     except YBKError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,11 @@ Constructors cover the affine one-dimensional family, the two-block
 upper-triangular family on Z_q^2, truncated polynomial rings with two
 nilpotent generators, and twisted abelian extensions of any base set.
 The first three are Z_q-linear and declare that form (`LinearForm`) on
-the solution they build; their tables are computed from it.  So does an
-extension of a linear base over its own Z_q by cochains linear in the
-digits.  A declared form also lets the Yang-Baxter equation be checked
-on its matrix rather than on all |X|^3 triples.
+the solution they build.  So does an extension of a linear base over its
+own Z_q by cochains linear in the digits.  A declared form is such a
+solution's definition: its tables are computed from the form on first
+read, and the Yang-Baxter equation is checked on its matrix rather than
+on all |X|^3 triples, so a check reads no table.
 """
 
 from __future__ import annotations
@@ -233,16 +234,44 @@ class BiquandleWitness:
     y_of: tuple[int, ...]
 
 
+class _FormTable:
+    """`r1` or `r2` of a set with a declared form, which holds no tables
+    until one is read.  The first read of either computes both from the
+    form and stores them on the set; as this descriptor defines no
+    __set__, later reads find the stored arrays first and never reach it.
+    A table-given set stores its own tables and never reaches it either.
+    There is no lock: threads that race on the first read may each
+    compute the tables, which are equal, and the last store is kept."""
+
+    def __init__(self, which: int):
+        self.which = which
+
+    def __get__(self, made, owner=None):
+        if made is None:
+            return self
+        tables = _linear_tables(made._linear)
+        for table in tables:
+            table.setflags(write=False)
+        made.r1, made.r2 = tables
+        return tables[self.which]
+
+
 class FiniteYBSet:
     """Lookup-table map R on {0..n-1}^2.
 
-    The tables are frozen at construction.  What is derived from them
-    alone is computed once, on first use, and kept as a cached property
-    of the set: the Yang-Baxter failure, the inverse tables of the maps
-    R has inverses of (with their `BirackReport`) and the biquandle
-    witness.  `linear` is the Z_q-linear form the solution was built
-    from, or None for a solution given by its tables.
+    Each set has one source for its tables.  A set given by its tables
+    holds them from construction; `linear` is then None.  A set built
+    with a declared Z_q-linear form (`linear`) holds the form alone, and
+    its tables are computed from the form on first read.  Either way the
+    tables are read-only int64 and never change.  What is derived from
+    them alone is computed once, on first use, and kept as a cached
+    property of the set: the Yang-Baxter failure (read off the form when
+    there is one), the inverse tables of the maps R has inverses of (with
+    their `BirackReport`) and the biquandle witness.
     """
+
+    r1 = _FormTable(0)
+    r2 = _FormTable(1)
 
     def __init__(self, r1, r2, label: str | None = None):
         r1 = _integers(r1, "table entries")
@@ -257,25 +286,18 @@ class FiniteYBSet:
                 raise ValueError("table entries must lie in 0..n-1")
         # in range, so the int64 copies are exact
         self._adopt(np.array(r1, dtype=np.int64),
-                    np.array(r2, dtype=np.int64), label, None)
-
-    @classmethod
-    def _built(cls, r1: np.ndarray, r2: np.ndarray, label: str,
-               linear: LinearForm | None) -> "FiniteYBSet":
-        """A solution on tables a constructor has just computed: int64,
-        owned by nobody else and in 0..n-1 by construction, so they need
-        neither the copy nor the range scan of __init__."""
-        made = cls.__new__(cls)
-        made._adopt(r1, r2, label, linear)
-        return made
+                    np.array(r2, dtype=np.int64), label)
 
     @classmethod
     def _from_linear(cls, form: LinearForm, label: str) -> "FiniteYBSet":
-        # the tables read digits mod q as indices
-        return cls._built(*_linear_tables(form), label, form)
+        """The solution of a form; no table is built until one is read."""
+        made = cls.__new__(cls)
+        made.size = form.q ** form.d
+        made.label = label
+        made._linear = form
+        return made
 
-    def _adopt(self, r1: np.ndarray, r2: np.ndarray, label: str | None,
-               linear: LinearForm | None):
+    def _adopt(self, r1: np.ndarray, r2: np.ndarray, label: str | None):
         """Take ownership of two valid int64 tables."""
         r1.setflags(write=False)
         r2.setflags(write=False)
@@ -284,7 +306,7 @@ class FiniteYBSet:
         self.r1 = r1
         self.r2 = r2
         self.label = label if label is not None else f"table(n={n})"
-        self._linear = linear
+        self._linear = None
 
     @property
     def linear(self) -> LinearForm | None:
@@ -683,9 +705,9 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     does, so callers should run verify_ybe on it.  psi2 defaults to psi1.
 
     When X declares a form over Z_m and both cochains are linear in the
-    digits, the extension declares one too (`_extension_form`).  The
-    tables are the same either way: the form was fitted to psi's whole
-    tables, and X's tables come from its own form.
+    digits, the extension is defined by its form (`_extension_form`) and
+    builds its tables from it on first read.  Otherwise its tables are
+    built here from X's and the cochains'.
     """
     m = _integer(m, "modulus", 2)
     if psi2 is None:
@@ -695,6 +717,10 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     n = X.size
     big = m * n
     check_cap("extend", "n^2", big * big, MAX_ENTRIES)
+    label = f"extend(m={m}, base={X.label})"
+    form = _extension_form(X.linear, m, psi1, psi2)
+    if form is not None:
+        return FiniteYBSet._from_linear(form, label)
     a1 = np.arange(m, dtype=np.int64).reshape(m, 1, 1, 1)
     x1 = np.arange(n, dtype=np.int64).reshape(1, n, 1, 1)
     a2 = np.arange(m, dtype=np.int64).reshape(1, 1, m, 1)
@@ -704,12 +730,14 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     s1 = ((a2 + p1) % m) * n + X.r1[x1, x2]
     s2 = ((a1 + p2) % m) * n + X.r2[x1, x2]
     shape = (m, n, m, n)
-    # the tables share memory with no other array, and each entry is a
-    # residue mod m times n plus an entry of X, so in 0..big-1
     s1 = np.broadcast_to(s1, shape).reshape(big, big)
     s2 = np.broadcast_to(s2, shape).reshape(big, big)
-    return FiniteYBSet._built(s1, s2, f"extend(m={m}, base={X.label})",
-                              _extension_form(X.linear, m, psi1, psi2))
+    # the tables share memory with no other array, and each entry is a
+    # residue mod m times n plus an entry of X, so in 0..big-1: they need
+    # neither the copy nor the range scan of __init__
+    made = FiniteYBSet.__new__(FiniteYBSet)
+    made._adopt(s1, s2, label)
+    return made
 
 
 def omega_extension_check(q: int, h: int, k: int) -> bool:

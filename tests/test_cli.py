@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -421,3 +426,28 @@ def test_threads_flag_accepted(capsys):
                      "--word", "s1 s1", "--threads", "4")
     assert rc == 0
     assert out == "8\n"
+
+
+def test_closed_stdout_is_no_error():
+    # the read end is closed before the child starts, so its first write
+    # to stdout breaks the pipe every time
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ybknots.cli", "cohomology", "--affine",
+             "3,1,2,2", "--arity", "2", "--modulus", "3"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_silencing_leaves_a_stdout_without_descriptor():
+    # the benchmark calls main with stdout redirected to a StringIO
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._silence_stdout()
+        print("kept")
+    assert out.getvalue() == "kept\n"

@@ -11,6 +11,7 @@ from ybknots import (
     CochainTable,
     FiniteYBSet,
     LinearForm,
+    coboundary,
     extend,
     make_affine,
     make_block,
@@ -455,6 +456,10 @@ def test_extend_declares_form_only_for_linear_cochains(base):
         assert V.label == f"extend(m={q}, base={base.label})"
         W = extend(copy, q, psi1, psi2)
         assert W.linear is None
+        if has_form:
+            # V is defined by its form: it holds no table until the
+            # comparison below reads one
+            assert not {"r1", "r2"} & vars(V).keys()
         assert np.array_equal(V.r1, W.r1) and np.array_equal(V.r2, W.r2)
         if has_form:
             # the declared form reproduces the tables it was fitted to
@@ -466,6 +471,65 @@ def test_extend_declares_form_only_for_linear_cochains(base):
     assert V.linear is None
     W = extend(copy, m, _psi(n, m, lambda x, y: y - x))
     assert np.array_equal(V.r1, W.r1) and np.array_equal(V.r2, W.r2)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The forms `ybcore._linear_tables` is called on, in call order."""
+    calls = []
+    real = ybcore._linear_tables
+    monkeypatch.setattr(ybcore, "_linear_tables",
+                        lambda form: calls.append(form) or real(form))
+    return calls
+
+
+_DECLARED = [
+    lambda: make_affine(4, 1, -1, -1), lambda: make_block(3, 1, 2),
+    lambda: make_omega(2, 2, 2),
+    lambda: extend(make_affine(5, 2, 1), 5, _psi(5, 5, lambda x, y: y - x))]
+
+
+@pytest.mark.parametrize("make", _DECLARED)
+def test_declared_forms_are_checked_without_tables(make, table_builds):
+    X = make()
+    assert X.linear is not None and X.size == X.linear.q ** X.linear.d
+    assert X.label and X.verify_ybe() == (X.ybe_failure() is None)
+    assert table_builds == []
+
+
+@pytest.mark.parametrize("read", [
+    lambda X: X.r1, lambda X: X.r2, FiniteYBSet.to_json,
+    FiniteYBSet.verify_birack,
+    lambda X: coboundary(X, CochainTable.zero(1, X.size, 3))],
+    ids=["r1", "r2", "to_json", "verify_birack", "coboundary"])
+@pytest.mark.parametrize("make", _DECLARED)
+def test_first_table_read_builds_both_tables_once(make, read, table_builds):
+    X = make()
+    read(X)
+    assert table_builds == [X.linear]
+    r1, r2 = X.r1, X.r2
+    for table in (r1, r2):
+        assert table.dtype == np.int64 and not table.flags.writeable
+    X.to_json()
+    X.verify_birack()
+    coboundary(X, CochainTable.zero(1, X.size, 3))
+    assert X.r1 is r1 and X.r2 is r2
+    assert table_builds == [X.linear]
+
+
+def test_extend_reads_a_declared_base_tables_on_demand(table_builds):
+    # R(x, y) = (-x + 2y, x) on Z_5, twisted by a cochain with no form
+    X = make_affine(5, 2, 1)
+    psi = _psi(5, 5, lambda x, y: x * y)
+    assert table_builds == []
+    V = extend(X, 5, psi)
+    assert V.linear is None and table_builds == [X.linear]
+    for (a1, x1), (a2, x2) in itertools.product(
+            itertools.product(range(5), repeat=2), repeat=2):
+        assert V.r(a1 * 5 + x1, a2 * 5 + x2) == (
+            (a2 + x1 * x2) % 5 * 5 + (2 * x2 - x1) % 5,
+            (a1 + x1 * x2) % 5 * 5 + x1)
+    assert table_builds == [X.linear]
 
 
 @pytest.mark.parametrize("make", [
