@@ -387,6 +387,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # an elimination whose entry growth no cap bounds can still run
+        # out of memory: the input is refused, with no traceback
+        print(f"error: out of memory in ybk {args.command}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -57,8 +57,11 @@ class ResourceBound(YBKError):
 
 def check_cap(stage: str, what: str, count: int, cap: int):
     """Raise ResourceBound, naming the stage and the estimated size, when
-    `count` (the size of `what`) exceeds `cap`."""
+    `count` (the size of `what`) exceeds `cap`; past 2^256 the size is
+    a power of two, as Python prints no int of more than 4300 digits."""
     if count > cap:
+        if count >= 2 ** 256:
+            count = f"2^{int(count).bit_length() - 1} or more"
         raise ResourceBound(f"{stage}: {what} = {count} exceeds the cap {cap}")
 
 

@@ -56,10 +56,6 @@ class IntegerMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(np.eye(n, dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -87,12 +83,6 @@ class IntegerMatrix:
         # int64 matmul would wrap around silently
         return IntegerMatrix(self.array.astype(object)
                              @ other.array.astype(object))
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.array.T.copy())
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.array.copy())
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.rows}x{self.cols})"

@@ -491,13 +491,12 @@ def _rules(X: FiniteYBSet, word: BraidWord) -> tuple[int, ...]:
     return tuple(rules)
 
 
-def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
-    """The colorings of the closed word on a table-given solution, as
-    strand tuples, found by running `_plan` on an (arcs, rows) array.
-    Consecutive branches are one step, so the entries cap is checked on
-    the array that would hold the rows they make before any is
-    allocated."""
-    _check_top_arcs(stage, word)
+def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord):
+    """(number of arcs, the colorings of the closed word as strand tuples)
+    on a table-given solution, found by running `_plan` on an (arcs, rows)
+    array.  Consecutive branches are one step, so the entries cap is
+    checked on the array that would hold the rows they make before any
+    is allocated."""
     rules = _rules(X, word)
     r1, r2 = X.r1, X.r2
     if _BACKWARD in rules:
@@ -540,20 +539,7 @@ def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
             keep = np.logical_and.reduce(
                 [v[slot] == cols[arcs[slot]] for slot in checks])
             cols = cols[:, keep]
-    return cols[list(top)].T
-
-
-def _held_rows(stage: str, X: FiniteYBSet, word: BraidWord):
-    """The rows the memo holds for X's closure of word, or None.  The
-    caps are checked on them as the search checks them."""
-    held = _held(X, word)
-    if held is None:
-        return None
-    _check_top_arcs(stage, word)
-    n_arcs, rows = held
-    check_cap(stage, "search entries arcs*rows", n_arcs * len(rows),
-              MAX_ENTRIES)
-    return rows
+    return n_arcs, cols[list(top)].T
 
 
 def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
@@ -562,21 +548,26 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
     their accumulated weights (None without a cochain).
 
     On a table-given set the memo holds the rows of the last closure
-    searched once the trace has checked them fixed, so a later call on
-    that closure skips the search, and traces them again only for
-    weights."""
+    searched, with their arc count, once the trace has checked them
+    fixed, so a later call on that closure skips the search, and traces
+    them again only for weights.  Held rows meet the caps as a search's
+    would."""
     if X.linear is not None:
         start = _kernel_rows(stage, X, word)
         found = "a kernel element of W - I"
     else:
-        start = _held_rows(stage, X, word)
-        if start is not None:
+        _check_top_arcs(stage, word)
+        held = _held(X, word)
+        if held is not None:
+            n_arcs, start = held
+            check_cap(stage, "search entries arcs*rows",
+                      n_arcs * len(start), MAX_ENTRIES)
             if psi_array is None:
                 return start, None
             return start, _trace_word(X, word, start, psi_array, modulus)[1]
         # another closure's rows are let go before the search allocates
         _hold(None)
-        start = _searched_rows(stage, X, word)
+        n_arcs, start = _searched_rows(stage, X, word)
         found = "a searched coloring"
     end, weights = _trace_word(X, word, start, psi_array, modulus)
     if not np.array_equal(end, start):
@@ -584,8 +575,7 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
             f"{stage}: {found} is not fixed by {word!r} on {X.label}")
     if X.linear is None:
         start.setflags(write=False)
-        # the search has just planned the word, so its arc count is a hit
-        _hold(X, word, (_compiled(word, _rules(X, word))[0], start))
+        _hold(X, word, (n_arcs, start))
     return start, weights
 
 
@@ -651,11 +641,7 @@ def state_sum(X: FiniteYBSet, psi: CochainTable, word: BraidWord) -> InvariantVa
     crossings breaks it too, and flipping the overall sign swaps the
     torus closure with its mirror.
     """
-    if psi.arity != 2:
-        raise ArityMismatch(f"state sum needs a 2-cochain, got arity {psi.arity}")
-    if psi.set_size != X.size:
-        raise ArityMismatch(
-            f"cochain set size {psi.set_size} does not match |X| = {X.size}")
+    psi.check_on(X, "state_sum", arity=2)
     m = psi.modulus
     # the value is dense in Z[Z_m], one coefficient per residue
     check_cap("state_sum", "group-ring modulus m", m, MAX_ENTRIES)

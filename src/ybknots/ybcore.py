@@ -588,20 +588,48 @@ class CochainTable:
         self.modulus = modulus
         self.values = values
 
+    @staticmethod
+    def _checked_shape(stage: str, arity, set_size) -> tuple[int, int]:
+        """arity and set_size as Python ints; ResourceBound, before any
+        value is made, when the set_size^arity values pass MAX_ENTRIES."""
+        arity = _integer(arity, "arity", 0)
+        set_size = _integer(set_size, "set_size", 1)
+        check_cap(stage, "set_size^arity", set_size ** arity, MAX_ENTRIES)
+        return arity, set_size
+
     @classmethod
     def from_function(cls, arity: int, set_size: int, modulus: int,
                       fn) -> "CochainTable":
         """The table of fn over X^arity, tuples in lexicographic order;
         the values are checked once, by the constructor."""
-        arity = _integer(arity, "arity")
-        values = [fn(*xs) for xs in product(
-            range(_integer(set_size, "set_size")), repeat=arity)]
+        arity, set_size = cls._checked_shape("CochainTable.from_function",
+                                             arity, set_size)
+        values = [fn(*xs) for xs in product(range(set_size), repeat=arity)]
         return cls(arity, set_size, modulus, values)
 
     @classmethod
     def zero(cls, arity: int, set_size: int, modulus: int) -> "CochainTable":
+        arity, set_size = cls._checked_shape("CochainTable.zero", arity,
+                                             set_size)
         return cls(arity, set_size, modulus,
                    np.zeros(set_size ** arity, dtype=np.int64))
+
+    def check_on(self, X: FiniteYBSet, stage: str, name: str = "cochain",
+                 arity: int | None = None, modulus: int | None = None):
+        """The package's one check that a cochain lives on X: its set size
+        must be |X| (ArityMismatch) and, where the caller gives them, its
+        arity `arity` (ArityMismatch) and its modulus `modulus`
+        (ModulusMismatch).  The message names the stage and the cochain."""
+        if self.set_size != X.size:
+            wrong = ArityMismatch, "set size", self.set_size, f"|X| = {X.size}"
+        elif arity is not None and self.arity != arity:
+            wrong = ArityMismatch, "arity", self.arity, f"arity {arity}"
+        elif modulus is not None and self.modulus != modulus:
+            wrong = ModulusMismatch, "modulus", self.modulus, f"m = {modulus}"
+        else:
+            return
+        error, what, have, expected = wrong
+        raise error(f"{stage}: {name} {what} {have} does not match {expected}")
 
     def index(self, xs) -> int:
         if len(xs) != self.arity:
@@ -642,19 +670,6 @@ class CochainTable:
                        data["values"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed cochain data: {exc}") from exc
-
-
-def _check_extension_cochain(psi: CochainTable, base: FiniteYBSet, m: int,
-                             name: str):
-    if psi.arity != 2:
-        raise ArityMismatch(f"{name} must have arity 2, got {psi.arity}")
-    if psi.set_size != base.size:
-        raise ArityMismatch(
-            f"{name} is defined on a set of size {psi.set_size}, "
-            f"base has size {base.size}")
-    if psi.modulus != m:
-        raise ModulusMismatch(
-            f"{name} has modulus {psi.modulus}, extension uses {m}")
 
 
 def _extension_form(base: LinearForm | None, m: int, psi1: CochainTable,
@@ -712,8 +727,8 @@ def extend(X: FiniteYBSet, m: int, psi1: CochainTable,
     m = _integer(m, "modulus", 2)
     if psi2 is None:
         psi2 = psi1
-    _check_extension_cochain(psi1, X, m, "psi1")
-    _check_extension_cochain(psi2, X, m, "psi2")
+    psi1.check_on(X, "extend", "psi1", arity=2, modulus=m)
+    psi2.check_on(X, "extend", "psi2", arity=2, modulus=m)
     n = X.size
     big = m * n
     check_cap("extend", "n^2", big * big, MAX_ENTRIES)

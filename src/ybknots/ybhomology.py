@@ -4,13 +4,14 @@ An n-tuple of colors on the initial path of the n-cube propagates to
 every edge through the square faces.  Which edges a face can color never
 depends on the colors, so `_schedule` replays the propagation once per n
 as steps over dense edge slots, with the slots and signs of the 2n
-facets.  Array gathers apply it to many cubes at once, in fixed-size
-slabs, giving a facet table: the readings of each cube's facets.  Their
-signed sum is the boundary; the same table gives the coboundary of
-Z_m-valued cochains (a signed gather-sum), the coboundary matrix (a
-signed scatter-add), cocycle spaces, cohomology groups, and the
-obstruction cocycle measuring the failure of a mod-p cocycle to lift to
-Z_{p^2}.
+facets, naming each edge by its (direction, corner) pair.  Entry points
+reach it through `_cube`, the one gate on the cube dimension n.  Array
+gathers apply it to many cubes at once, in fixed-size slabs, giving a
+facet table: the readings of each cube's facets.  Their signed sum is
+the boundary; the same table gives the coboundary of Z_m-valued
+cochains (a signed gather-sum), the coboundary matrix (a signed
+scatter-add), cocycle spaces, cohomology groups, and the obstruction
+cocycle measuring the failure of a mod-p cocycle to lift to Z_{p^2}.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ class CubeColoring:
     colors: tuple
 
     def color(self, direction: int, corner: int) -> int:
-        check_cap("CubeColoring.color", "cube dimension", self.dimension,
-                  MAX_CUBE_DIMENSION)
+        slots = _cube("CubeColoring.color", self.dimension).slots
         edge = CubeEdge(direction, corner)
-        slot = _schedule(self.dimension).slots.get(edge)
+        slot = slots.get((edge.direction, edge.corner))
         if slot is None:
             raise ValueError(f"{edge} is not an edge of the "
                              f"{self.dimension}-cube")
@@ -79,12 +79,22 @@ class CubeColoring:
 
 
 class _Schedule(NamedTuple):
-    edges: tuple            # CubeEdge of each slot: initial path, assigns
-    slots: dict             # slot of each CubeEdge
+    edges: tuple            # (direction, corner) of each slot, in order
+    slots: dict             # slot of each (direction, corner) pair
     assign: tuple           # (out, in1, in2, part): out = R_part(in1, in2)
     compare: np.ndarray     # 4 x k: out, in1, in2, part; out must match
     facets: np.ndarray      # 2n x (n-1): slots read by facet 2(axis-1)+side
     signs: np.ndarray       # 2n: sign of facet 2(axis-1)+side
+
+
+def _cube(stage: str, n: int) -> _Schedule:
+    """The schedule of the n-cube for entry point `stage`, once n passes
+    the one gate on cube dimensions: 1 <= n <= MAX_CUBE_DIMENSION."""
+    if n < 1:
+        raise ValueError(f"{stage}: cube dimension must be at least 1, "
+                         f"got {n}")
+    check_cap(stage, "cube dimension", n, MAX_CUBE_DIMENSION)
+    return _schedule(n)
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +109,9 @@ def _schedule(n: int) -> _Schedule:
     a face fires once both inputs are colored, assigning each uncolored
     output and comparing each colored one.  Sweeping again only repeats
     a fired face's steps on the same colors, so each face fires once.
-    The sweep keys edges by (direction, corner) pairs, whose corners
-    already have their own bit zeroed; each slot gets its CubeEdge once.
+    Edges are (direction, corner) pairs, whose corners have their own
+    bit zeroed as a CubeEdge's have; the sweep's index of them is `slots`
+    and its keys in slot order are `edges`, so no CubeEdge is built here.
     """
     index = {(i, (1 << (i - 1)) - 1): i - 1 for i in range(1, n + 1)}
     pending = [(i, j, base) for i in range(1, n + 1)
@@ -134,9 +145,7 @@ def _schedule(n: int) -> _Schedule:
               for axis in range(1, n + 1) for side in (0, 1)]
     signs = [(-1) ** (n - axis + side)
              for axis in range(1, n + 1) for side in (0, 1)]
-    edges = tuple([CubeEdge(*edge) for edge in index])
-    return _Schedule(edges, dict(zip(edges, range(len(edges)))),
-                     tuple(assign),
+    return _Schedule(tuple(index), index, tuple(assign),
                      np.array(compare, dtype=np.intp).reshape(-1, 4).T,
                      np.array(facets, dtype=np.intp).reshape(2 * n, n - 1),
                      np.array(signs, dtype=np.int64))
@@ -157,7 +166,8 @@ def _edge_table(X: FiniteYBSet, tuples: np.ndarray) -> np.ndarray:
     bad = tables[part, table[:, in1], table[:, in2]] != table[:, out]
     if bad.any():
         row = int(np.argmax(bad.any(axis=1)))
-        raise ColoringInconsistent(sched.edges[out[np.argmax(bad[row])]])
+        raise ColoringInconsistent(
+            CubeEdge(*sched.edges[out[np.argmax(bad[row])]]))
     return table
 
 
@@ -180,8 +190,7 @@ def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
     stay uncolored; neither happens when X satisfies the Yang-Baxter
     equation."""
     initial = _check_colors(X.size, initial)
-    check_cap("color_cube", "cube dimension", len(initial),
-              MAX_CUBE_DIMENSION)
+    _cube("color_cube", len(initial))
     row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))
     return CubeColoring(len(initial), tuple(row[0].tolist()))
 
@@ -196,9 +205,8 @@ def face_tuple(coloring: CubeColoring, axis: int, side: int) -> tuple[int, ...]:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    check_cap("face_tuple", "cube dimension", n, MAX_CUBE_DIMENSION)
-    return tuple(coloring.colors[slot]
-                 for slot in _schedule(n).facets[2 * (axis - 1) + side])
+    return tuple(coloring.colors[slot] for slot
+                 in _cube("face_tuple", n).facets[2 * (axis - 1) + side])
 
 
 @dataclass(frozen=True)
@@ -247,10 +255,7 @@ def boundary(X: FiniteYBSet, tup) -> FormalChain:
     the facet at coordinate k, side d carries sign (-1)^(n-k+d)."""
     tup = _check_colors(X.size, tup)
     n = len(tup)
-    if n < 1:
-        raise ValueError("boundary needs at least a 1-tuple")
-    check_cap("boundary", "cube dimension", n, MAX_CUBE_DIMENSION)
-    sched = _schedule(n)
+    sched = _cube("boundary", n)
     row = _edge_table(X, np.array([tup], dtype=np.int64))[0]
     terms: dict = {}
     for facet, sign in zip(row[sched.facets].tolist(), sched.signs.tolist()):
@@ -259,19 +264,11 @@ def boundary(X: FiniteYBSet, tup) -> FormalChain:
     return FormalChain(n - 1, {t: c for t, c in terms.items() if c})
 
 
-def _check_cochain(X: FiniteYBSet, f: CochainTable):
-    if f.set_size != X.size:
-        raise ArityMismatch(
-            f"cochain lives on a set of size {f.set_size}, X has {X.size}")
-
-
 def coboundary(X: FiniteYBSet, f: CochainTable) -> CochainTable:
     """(delta f)(w) = sum of sign * f(facet reading) over the facets of
     the cube colored by w, as a table on X^(arity+1)."""
-    _check_cochain(X, f)
-    check_cap("coboundary", "cube dimension", f.arity + 1,
-              MAX_CUBE_DIMENSION)
-    signs = _schedule(f.arity + 1).signs
+    f.check_on(X, "coboundary")
+    signs = _cube("coboundary", f.arity + 1).signs
     values = f.values
     # each sum has len(signs) terms below the modulus; past int64 it
     # takes Python ints
@@ -294,9 +291,7 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     # the matrix is one int64 array: 2^24 entries are 128 MB
     check_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", shape[0] * shape[1],
               MAX_ENTRIES)
-    check_cap("coboundary_matrix", "cube dimension", n + 1,
-              MAX_CUBE_DIMENSION)
-    signs = _schedule(n + 1).signs
+    signs = _cube("coboundary_matrix", n + 1).signs
     out = np.zeros(shape, dtype=np.int64)
     for rows, columns in _facet_slabs(X, n + 1):
         np.add.at(out, (rows.reshape(-1, 1), columns), signs)
@@ -315,7 +310,7 @@ def is_coboundary(X: FiniteYBSet, f: CochainTable):
     coboundary of arity-0 cochains is identically zero, so only the zero
     arity-1 cochain is a coboundary).
     """
-    _check_cochain(X, f)
+    f.check_on(X, "is_coboundary")
     if f.arity < 2:
         raise ValueError("is_coboundary needs a cochain of arity >= 2")
     matrix = coboundary_matrix(X, f.arity - 1)

@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from ybknots import CochainTable, FiniteYBSet, cli
+from ybknots import CochainTable, FiniteYBSet, cli, ybhomology
 from ybknots.reference import z4_cocycle
 
 
@@ -397,6 +400,48 @@ def test_reproduce_self_audits(capsys, target):
     rc, out, _ = run(capsys, "reproduce", target)
     assert rc == 0
     assert out.strip().endswith("status: ok")
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # an elimination no cap bounds can still exhaust memory
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(ybhomology, "cohomology_group", exhaust)
+    rc, out, err = run(capsys, "cohomology", "--block", "3,1,1",
+                       "--arity", "3", "--modulus", "3")
+    assert (rc, out) == (2, "")
+    assert err == "error: out of memory in ybk cohomology\n"
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_ci_invocations_match_the_parser_and_the_benchmark():
+    """Each `ybk` command in the CI workflow names a subcommand and flags
+    the parser accepts, and the benchmark steps name every declared
+    workload and no other; read as text, so no YAML parser is needed."""
+    workflow = (REPO / ".github" / "workflows" / "tests.yml").read_text()
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    invocations, named = 0, set()
+    for line in workflow.splitlines():
+        if line.lstrip().startswith("#"):
+            continue
+        named.update(re.findall(r"--workload\s+(\S+)", line))
+        # a command's own words end at a pipe, a ; or the ) closing $(...)
+        for command, rest in re.findall(r"(?<![\w-])ybk\s+(\S+)([^|;)]*)",
+                                        line):
+            assert command in subparsers.choices, line
+            accepted = {flag for action in subparsers.choices[command]._actions
+                        for flag in action.option_strings}
+            for flag in re.findall(r"(?<!\S)--[a-z][a-z0-9-]*", rest):
+                assert flag in accepted, (flag, line)
+            invocations += 1
+    assert invocations >= 19
+    assert named == workloads
 
 
 @pytest.mark.parametrize("target", ["table1", "torus", "z3"])

@@ -75,8 +75,8 @@ def test_smith_properties(rows, cols):
                    for i in range(len(nonzero) - 1))
         assert sf.invariant_factors == tuple(nonzero)
         # factors are invariant under transposition
-        assert smith_normal_form(
-            A.transpose()).invariant_factors == sf.invariant_factors
+        assert smith_normal_form(IntegerMatrix(
+            A.array.T.copy())).invariant_factors == sf.invariant_factors
 
 
 # Exact transforms, pinned so that the sequence of row and column
@@ -106,8 +106,8 @@ def test_smith_zero_and_identity():
     assert smith_normal_form(Z).invariant_factors == ()
     empty = smith_normal_form(IntegerMatrix.zeros(0, 3))
     assert empty.invariant_factors == ()
-    assert empty.V == IntegerMatrix.identity(3)
-    I = IntegerMatrix.identity(4)
+    assert empty.V == IntegerMatrix(np.eye(3, dtype=np.int64))
+    I = IntegerMatrix(np.eye(4, dtype=np.int64))
     assert smith_normal_form(I).invariant_factors == (1, 1, 1, 1)
 
 
@@ -115,30 +115,24 @@ def test_matrix_ops():
     A = IntegerMatrix([[1, 2], [3, 4]])
     B = IntegerMatrix([[0, 1], [1, 0]])
     assert (A @ B).entries == [[2, 1], [4, 3]]
-    assert A.transpose().entries == [[1, 3], [2, 4]]
-    # copies and entries lists are fresh: changing them leaves A alone
-    C = A.copy()
-    C.array[0, 0] = 9
-    C.entries[0][1] = 9
+    # entries lists are fresh: changing them leaves A alone
     A.entries[1][0] = 9
     assert A.entries == [[1, 2], [3, 4]]
-    assert C.entries == [[9, 2], [3, 4]]
-    # past int64 the product and the copies stay exact
+    # past int64 the product and the entries stay exact
     assert (IntegerMatrix([[2 ** 40, 1]]) @ IntegerMatrix([[2 ** 40], [1]])
             ).entries == [[2 ** 80 + 1]]
     big = [[2 ** 70, -3, 0], [5, 7, -2 ** 70]]
     B = IntegerMatrix(big)
     assert B.entries == big
-    assert B.transpose().entries == [list(col) for col in zip(*big)]
-    assert B.transpose().transpose() == B == B.copy()
+    assert B == IntegerMatrix([row[:] for row in big])
     assert B != IntegerMatrix([[2 ** 70 + 1, -3, 0], [5, 7, -2 ** 70]])
     assert B[1, 2] == -2 ** 70
     # a matrix with no rows or no columns keeps both sizes
     Z = IntegerMatrix.zeros(0, 3)
-    for M, shape in ((Z.copy(), (0, 3)),
+    for M, shape in ((Z, (0, 3)),
                      (Z @ IntegerMatrix.zeros(3, 2), (0, 2)),
-                     (Z.transpose(), (3, 0)),
-                     (IntegerMatrix([[], [], []]).transpose(), (0, 3))):
+                     (IntegerMatrix(Z.array.T.copy()), (3, 0)),
+                     (IntegerMatrix([[], [], []]), (3, 0))):
         assert (M.rows, M.cols) == shape
     assert IntegerMatrix.zeros(2, 0) @ Z == IntegerMatrix.zeros(2, 3)
     assert Z != IntegerMatrix.zeros(0, 5)
@@ -146,7 +140,7 @@ def test_matrix_ops():
 
 def test_kernel_frozen_examples():
     assert kernel_mod(IntegerMatrix([[2]]), 4) == [[2]]
-    assert kernel_mod(IntegerMatrix.identity(3), 5) == []
+    assert kernel_mod(IntegerMatrix(np.eye(3, dtype=np.int64)), 5) == []
     for rows in (0, 2):
         assert kernel_mod(IntegerMatrix.zeros(rows, 3), 5) == [
             [1, 0, 0], [0, 1, 0], [0, 0, 1]]

@@ -740,7 +740,7 @@ def test_unfixed_searched_row_is_an_error(monkeypatch):
     X = make_affine(5, 2, 1)
     table = FiniteYBSet(X.r1, X.r2)
     monkeypatch.setattr(vknots, "_searched_rows",
-                        lambda stage, X, word: np.array([[0, 1]]))
+                        lambda stage, X, word: (2, np.array([[0, 1]])))
     with pytest.raises(RuntimeError,
                        match="colorings: a searched coloring is not fixed"):
         colorings(table, parse_braid("s1"))
@@ -997,6 +997,20 @@ def test_count_and_state_sum_share_one_search(monkeypatch):
             assert calls[i](Y) == want[i], order
         # the first call searched Y; the others read what it held
         assert sum(args[1] is Y for args in searched) == 1, order
+
+
+def test_a_fresh_search_reads_its_rules_and_plan_once(monkeypatch):
+    # _compiled is spied second: emptying the memos clears its cache
+    rules = _spy(monkeypatch, "_rules")
+    plans = _spy(monkeypatch, "_compiled")
+    X, psi, word = _sharing_case()
+    count_colorings(X, word)
+    assert len(rules) == len(plans) == 1
+    # the memo holds the arc count with the rows, so the calls that read
+    # them plan nothing
+    state_sum(X, psi, word)
+    colorings(X, word)
+    assert len(rules) == len(plans) == 1
 
 
 def test_held_rows_follow_the_last_word(monkeypatch):

@@ -13,10 +13,14 @@ from ybknots import (
     LinearForm,
     coboundary,
     extend,
+    is_coboundary,
     make_affine,
     make_block,
     make_omega,
+    obstruction_cocycle,
     omega_extension_check,
+    parse_braid,
+    state_sum,
     swap_set,
     ybcore,
 )
@@ -754,6 +758,85 @@ def test_extend_validation():
         extend(X, 3, CochainTable.zero(1, 3, 3))
     with pytest.raises(ArityMismatch):
         extend(X, 3, CochainTable.zero(2, 4, 3))
+
+
+# One row per entry point that takes a cochain on X (|X| = 3) and per
+# rule it holds the cochain to: (call, cochain, error, message).  The set
+# size is checked everywhere, by CochainTable.check_on; the arity and the
+# modulus where the caller requires them.
+_Z3 = z3_biquandle()
+_GOOD = CochainTable.zero(2, 3, 3)
+COCHAIN_MISMATCHES = {
+    "state_sum set size": (
+        lambda f: state_sum(_Z3, f, parse_braid("s1")),
+        CochainTable.zero(2, 4, 3), ArityMismatch,
+        "state_sum: cochain set size 4 does not match |X| = 3"),
+    "state_sum arity": (
+        lambda f: state_sum(_Z3, f, parse_braid("s1")),
+        CochainTable.zero(1, 3, 3), ArityMismatch,
+        "state_sum: cochain arity 1 does not match arity 2"),
+    "coboundary set size": (
+        lambda f: coboundary(_Z3, f), CochainTable.zero(2, 4, 3),
+        ArityMismatch,
+        "coboundary: cochain set size 4 does not match |X| = 3"),
+    "is_coboundary set size": (
+        lambda f: is_coboundary(_Z3, f), CochainTable.zero(2, 4, 3),
+        ArityMismatch,
+        "is_coboundary: cochain set size 4 does not match |X| = 3"),
+    "is_coboundary arity": (
+        lambda f: is_coboundary(_Z3, f), CochainTable.zero(1, 3, 3),
+        ValueError, "is_coboundary needs a cochain of arity >= 2"),
+    # the obstruction is refused by the coboundary it takes
+    "obstruction_cocycle set size": (
+        lambda f: obstruction_cocycle(_Z3, f), CochainTable.zero(1, 4, 3),
+        ArityMismatch,
+        "coboundary: cochain set size 4 does not match |X| = 3"),
+    "obstruction_cocycle modulus": (
+        lambda f: obstruction_cocycle(_Z3, f), CochainTable.zero(1, 3, 6),
+        ValueError, "modulus 6 is not a prime power"),
+    **{f"extend {name} {what}": (
+        call, bad, error,
+        f"extend: {name} {what} {have} does not match {expected}")
+       for name, call in (("psi1", lambda f: extend(_Z3, 3, f, _GOOD)),
+                          ("psi2", lambda f: extend(_Z3, 3, _GOOD, f)))
+       for what, bad, error, have, expected in (
+           ("set size", CochainTable.zero(2, 4, 3), ArityMismatch, 4,
+            "|X| = 3"),
+           ("arity", CochainTable.zero(1, 3, 3), ArityMismatch, 1,
+            "arity 2"),
+           ("modulus", CochainTable.zero(2, 3, 2), ModulusMismatch, 2,
+            "m = 3"))},
+}
+
+
+@pytest.mark.parametrize("call,bad,error,message",
+                         COCHAIN_MISMATCHES.values(),
+                         ids=COCHAIN_MISMATCHES.keys())
+def test_a_cochain_off_x_is_refused_with_one_message(call, bad, error,
+                                                      message):
+    with pytest.raises(error) as caught:
+        call(bad)
+    assert str(caught.value) == message
+
+
+def test_cochain_tables_past_the_entries_cap_are_refused_first():
+    with pytest.raises(ResourceBound,
+                       match=r"CochainTable.zero: set_size\^arity = 27000000 "
+                       rf"exceeds the cap {ybcore.MAX_ENTRIES}"):
+        CochainTable.zero(3, 300, 2)
+
+    def never(*xs):
+        raise AssertionError("fn ran past the cap")
+
+    with pytest.raises(ResourceBound,
+                       match=r"CochainTable.from_function: set_size\^arity = "
+                       rf"{2 ** 25} exceeds the cap"):
+        CochainTable.from_function(25, 2, 3, never)
+    # a count too long to print is given by its power of two
+    with pytest.raises(ResourceBound,
+                       match=r"CochainTable.zero: set_size\^arity = "
+                       r"2\^15849 or more exceeds the cap"):
+        CochainTable.zero(10 ** 4, 3, 2)
 
 
 def test_extension_yang_baxter_condition_small_sweep():

@@ -508,6 +508,32 @@ def test_cube_dimension_cap_raises_before_the_schedule(monkeypatch):
         with pytest.raises(ResourceBound, match=rf"{stage}: cube dimension "
                            rf"= {n} exceeds the cap {cap}"):
             call()
+    # the same gate refuses a cube with no edges, before the schedule
+    for call, stage in (
+            (lambda: color_cube(X, []), "color_cube"),
+            (lambda: boundary(X, []), "boundary"),
+            (lambda: ybhomology.CubeColoring(0, ()).color(1, 0),
+             "CubeColoring.color")):
+        with pytest.raises(ValueError, match=rf"{stage}: cube dimension "
+                           "must be at least 1, got 0"):
+            call()
+
+
+def test_schedule_slots_are_the_edges_of_the_cube():
+    for n in range(1, ybhomology.MAX_CUBE_DIMENSION + 1):
+        sched = ybhomology._schedule(n)
+        slots = sched.slots
+        assert len(slots) == n << (n - 1)
+        assert set(slots) == {(d, c) for d in range(1, n + 1)
+                              for c in range(1 << n) if not c >> (d - 1) & 1}
+        assert sorted(slots.values()) == list(range(len(slots)))
+        assert all(sched.edges[slot] == edge for edge, slot in slots.items())
+        # a coloring whose colors are the slot numbers reads each edge's
+        # slot, whether or not the corner names the edge's own bit
+        coloring = ybhomology.CubeColoring(n, tuple(range(len(slots))))
+        for (d, c), slot in slots.items():
+            assert coloring.color(d, c) == slot
+            assert coloring.color(d, c | 1 << (d - 1)) == slot
 
 
 def test_obstruction_frozen_values():
