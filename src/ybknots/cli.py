@@ -230,13 +230,12 @@ def _mismatch(row, expected) -> str:
 
 def _reproduce_table1(args) -> int:
     q, s, t = reference.TABLE1_PARAMS
+    words = [vknots.parse_braid(reference.KISHINO_WORDS[name])
+             for name in reference.KNOT_NAMES]
     rows = []
     for u in reference.TABLE1_U_VALUES:
         X = ybcore.make_affine(q, s, t, u)
-        counts = tuple(
-            vknots.count_colorings(X,
-                                   vknots.parse_braid(reference.KISHINO_WORDS[name]))
-            for name in reference.KNOT_NAMES)
+        counts = tuple(vknots.count_colorings(X, word) for word in words)
         expected = reference.TABLE1_COUNTS[u]
         rows.append({"u": u, "counts": list(counts),
                      "expected": list(expected), "ok": counts == expected})

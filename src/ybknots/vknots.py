@@ -25,7 +25,12 @@ coloring per row: a branch repeats every row once per color, a derived
 arc is a column gather, and a check drops the rows it fails.
 
 Either way the rows found are traced through the word, which checks
-that each is fixed and gives the state-sum weights.
+that each is fixed and gives the state-sum weights.  The trace holds
+one 1-D array per strand position, with every row's color there: a
+real letter gathers its pair's two new colors (and the weight term)
+from the flattened tables, and a virtual letter only swaps two arrays.
+The weights are summed exactly in int64 and reduced mod m once, after
+the last letter (see `_trace_word`).
 
 Two memos reuse what a closed braid needs.  Its arcs and search plan
 depend only on the word and the rule set, so `_compiled` keeps them in
@@ -242,37 +247,57 @@ def apply_word(X: FiniteYBSet, word: BraidWord, colors) -> tuple[int, ...]:
     colors = _check_colors(X.size, colors)
     end, _ = _trace_word(X, word, np.array([colors], dtype=np.int64),
                          None, None)
-    return tuple(end[0].tolist())
+    return tuple([int(strand[0]) for strand in end])
 
 
 def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
     """Run the rows of `start` through the word at once; returns (end,
-    accumulated weights or None)."""
-    current = start.copy()
-    weights = None if psi_array is None else np.zeros(len(start),
-                                                     dtype=np.int64)
-    r1, r2 = X.r1, X.r2
+    weights mod `modulus`, or None without `psi_array`).
+
+    `end` is the strand positions as a list of 1-D arrays, one per
+    position, each holding that position's color in every row.  A real
+    letter reads its pair's flat index a*n + b once and gathers the two
+    new colors (and the weight term) from the flattened tables; a
+    virtual letter only swaps two list entries.  No entry is written in
+    place, so a position no letter touched is still a view of `start`.
+
+    Each weight term lies in (-m, m), so the int64 sum of a word of L
+    letters stays exact while L*m < 2^62 and is reduced mod m once,
+    after the last letter.  `state_sum` refuses m > 2^24 before any
+    trace, which keeps every word that fits in memory there; a larger
+    modulus, which only a direct call can give, is reduced at every
+    letter instead.
+    """
+    n = X.size
+    strands = list(start.T)
+    weights = None
+    each = False
+    if psi_array is not None:
+        weights = np.zeros(len(start), dtype=np.int64)
+        psi = psi_array.reshape(-1)
+        each = len(word.generators) * modulus >= 2 ** 62
+    r1, r2 = X.r1.reshape(-1), X.r2.reshape(-1)
     if _needs_inverse(word):
-        rbar1, rbar2 = X.rbar1, X.rbar2
+        rbar1, rbar2 = X.rbar1.reshape(-1), X.rbar2.reshape(-1)
     for g in word.generators:
         i = g.index - 1
-        a = current[:, i]
-        b = current[:, i + 1]
+        if g.kind == VIRTUAL:
+            strands[i], strands[i + 1] = strands[i + 1], strands[i]
+            continue
+        pair = strands[i] * n + strands[i + 1]
         if g.kind == POSITIVE:
             if weights is not None:
-                weights = (weights + psi_array[a, b]) % modulus
-            na, nb = r1[a, b], r2[a, b]
-            current[:, i] = na
-            current[:, i + 1] = nb
-        elif g.kind == NEGATIVE:
-            na, nb = rbar1[a, b], rbar2[a, b]
-            if weights is not None:
-                weights = (weights - psi_array[na, nb]) % modulus
-            current[:, i] = na
-            current[:, i + 1] = nb
+                weights += psi[pair]
+            strands[i], strands[i + 1] = r1[pair], r2[pair]
         else:
-            current[:, [i, i + 1]] = current[:, [i + 1, i]]
-    return current, weights
+            strands[i], strands[i + 1] = rbar1[pair], rbar2[pair]
+            if weights is not None:
+                weights -= psi[strands[i] * n + strands[i + 1]]
+        if each:
+            weights %= modulus
+    if weights is not None:
+        weights %= modulus
+    return strands, weights
 
 
 def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
@@ -284,7 +309,7 @@ def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     end, _ = _trace_word(
         X, word, form.index(units.reshape(len(units), word.strands, form.d)),
         None, None)
-    return form.digits(end).reshape(len(units), -1).T
+    return form.digits(np.stack(end, axis=1)).reshape(len(units), -1).T
 
 
 def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[tuple, tuple]:
@@ -570,7 +595,7 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
         n_arcs, start = _searched_rows(stage, X, word)
         found = "a searched coloring"
     end, weights = _trace_word(X, word, start, psi_array, modulus)
-    if not np.array_equal(end, start):
+    if not np.array_equal(end, start.T):
         raise RuntimeError(
             f"{stage}: {found} is not fixed by {word!r} on {X.label}")
     if X.linear is None:

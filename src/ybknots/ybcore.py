@@ -34,6 +34,7 @@ from .errors import (
     NotBiquandle,
     ProductNotZero,
     check_cap,
+    check_power_cap,
 )
 
 # Most int64 entries of one array the package allocates: a solution
@@ -594,7 +595,7 @@ class CochainTable:
         value is made, when the set_size^arity values pass MAX_ENTRIES."""
         arity = _integer(arity, "arity", 0)
         set_size = _integer(set_size, "set_size", 1)
-        check_cap(stage, "set_size^arity", set_size ** arity, MAX_ENTRIES)
+        check_power_cap(stage, "set_size^arity", set_size, arity, MAX_ENTRIES)
         return arity, set_size
 
     @classmethod

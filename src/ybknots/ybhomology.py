@@ -29,6 +29,7 @@ from .errors import (
     ColoringInconsistent,
     NotACocycle,
     check_cap,
+    check_power_cap,
 )
 from . import ybcore
 from .modalg import (IntegerMatrix, _invariant_form, _orders, _stacked_smith,
@@ -287,10 +288,10 @@ def coboundary_matrix(X: FiniteYBSet, n: int) -> IntegerMatrix:
     n = _integer(n, "arity")
     if n < 0:
         raise ValueError("arity must be non-negative")
-    shape = (X.size ** (n + 1), X.size ** n)
     # the matrix is one int64 array: 2^24 entries are 128 MB
-    check_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", shape[0] * shape[1],
-              MAX_ENTRIES)
+    check_power_cap("coboundary_matrix", "|X|^(n+1) x |X|^n", X.size,
+                    2 * n + 1, MAX_ENTRIES)
+    shape = (X.size ** (n + 1), X.size ** n)
     signs = _cube("coboundary_matrix", n + 1).signs
     out = np.zeros(shape, dtype=np.int64)
     for rows, columns in _facet_slabs(X, n + 1):
@@ -387,9 +388,9 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     matrix is built.
     """
     n = _integer(n, "arity")
-    check_cap("cohomology_group", "|X|^(n+1)", X.size ** (n + 1),
-              DEFAULT_MAX_CELLS if max_cells is None
-              else _integer(max_cells, "max_cells"))
+    check_power_cap("cohomology_group", "|X|^(n+1)", X.size, n + 1,
+                    DEFAULT_MAX_CELLS if max_cells is None
+                    else _integer(max_cells, "max_cells"))
     if n < 1:
         raise ValueError("arity must be at least 1")
     m = check_modulus(m)

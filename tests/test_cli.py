@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -167,6 +168,17 @@ def test_oversized_inputs_exit_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert "exceeds the cap" in err
+
+
+def test_absurd_arity_exits_2_fast(capsys):
+    # refused from the arity's size, not from 3^(10^7 + 1) computed
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "cohomology", "--affine", "3,2,1",
+                       "--arity", "10000000", "--modulus", "3")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == ("error: cohomology_group: |X|^(n+1) = 2^15849626 or more "
+                   "exceeds the cap 200000\n")
 
 
 def test_moduli_past_int64_exit_2(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import os
 import pickle
 import random
@@ -21,6 +22,7 @@ from ybknots import (
     GroupRingElement,
     LinearForm,
     apply_word,
+    cli,
     cocycle_space,
     ColoringSet,
     colorings,
@@ -418,25 +420,41 @@ def test_linear_path_five_strands_on_fifteen_elements():
     assert state_sum(X, psi, word).value == state_sum(table, psi, word).value
 
 
-def _oracle(X, word, psi):
-    """Colorings and state-sum coefficients of the closed word by tracing
-    every tuple of X^k in plain Python through X.r and X.rbar."""
-    found = []
-    coefficients = [0] * psi.modulus
-    for start in itertools.product(range(X.size), repeat=word.strands):
-        colors, weight = list(start), 0
+def _trace_by_hand(X, word, rows, psi):
+    """Each row traced alone in plain Python through X.r, X.rbar and the
+    swaps: (end rows, weights as unbounded ints, or None without psi).  A
+    positive crossing adds psi at its incoming pair, a negative one
+    subtracts psi at the pair Rbar pulls the incoming pair back to."""
+    ends, weights = [], []
+    for row in rows:
+        colors, weight = list(row), 0
         for g in word.generators:
             i = g.index - 1
             pair = colors[i], colors[i + 1]
             if g.kind == "positive":
-                weight += psi(*pair)
+                if psi is not None:
+                    weight += int(psi[pair])
                 colors[i], colors[i + 1] = X.r(*pair)
             elif g.kind == "negative":
                 colors[i], colors[i + 1] = X.rbar(*pair)
-                weight -= psi(colors[i], colors[i + 1])
+                if psi is not None:
+                    weight -= int(psi[colors[i], colors[i + 1]])
             else:
                 colors[i], colors[i + 1] = pair[1], pair[0]
-        if tuple(colors) == start:
+        ends.append(colors)
+        weights.append(weight)
+    return ends, None if psi is None else weights
+
+
+def _oracle(X, word, psi):
+    """Colorings and state-sum coefficients of the closed word by tracing
+    every tuple of X^k in plain Python through X.r and X.rbar."""
+    starts = list(itertools.product(range(X.size), repeat=word.strands))
+    ends, weights = _trace_by_hand(X, word, starts, psi.as_array())
+    found = []
+    coefficients = [0] * psi.modulus
+    for start, end, weight in zip(starts, ends, weights):
+        if tuple(end) == start:
             found.append(start)
             coefficients[weight % psi.modulus] += 1
     return tuple(found), coefficients
@@ -1119,3 +1137,70 @@ def test_an_unpickled_word_hashes_afresh():
     word = pickle.loads(data)
     assert hash(word) == hash(parse_braid(text))
     assert {parse_braid(text): 1}[word] == 1
+
+
+def _assert_trace_matches(X, word, rows, psi=None, m=None):
+    start = np.array(rows, dtype=np.int64).reshape(len(rows), word.strands)
+    end, weights = vknots._trace_word(X, word, start, psi, m)
+    want, want_weights = _trace_by_hand(X, word, rows, psi)
+    # one 1-D array per strand position, one entry per row
+    assert len(end) == word.strands, word
+    assert all(strand.shape == (len(rows),) for strand in end), word
+    assert np.stack(end, axis=1).tolist() == [list(r) for r in want], word
+    if psi is None:
+        assert weights is None
+    else:
+        assert weights.tolist() == [w % m for w in want_weights], word
+
+
+@pytest.mark.parametrize("X", [
+    make_affine(15, 4, 11, 2), make_block(2, 1, 1), make_omega(2, 2, 2),
+    _relabelled(make_affine(12, 5, 1, 5), random.Random(4)),
+    _relabelled(make_block(3, 1, 2), random.Random(5))],
+    ids=lambda X: X.label)
+def test_trace_matches_a_per_tuple_oracle(X):
+    # declared forms and table-given sets, words of all three letter kinds,
+    # 0, 1 and many rows, with and without a cochain
+    rng = random.Random(f"trace/{X.label}")
+    kinds = set()
+    for _ in range(12):
+        strands = rng.randint(1, 5)
+        word = _random_word(rng, strands, rng.randint(0, 16))
+        kinds.update(g.kind for g in word.generators)
+        m = rng.randint(2, 9)
+        psi = np.array([[rng.randrange(m) for _ in range(X.size)]
+                        for _ in range(X.size)], dtype=np.int64)
+        for n_rows in (0, 1, rng.randint(2, 40)):
+            rows = [[rng.randrange(X.size) for _ in range(strands)]
+                    for _ in range(n_rows)]
+            _assert_trace_matches(X, word, rows)
+            _assert_trace_matches(X, word, rows, psi, m)
+    assert kinds == {"positive", "negative", "virtual"}
+
+
+def test_trace_reduces_the_weights_once_or_at_every_letter():
+    X = make_affine(5, 2, 1, 3)
+    rng = random.Random(7)
+    word = parse_braid("s1 s2 s1^-1 s2 v1 s1 s2^-1 s1 s1 s2")
+    rows = [[rng.randrange(5) for _ in range(3)] for _ in range(20)]
+    # m = 5: 10 letters times m is far below 2^62, one reduction at the end
+    psi = np.array([[rng.randrange(5) for _ in range(5)] for _ in range(5)])
+    _assert_trace_matches(X, word, rows, psi, 5)
+    # m = 2^61: the terms, each near m, would pass int64 after four
+    # positive crossings, so the weights are reduced at every letter.  A
+    # wrapped int64 sum is still right mod 2^61, which divides 2^64, so
+    # the odd modulus 2^61 - 1 is what shows a missed reduction.
+    for m in (2 ** 61, 2 ** 61 - 1):
+        psi = np.array([[m - 1 - rng.randrange(1000) for _ in range(5)]
+                        for _ in range(5)], dtype=np.int64)
+        assert sum(g.kind == "positive" for g in word.generators) \
+            * (m - 1000) > 2 ** 63
+        _assert_trace_matches(X, word, rows, psi, m)
+
+
+def test_reproduce_table1_parses_each_word_once(monkeypatch, capsys):
+    parsed = _spy(monkeypatch, "parse_braid")
+    assert cli.main(["reproduce", "table1", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(parsed) == len(KNOT_NAMES) == 6
+    assert len(rows) == 7 and all(row["ok"] for row in rows)

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+import re
 import time
 from math import gcd, prod
 
@@ -30,6 +32,7 @@ from ybknots import (
     obstruction_cocycle,
     solve_mod,
     swap_set,
+    errors,
     ybcore,
     ybhomology,
 )
@@ -421,6 +424,57 @@ def test_cohomology_guards():
         cohomology_group(z3_biquandle(), 1, 3, max_cells=5)
     with pytest.raises(ValueError):
         cohomology_group(z3_biquandle(), 0, 3)
+
+
+def test_absurd_arities_are_refused_without_the_power(monkeypatch):
+    # 3^(10^7) takes about a second to compute and 3^(2*10^7 + 1) several:
+    # the refusal reads the size off the exponent before any power
+    def no_power(*args):
+        raise AssertionError("computed the power")
+
+    monkeypatch.setattr(errors, "check_cap", no_power)
+    X = make_affine(3, 2, 1)
+    cases = [
+        (lambda: CochainTable.zero(10 ** 7, 3, 2),
+         r"CochainTable.zero: set_size\^arity = 2\^15849625 or more "
+         rf"exceeds the cap {2 ** 24}"),
+        (lambda: coboundary_matrix(X, 10 ** 7),
+         r"coboundary_matrix: \|X\|\^\(n\+1\) x \|X\|\^n = "
+         rf"2\^31699251 or more exceeds the cap {2 ** 24}"),
+        (lambda: cohomology_group(X, 10 ** 7, 3),
+         r"cohomology_group: \|X\|\^\(n\+1\) = 2\^15849626 or more "
+         r"exceeds the cap 200000"),
+        # no exponent is too large to read
+        (lambda: cohomology_group(X, 10 ** 400, 3),
+         r"cohomology_group: \|X\|\^\(n\+1\) = 2\^\d{401} or more")]
+    for call, message in cases:
+        start = time.perf_counter()
+        with pytest.raises(ResourceBound, match=message):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_power_cap_reads_a_lower_bound_of_the_exact_power():
+    # past 2^16 bits the power is refused as 2^k or more with k at most
+    # its exact floor(log2) and at least one below it; up to 2^16 bits it
+    # is computed, so the message is the exact one
+    rng = random.Random(11)
+    for _ in range(200):
+        base = rng.choice([2, 3, 15, 4096, rng.randrange(2, 10 ** 6)])
+        bits = rng.randrange(2 ** 16 - 40, 2 ** 16 + 400)
+        exponent = max(1, round(bits / math.log2(base)))
+        exact = (base ** exponent).bit_length() - 1
+        with pytest.raises(ResourceBound) as raised:
+            errors.check_power_cap("stage", "what", base, exponent, 2 ** 24)
+        k = int(re.fullmatch(r"stage: what = 2\^(\d+) or more exceeds the "
+                             rf"cap {2 ** 24}", str(raised.value)).group(1))
+        assert exact - 1 <= k <= exact, (base, exponent)
+        if exact < 2 ** 16:
+            assert k == exact, (base, exponent)
+    # within the cap, or a cap as large as the power, nothing is refused
+    errors.check_power_cap("stage", "what", 2, 24, 2 ** 24)
+    errors.check_power_cap("stage", "what", 3, 10 ** 5, 3 ** 10 ** 5)
+    errors.check_power_cap("stage", "what", 1, 10 ** 9, 1)
 
 
 def test_moduli_past_int64_are_refused_before_the_matrix(monkeypatch):
