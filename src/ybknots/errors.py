@@ -58,14 +58,20 @@ class ResourceBound(YBKError):
     """The requested computation exceeds the configured size cap."""
 
 
+def shown(count: int) -> int | str:
+    """count as a message prints it: past 2^256 a power of two, "2^k or
+    more", as Python prints no int of more than 4300 digits."""
+    if count >= 2 ** 256:
+        return f"2^{int(count).bit_length() - 1} or more"
+    return count
+
+
 def check_cap(stage: str, what: str, count: int, cap: int):
     """Raise ResourceBound, naming the stage and the estimated size, when
-    `count` (the size of `what`) exceeds `cap`; past 2^256 the size is
-    a power of two, as Python prints no int of more than 4300 digits."""
+    `count` (the size of `what`) exceeds `cap`; both are `shown`."""
     if count > cap:
-        if count >= 2 ** 256:
-            count = f"2^{int(count).bit_length() - 1} or more"
-        raise ResourceBound(f"{stage}: {what} = {count} exceeds the cap {cap}")
+        raise ResourceBound(
+            f"{stage}: {what} = {shown(count)} exceeds the cap {shown(cap)}")
 
 
 # Most bits of a power that `check_power_cap` computes exactly: 3^41350,
@@ -73,20 +79,35 @@ def check_cap(stage: str, what: str, count: int, cap: int):
 _EXACT_POWER_BITS = 2 ** 16
 
 
+def _power_bits(base: int, exponent: int) -> int:
+    """A k with base^exponent >= 2^k, read from exponent * log2(base)
+    alone: a floor of that product less a margin far wider than the
+    rounding of log2, in exact fractions so that no exponent overflows a
+    float."""
+    return math.floor(Fraction(math.log2(base)) * exponent
+                      * (1 - Fraction(1, 2 ** 40)))
+
+
+def shown_power(base: int, exponent: int) -> int | str:
+    """`shown`(base^exponent), computing the power only while its lower
+    bound 2^(exponent * (bits of base - 1)) is at most 2^256, so that the
+    power has at most 512 bits; past that it is "2^k or more"."""
+    if exponent * (base.bit_length() - 1) <= 256:
+        return shown(base ** exponent)
+    return f"2^{_power_bits(base, exponent)} or more"
+
+
 def check_power_cap(stage: str, what: str, base: int, exponent: int,
                     cap: int):
     """`check_cap` on base^exponent, where a power of more than 2^16 bits
-    and past the cap is refused from exponent * log2(base) alone, before
-    it is computed, as "2^k or more".  k is a floor of that product less
-    a margin far wider than the rounding of log2, in exact fractions so
-    that no exponent overflows a float: base^exponent >= 2^k."""
+    and past the cap is refused from `_power_bits` alone, before it is
+    computed, as "2^k or more"."""
     if base > 1 and exponent > 0 and \
             exponent * base.bit_length() > _EXACT_POWER_BITS:
-        k = math.floor(Fraction(math.log2(base)) * exponent
-                       * (1 - Fraction(1, 2 ** 40)))
+        k = _power_bits(base, exponent)
         if k > max(_EXACT_POWER_BITS, cap.bit_length()):
-            raise ResourceBound(
-                f"{stage}: {what} = 2^{k} or more exceeds the cap {cap}")
+            raise ResourceBound(f"{stage}: {what} = 2^{k} or more exceeds "
+                                f"the cap {shown(cap)}")
     check_cap(stage, what, base ** exponent, cap)
 
 

@@ -20,9 +20,15 @@ it through Rbar, (x, z) through the left inverse of y -> R1(x, y), and
 (y, w) through the right inverse of x -> R2(x, y); a biquandle has all
 four.  Which arcs a rule fixes depends only on which arcs are known, so
 the search is planned over arc ids (branch on an arc, derive arcs,
-check arcs already known) and then run on an array holding one partial
-coloring per row: a branch repeats every row once per color, a derived
-arc is a column gather, and a check drops the rows it fails.
+check arcs already known) and then run on an (arcs, rows) array, one
+partial coloring per row.  The plan numbers the arcs in the order it
+makes them known, so after each step the known arcs are a prefix of the
+arc axis, and a step reads and copies only that prefix: a branch
+repeats each row's known arcs once per color and gives its new arcs
+every color; a derived arc is a gather from the flattened tables at the
+pair's flat index a*n + b; a check keeps the rows it passes, copying
+only their known arcs.  The entries of arcs not yet known are allocated
+but never read.
 
 Either way the rows found are traced through the word, which checks
 that each is fixed and gives the state-sum weights.  The trace holds
@@ -486,12 +492,35 @@ def _compiled(word: BraidWord, rules: tuple[int, ...]) -> tuple:
     """(number of arcs, top arcs, `_plan`'s steps) of the closed word
     under one rule set: everything of the search but the tables.
 
+    The arcs are renumbered in the order the plan makes them known: a
+    branch's arcs, then each cross step's writes in slot order.  After
+    every step the known arcs are then ids 0..known-1, so the search
+    holds them as a prefix of its array.
+
     The tuples are built from lists, not generators: CPython sizes a
     tuple(generator) by a guess and resizes it, so as entries churned,
     freed tuples kept filling its per-size free lists and peak RSS
     climbed for the whole run (+1.6 MB over 25 s on braids_table)."""
     n_arcs, top, crossings = _arcs(word)
-    return n_arcs, top, tuple(_plan(n_arcs, top, crossings, rules))
+    order = [0] * n_arcs
+    known = 0
+    steps = []
+    for step in _plan(n_arcs, top, crossings, rules):
+        if step[0] == "branch":
+            start = known
+            for a in step[1]:
+                order[a] = known
+                known += 1
+            steps.append(("branch", tuple(range(start, known))))
+            continue
+        _, rule, arcs, writes, checks = step
+        for slot in writes:
+            order[arcs[slot]] = known
+            known += 1
+        x, y, z, w = arcs
+        steps.append(("cross", rule, (order[x], order[y], order[z], order[w]),
+                      writes, checks))
+    return n_arcs, tuple([order[a] for a in top]), tuple(steps)
 
 
 def _check_top_arcs(stage: str, word: BraidWord):
@@ -518,52 +547,68 @@ def _rules(X: FiniteYBSet, word: BraidWord) -> tuple[int, ...]:
 
 def _searched_rows(stage: str, X: FiniteYBSet, word: BraidWord):
     """(number of arcs, the colorings of the closed word as strand tuples)
-    on a table-given solution, found by running `_plan` on an (arcs, rows)
-    array.  Consecutive branches are one step, so the entries cap is
+    on a table-given solution, found by running `_compiled`'s plan on an
+    (arcs, rows) array.  Its arcs are numbered in plan order, so the
+    first `known` arcs are the known ones: a step reads and copies only
+    those.  Consecutive branches are one step, so the entries cap is
     checked on the array that would hold the rows they make before any
     is allocated."""
     rules = _rules(X, word)
-    r1, r2 = X.r1, X.r2
+    r1, r2 = X.r1.reshape(-1), X.r2.reshape(-1)
     if _BACKWARD in rules:
-        rbar1, rbar2 = X.rbar1, X.rbar2
+        rbar1, rbar2 = X.rbar1.reshape(-1), X.rbar2.reshape(-1)
     if _LEFT in rules:
-        left = X.left_inverse
+        left = X.left_inverse.reshape(-1)
     if _RIGHT in rules:
-        right = X.right_inverse
+        right = X.right_inverse.reshape(-1)
     n_arcs, top, steps = _compiled(word, rules)
     n = X.size
-    cols = np.zeros((n_arcs, 1), dtype=np.int64)
+    cols = np.empty((n_arcs, 1), dtype=np.int64)
+    known = 0
     for step in steps:
         n_rows = cols.shape[1]
         if n_rows == 0:
             break
         if step[0] == "branch":
-            arcs = list(step[1])
-            combos = n ** len(arcs)
+            width = len(step[1])
+            combos = n ** width
             check_cap(stage, "search entries arcs*rows",
                       n_arcs * n_rows * combos, MAX_ENTRIES)
-            colors = _decode(np.arange(combos), n, len(arcs)).T
-            cols = np.repeat(cols, combos, axis=1)
-            cols[arcs] = np.tile(colors, n_rows)
+            colors = _decode(np.arange(combos), n, width).T
+            grown = np.empty((n_arcs, n_rows, combos), dtype=np.int64)
+            # row r*combos + c extends row r by the c-th color combination
+            grown[:known] = cols[:known, :, None]
+            grown[known:known + width] = colors[:, None, :]
+            cols = grown.reshape(n_arcs, n_rows * combos)
+            known += width
             continue
         _, rule, arcs, writes, checks = step
         v = [cols[a] for a in arcs]
         if rule == _FORWARD:
-            v[2], v[3] = r1[v[0], v[1]], r2[v[0], v[1]]
+            pair = v[0] * n + v[1]
+            v[2], v[3] = r1[pair], r2[pair]
         elif rule == _BACKWARD:
-            v[0], v[1] = rbar1[v[2], v[3]], rbar2[v[2], v[3]]
+            pair = v[2] * n + v[3]
+            v[0], v[1] = rbar1[pair], rbar2[pair]
         elif rule == _LEFT:
-            v[1] = left[v[0], v[2]]
-            v[3] = r2[v[0], v[1]]
+            v[1] = left[v[0] * n + v[2]]
+            v[3] = r2[v[0] * n + v[1]]
         else:
-            v[0] = right[v[1], v[3]]
-            v[2] = r1[v[0], v[1]]
+            v[0] = right[v[1] * n + v[3]]
+            v[2] = r1[v[0] * n + v[1]]
         for slot in writes:
             cols[arcs[slot]] = v[slot]
+        known += len(writes)
         if checks:
-            keep = np.logical_and.reduce(
-                [v[slot] == cols[arcs[slot]] for slot in checks])
-            cols = cols[:, keep]
+            keep = v[checks[0]] == cols[arcs[checks[0]]]
+            for slot in checks[1:]:
+                keep &= v[slot] == cols[arcs[slot]]
+            rows = keep.nonzero()[0]
+            kept = np.empty((n_arcs, len(rows)), dtype=np.int64)
+            # in "clip" mode take writes straight into `out`; by default,
+            # as compress does, it fills a buffer and copies that
+            cols[:known].take(rows, axis=1, out=kept[:known], mode="clip")
+            cols = kept
     return n_arcs, cols[list(top)].T
 
 

@@ -35,6 +35,7 @@ from .errors import (
     ProductNotZero,
     check_cap,
     check_power_cap,
+    shown_power,
 )
 
 # Most int64 entries of one array the package allocates: a solution
@@ -580,9 +581,13 @@ class CochainTable:
             # values past int64 are Python ints; their residues fit
             values = values % modulus
         values = values.astype(np.int64, copy=False).reshape(-1) % modulus
-        if values.shape[0] != set_size ** arity:
-            raise ValueError(
-                f"need {set_size ** arity} values, got {values.shape[0]}")
+        length = values.shape[0]
+        # set_size^arity >= 2^(arity * (bits of set_size - 1)), so a bound
+        # past the length's bit length refuses it before the power is made
+        if arity * (set_size.bit_length() - 1) >= length.bit_length() or \
+                set_size ** arity != length:
+            raise ValueError(f"need {shown_power(set_size, arity)} values, "
+                             f"got {length}")
         values.setflags(write=False)
         self.arity = arity
         self.set_size = set_size

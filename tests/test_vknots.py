@@ -549,6 +549,62 @@ def test_search_on_degenerate_closures():
             _assert_matches_oracle(X, parse_braid(text, strands), psi)
 
 
+def _searched_words():
+    """The words of the two tests above, drawn in the same order from the
+    same seed, so every plan they search is checked below."""
+    rng = random.Random(11)
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        if trial % 2:
+            rng.sample(range(n * n), n * n)
+        else:
+            for _ in range(2 * n * n):
+                rng.randrange(n)
+        m = rng.randint(2, 4)
+        for _ in range(n * n):
+            rng.randrange(m)
+        for _ in range(3):
+            yield _random_word(rng, rng.randint(1, 4), rng.randint(0, 8))
+    for text, strands in (("s1", 2), ("s1", 3), ("s1 v2", 3), ("s2 s2", 4),
+                          ("", 3), ("v1 v2", 3), ("v1 v1", 2),
+                          ("v2 v1 v3", 4)):
+        yield parse_braid(text, strands)
+
+
+def test_plan_numbers_arcs_in_the_order_they_become_known():
+    # the search holds the known arcs as the first rows of its array, so
+    # each branch arc and each write must take the next id, and a step
+    # may read only ids already known
+    words = list(_searched_words())
+    assert len(words) == 368
+    for word in words:
+        negative = any(g.kind == "negative" for g in word.generators)
+        for backward, left, right in itertools.product((0, 1), repeat=3):
+            if negative and not backward:
+                continue
+            rules = tuple(r for r, on in enumerate((1, backward, left, right))
+                          if on)
+            n_arcs, top, steps = vknots._compiled(word, rules)
+            known = 0
+            for step in steps:
+                if step[0] == "branch":
+                    assert step[1] == tuple(range(known, known + len(step[1])))
+                    known += len(step[1])
+                    continue
+                _, rule, arcs, writes, checks = step
+                assert rule in rules
+                assert all(arcs[slot] < known for slot in vknots._PAIRS[rule])
+                assert [arcs[slot] for slot in writes] == \
+                    list(range(known, known + len(writes)))
+                known += len(writes)
+                assert all(arcs[slot] < known for slot in checks)
+                assert sorted(vknots._PAIRS[rule] + writes + checks) == \
+                    [0, 1, 2, 3]
+            assert known == n_arcs, (word, rules)
+            assert all(0 <= a < n_arcs for a in top)
+            assert len(top) == word.strands
+
+
 def test_search_order_matches_oracle_under_relabelling():
     # the rows come out of the search in branch order; the listed
     # colorings must still be lexicographic in whatever labels X has

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from math import gcd
 
 import numpy as np
@@ -837,6 +838,25 @@ def test_cochain_tables_past_the_entries_cap_are_refused_first():
                        match=r"CochainTable.zero: set_size\^arity = "
                        r"2\^15849 or more exceeds the cap"):
         CochainTable.zero(10 ** 4, 3, 2)
+
+
+def test_cochain_length_mismatch_is_refused_from_the_bit_length():
+    # 3^(10^7) values would take seconds to count and do not print; the
+    # length check reads the power's size off its bit length instead
+    start = time.perf_counter()
+    for arity, want in ((10 ** 4, r"2\^15849 or more"),
+                        (10 ** 7, r"2\^15849625 or more"), (3, "27")):
+        with pytest.raises(ValueError,
+                           match=rf"^need {want} values, got 1$"):
+            CochainTable(arity, 3, 2, [0])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match=r"^need 1 values, got 2$"):
+        CochainTable(10 ** 9, 1, 2, [0, 1])
+    with pytest.raises(ValueError, match=r"^need 4 values, got 0$"):
+        CochainTable(2, 2, 2, [])
+    # a power of two is its own length, not refused by the bound
+    assert CochainTable(3, 4, 2, [1] * 64).values.shape == (64,)
+    assert list(CochainTable(10 ** 9, 1, 2, [3]).values) == [1]
 
 
 def test_extension_yang_baxter_condition_small_sweep():

@@ -454,6 +454,28 @@ def test_absurd_arities_are_refused_without_the_power(monkeypatch):
         assert time.perf_counter() - start < 1
 
 
+def test_a_cap_too_long_to_print_is_shown_as_a_power_of_two():
+    # a cap of 10^30000 has more than 4300 digits: the refusal names it by
+    # its power of two, as it does the count, on both routes of the check
+    X = make_affine(3, 2, 1)
+    for n, count, cap, shown in (
+            (10 ** 5, 158497, 10 ** 30000, 99657),
+            # 3^10001 has 15852 bits, so it is computed before the compare
+            (10 ** 4, 15851, 10 ** 4400, 14616)):
+        with pytest.raises(ResourceBound,
+                           match=rf"^cohomology_group: \|X\|\^\(n\+1\) = "
+                           rf"2\^{count} or more exceeds the cap "
+                           rf"2\^{shown} or more$"):
+            cohomology_group(X, n, 3, max_cells=cap)
+    with pytest.raises(ResourceBound, match=r"^stage: what = 2\^257 or more "
+                       r"exceeds the cap 2\^256 or more$"):
+        errors.check_cap("stage", "what", 2 ** 258 - 1, 2 ** 256)
+    # below 2^256 both print exactly
+    with pytest.raises(ResourceBound, match=rf"^stage: what = {2 ** 255} "
+                       rf"exceeds the cap {2 ** 255 - 1}$"):
+        errors.check_cap("stage", "what", 2 ** 255, 2 ** 255 - 1)
+
+
 def test_power_cap_reads_a_lower_bound_of_the_exact_power():
     # past 2^16 bits the power is refused as 2^k or more with k at most
     # its exact floor(log2) and at least one below it; up to 2^16 bits it
