@@ -21,8 +21,8 @@ it through Rbar, (x, z) through the left inverse of y -> R1(x, y), and
 four.  Which arcs a rule fixes depends only on which arcs are known, so
 the search is planned over arc ids (branch on an arc, derive arcs,
 check arcs already known) and then run on an (arcs, rows) array, one
-partial coloring per row.  The plan numbers the arcs in the order it
-makes them known, so after each step the known arcs are a prefix of the
+partial coloring per row.  The plan gives each arc its id as it makes
+the arc known, so after each step the known arcs are a prefix of the
 arc axis, and a step reads and copies only that prefix: a branch
 repeats each row's known arcs once per color and gives its new arcs
 every color; a derived arc is a gather from the flattened tables at the
@@ -40,7 +40,10 @@ the last letter (see `_trace_word`).
 
 Two memos reuse what a closed braid needs.  Its arcs and search plan
 depend only on the word and the rule set, so `_compiled` keeps them in
-an LRU cache of `_CACHE_SIZE` = 16 tuples, shared by every set.  What
+an LRU cache of `_CACHE_SIZE` = 16 tuples, shared by every set.  Over
+one braids_table pass 37 of its 108 lookups hit, 36 of them Table 1's
+words on its relabelled sets; a word job looks its plan up once, since
+the count after its state sum reads the closure memo.  What
 the tables give, the colorings, is kept for one closure only: the last
 (set, word) any call found, with the generators and orders of
 ker(W - I) on a set with a form, or the read-only rows the trace
@@ -85,10 +88,12 @@ MAX_KERNEL_DIGITS = 224
 # arc at each branch, which grows as the cube of the top arcs.
 MAX_TOP_ARCS = 320
 
-# Most plans `_compiled` keeps.  A word is reused within a few calls (a
-# count and a state sum, one word over Table 1's sets).  At the word caps
-# a plan of 4000 letters takes about 1 MB, so a full cache stays within
-# 16 MB.
+# Most plans `_compiled` keeps.  Over one braids_table pass (seed 0,
+# after a warm pass, cache cleared first) 37 of 108 lookups hit: 36 are
+# Table 1's words on its relabelled sets, which share a rule set.  A word
+# job looks its plan up once; the count that follows its state sum on the
+# same set reads the closure memo instead.  At the word caps a plan of
+# 4000 letters takes about 1 MB, so a full cache stays within 16 MB.
 _CACHE_SIZE = 16
 
 # The last closure any call found: (weak reference to the set, word,
@@ -400,12 +405,18 @@ def _arcs(word: BraidWord):
             tuple([tuple([arc[a] for a in c]) for c in crossings]))
 
 
-def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
-    """The search as steps over arc ids.  ("branch", arcs) gives the arcs
-    every combination of colors.  ("cross", rule, arcs, writes, checks)
-    fixes a crossing from the pair of `rule`: it writes the slots whose
-    arcs were unknown and checks the others, so every crossing's whole
-    relation is enforced once, also where two of its slots are one arc.
+def _plan(n_arcs: int, top, crossings, rules) -> tuple:
+    """(number of arcs, top arcs, steps): the search as steps over arc
+    ids.  ("branch", arcs) gives the arcs every combination of colors.
+    ("cross", rule, arcs, writes, checks) fixes a crossing from the pair
+    of `rule`: it writes the slots whose arcs were unknown and checks the
+    others, so every crossing's whole relation is enforced once, also
+    where two of its slots are one arc.
+
+    An arc takes its id when it becomes known: a branch arc when it is
+    chosen, a cross step's writes in slot order.  After every step the
+    known arcs are then ids 0..known-1, so the search holds them as a
+    prefix of its array.
 
     A branch takes the arc after which propagation knows the most arcs,
     among those that complete a pair of some open crossing: that keeps
@@ -415,6 +426,11 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
     that many more branches would still keep the total within one per
     top arc, and so the rows within |X|^(top arcs); failing that, the
     best unknown top arc is taken.
+
+    The tuples are built from lists, not generators: CPython sizes a
+    tuple(generator) by a guess and resizes it, so as entries churned,
+    freed tuples kept filling its per-size free lists and peak RSS
+    climbed for the whole run (+1.6 MB over 25 s on braids_table).
     """
     touching: list[list[int]] = [[] for _ in range(n_arcs)]
     for c, arcs in enumerate(crossings):
@@ -451,8 +467,11 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
                         fresh.append(a)
                         gained += 1
                 if steps is not None:
-                    steps.append(("cross", rule, arcs, tuple(writes),
-                                  tuple(checks)))
+                    for slot in writes:
+                        order[arcs[slot]] = len(order)
+                    steps.append(("cross", rule,
+                                  tuple([order[a] for a in arcs]),
+                                  tuple(writes), tuple(checks)))
         return gained
 
     def best(candidates):
@@ -470,6 +489,8 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
     known = [False] * n_arcs
     done = [False] * len(crossings)
     steps: list[tuple] = []
+    # each known arc's id, in the order it became known
+    order: dict[int, int] = {}
     branches = 0
     while not all(known):
         arc = best(sorted({
@@ -478,49 +499,20 @@ def _plan(n_arcs: int, top, crossings, rules) -> list[tuple]:
         if arc is None:
             arc = best([a for a in tops if not known[a]])
         branches += 1
+        order[arc] = len(order)
         if steps and steps[-1][0] == "branch":
-            steps[-1] = ("branch", steps[-1][1] + (arc,))
+            steps[-1] = ("branch", steps[-1][1] + (order[arc],))
         else:
-            steps.append(("branch", (arc,)))
+            steps.append(("branch", (order[arc],)))
         known[arc] = True
         propagate(known, done, [arc], steps)
-    return steps
+    return n_arcs, tuple([order[a] for a in top]), tuple(steps)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(word: BraidWord, rules: tuple[int, ...]) -> tuple:
-    """(number of arcs, top arcs, `_plan`'s steps) of the closed word
-    under one rule set: everything of the search but the tables.
-
-    The arcs are renumbered in the order the plan makes them known: a
-    branch's arcs, then each cross step's writes in slot order.  After
-    every step the known arcs are then ids 0..known-1, so the search
-    holds them as a prefix of its array.
-
-    The tuples are built from lists, not generators: CPython sizes a
-    tuple(generator) by a guess and resizes it, so as entries churned,
-    freed tuples kept filling its per-size free lists and peak RSS
-    climbed for the whole run (+1.6 MB over 25 s on braids_table)."""
-    n_arcs, top, crossings = _arcs(word)
-    order = [0] * n_arcs
-    known = 0
-    steps = []
-    for step in _plan(n_arcs, top, crossings, rules):
-        if step[0] == "branch":
-            start = known
-            for a in step[1]:
-                order[a] = known
-                known += 1
-            steps.append(("branch", tuple(range(start, known))))
-            continue
-        _, rule, arcs, writes, checks = step
-        for slot in writes:
-            order[arcs[slot]] = known
-            known += 1
-        x, y, z, w = arcs
-        steps.append(("cross", rule, (order[x], order[y], order[z], order[w]),
-                      writes, checks))
-    return n_arcs, tuple([order[a] for a in top]), tuple(steps)
+    """The closed word's plan under one rule set, from the plan cache."""
+    return _plan(*_arcs(word), rules)
 
 
 def _check_top_arcs(stage: str, word: BraidWord):

@@ -187,9 +187,11 @@ def _facet_slabs(X: FiniteYBSet, n: int):
 
 def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
     """Propagate the initial-path colors over the whole n-cube.  Raises
-    ColoringInconsistent on a conflict and ColoringIncomplete if edges
-    stay uncolored; neither happens when X satisfies the Yang-Baxter
-    equation."""
+    ColoringInconsistent on a conflict, which only a failure of the
+    Yang-Baxter equation on X can give.  The schedule colors every edge
+    of each dimension the gate admits, whatever X is; its
+    ColoringIncomplete guards the schedule itself and no call reaches
+    it."""
     initial = _check_colors(X.size, initial)
     _cube("color_cube", len(initial))
     row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))

@@ -51,9 +51,15 @@ def test_verify_json(capsys):
 
 
 def test_verify_rejects_non_unit(capsys):
-    rc, _, err = run(capsys, "verify", "--affine", "4,2,1,1")
-    assert rc == 2
-    assert "error: 2 is not a unit modulo 4" in err
+    for affine, message in (
+            ("4,2,1,1", "error: 2 is not a unit modulo 4"),
+            # the parameter list is refused before any unit is checked
+            ("3,1", "error: --affine needs 3 or 4 comma-separated integers"),
+            ("3,x,1", "error: --affine: '3,x,1' is not a comma-separated "
+                      "integer list")):
+        rc, _, err = run(capsys, "verify", "--affine", affine)
+        assert rc == 2
+        assert message in err
 
 
 def test_verify_rejects_oversized_omega(capsys):
@@ -70,6 +76,11 @@ def test_verify_reports_equation_failure(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--table", str(path))
     assert rc == 1
     assert "yang-baxter: FAIL at (1, 0, 0)" in out
+    bad = FiniteYBSet([[1, 0], [0, 0]], [[0, 0], [1, 1]])
+    path.write_text(json.dumps(bad.to_json()))
+    rc, out, _ = run(capsys, "verify", "--table", str(path), "--json")
+    assert rc == 1
+    assert json.loads(out)["first_failure"] == [0, 0, 1]
 
 
 def test_verify_non_invertible_is_not_biquandle(capsys, tmp_path):
@@ -88,6 +99,9 @@ def test_witness(capsys):
     assert rc == 0
     assert "x_of: 0 3 2 1" in out
     assert "y_of: 0 3 2 1" in out
+    rc, out, _ = run(capsys, "witness", "--affine", "4,1,-1,-1", "--json")
+    assert rc == 0
+    assert json.loads(out) == {"x_of": [0, 3, 2, 1], "y_of": [0, 3, 2, 1]}
 
 
 def test_witness_failure(capsys, tmp_path):

@@ -136,6 +136,8 @@ def test_matrix_ops():
         assert (M.rows, M.cols) == shape
     assert IntegerMatrix.zeros(2, 0) @ Z == IntegerMatrix.zeros(2, 3)
     assert Z != IntegerMatrix.zeros(0, 5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        A @ IntegerMatrix.zeros(3, 2)
 
 
 def test_kernel_frozen_examples():
@@ -144,6 +146,8 @@ def test_kernel_frozen_examples():
     for rows in (0, 2):
         assert kernel_mod(IntegerMatrix.zeros(rows, 3), 5) == [
             [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # no unknowns: the kernel is the zero space, with no generators
+    assert kernel_mod(IntegerMatrix.zeros(2, 0), 5) == []
 
 
 def _span(gens, m, width):

@@ -297,6 +297,25 @@ def test_invariance_spot_checks():
         for w in equivalent_words(base):
             assert count_colorings(z4, w) == reference_count, w.text()
             assert state_sum(z4, psi, w).value == reference_value, w.text()
+    # the corpus has at most 3 strands, so these 4-strand words are the
+    # ones that give far commutation, both mixed relations and the
+    # cancellation of s_i s_i^-1; each word maps to the move it shows
+    z15 = make_affine(15, 4, 11, 2)
+    z4_table = FiniteYBSet(z4.r1, z4.r2)
+    for text, moved in (("s1 s3 s2", "s3 s1 s2"),
+                        ("s1 v2 v1", "v2 v1 s2"),
+                        ("v2 v1 s2", "s1 v2 v1"),
+                        ("s1 s1^-1 s2", "s2")):
+        base = parse_braid(text, 4)
+        variants = equivalent_words(base)
+        assert moved in [w.text() for w in variants], text
+        reference_count = count_colorings(z15, base)
+        reference_value = state_sum(z4, psi, base).value
+        for w in variants:
+            assert count_colorings(z15, w) == reference_count, w.text()
+            for Y in (z4, z4_table):
+                assert state_sum(Y, psi, w).value == reference_value, \
+                    w.text()
 
 
 def test_stabilization_breaks_without_type_one():
@@ -603,6 +622,10 @@ def test_plan_numbers_arcs_in_the_order_they_become_known():
             assert known == n_arcs, (word, rules)
             assert all(0 <= a < n_arcs for a in top)
             assert len(top) == word.strands
+            # a search never branches more times than the closure has top
+            # arcs, so its rows stay within |X|^(top arcs)
+            assert sum(len(step[1]) for step in steps
+                       if step[0] == "branch") <= len(set(top)), word
 
 
 def test_search_order_matches_oracle_under_relabelling():

@@ -604,6 +604,12 @@ def test_schedule_slots_are_the_edges_of_the_cube():
                               for c in range(1 << n) if not c >> (d - 1) & 1}
         assert sorted(slots.values()) == list(range(len(slots)))
         assert all(sched.edges[slot] == edge for edge, slot in slots.items())
+        # every face fires once and colors each edge off the initial path,
+        # whatever X is, so no dimension the gate admits is incomplete
+        assert sorted(out for out, *_ in sched.assign) == \
+            list(range(n, len(slots)))
+        assert len(sched.assign) + sched.compare.shape[1] == \
+            n * (n - 1) * 2 ** n // 4
         # a coloring whose colors are the slot numbers reads each edge's
         # slot, whether or not the corner names the edge's own bit
         coloring = ybhomology.CubeColoring(n, tuple(range(len(slots))))
