@@ -163,7 +163,12 @@ def _cmd_cohomology(args) -> int:
     X = _load_set(args)
     cap = args.max_cells
     if cap is None and "YBK_MAX_CELLS" in os.environ:
-        cap = int(os.environ["YBK_MAX_CELLS"])
+        text = os.environ["YBK_MAX_CELLS"]
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ValueError(f"YBK_MAX_CELLS must be an integer cell cap, "
+                             f"got {text!r}") from None
     report = ybhomology.cohomology_group(X, args.arity, args.modulus,
                                          max_cells=cap)
     if args.json:

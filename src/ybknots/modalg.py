@@ -25,6 +25,16 @@ holds none; a pivot of +-1 reduces its row and column with no division.
 `_eliminate` runs the rule over Z/m itself on lists of residues in the
 symmetric range, with no factoring of m; it serves the braid kernel
 (`_cyclic_kernel`), whose element set is pinned but no basis.
+
+Both stay.  Only the Z path yields a pinned basis, which
+`smith_normal_form`, `kernel_mod` and `solve_mod` return.  Over Z the
+entries can grow far past m, and over Z/m they cannot: one braids_affine
+pass at seed 0 eliminates 108 braid kernels, 2 x 2 to 9 x 9 and 54 of
+them 3 x 3 over Z_15, in 2.2-3.6 ms through `_cyclic_kernel`, against
+21-35 ms through `kernel_mod` on the same matrices, of a 19-31 ms pass
+(medians of 7 rounds, two runs, 2-core Xeon, Python 3.11, numpy 2.4).
+In one run there, a random 14 x 14 matrix mod 15 (`random.Random(2)`)
+took 0.5 ms through `_cyclic_kernel` and 29 s through `kernel_mod`.
 """
 
 from __future__ import annotations
@@ -359,35 +369,33 @@ def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
     return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m)
 
 
-def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
-    """Generators of {x in Z_m^cols : A @ x == 0 mod m}.
+def _smith_kernel(A: IntegerMatrix, m: int) -> tuple[list, list]:
+    """Generators of {x in Z_m^cols : A @ x == 0 mod m} and their orders.
 
     Lifts the problem to Z by stacking m*I below A; if U @ B @ V == D for
     the stack B, then x = V @ w solves the system exactly when each
     d_i * w_i vanishes mod m, so column i of V scaled by m / gcd(d_i, m)
-    generates the kernel.  Exact for composite m, where plain row
-    reduction over a field is unavailable.  Only V mod m is needed, so V
-    is kept mod m.
-
-    Because V is unimodular, the generators span a direct sum of cyclic
-    groups, so the order of the kernel is the product of the generators'
-    orders (`_orders`), which run in the chain order of the factors.
+    generates the kernel.  V mod m is invertible, so that column has
+    order m and the generator order gcd(d_i, m); the generators span a
+    direct sum of cyclic groups, in the chain order of the factors.
+    Only V mod m is needed, so V is kept mod m.
     """
     m = _integer(m, "modulus", 2)
-    if A.cols == 0:
-        return []
     run = _stacked_smith(A, m, v=True)
-    gens = []
+    gens, orders = [], []
     for i, d in enumerate(run.factors):
-        mult = m // gcd(d, m)
-        if mult % m:
-            gens.append([x * mult % m for x in run.v[:, i].tolist()])
-    return gens
+        order = gcd(d, m)
+        if order > 1:
+            gens.append([x * (m // order) % m for x in run.v[:, i].tolist()])
+            orders.append(order)
+    return gens, orders
 
 
-def _orders(gens, m: int) -> list[int]:
-    """The order m // gcd(m, *g) of each generator g of kernel_mod."""
-    return [m // gcd(m, *g) for g in gens]
+def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
+    """Generators of {x in Z_m^cols : A @ x == 0 mod m}, exact for
+    composite m, where plain row reduction over a field is unavailable
+    (see `_smith_kernel`)."""
+    return _smith_kernel(A, m)[0]
 
 
 def solve_mod(A: IntegerMatrix, b, m: int):

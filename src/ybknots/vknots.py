@@ -274,19 +274,16 @@ def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
 
     Each weight term lies in (-m, m), so the int64 sum of a word of L
     letters stays exact while L*m < 2^62 and is reduced mod m once,
-    after the last letter.  `state_sum` refuses m > 2^24 before any
-    trace, which keeps every word that fits in memory there; a larger
-    modulus, which only a direct call can give, is reduced at every
-    letter instead.
+    after the last letter.  The one caller with a cochain, `state_sum`,
+    refuses m > 2^24 before any trace, and no word of 2^38 letters fits
+    in memory.
     """
     n = X.size
     strands = list(start.T)
     weights = None
-    each = False
     if psi_array is not None:
         weights = np.zeros(len(start), dtype=np.int64)
         psi = psi_array.reshape(-1)
-        each = len(word.generators) * modulus >= 2 ** 62
     r1, r2 = X.r1.reshape(-1), X.r2.reshape(-1)
     if _needs_inverse(word):
         rbar1, rbar2 = X.rbar1.reshape(-1), X.rbar2.reshape(-1)
@@ -304,8 +301,6 @@ def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
             strands[i], strands[i + 1] = rbar1[pair], rbar2[pair]
             if weights is not None:
                 weights -= psi[strands[i] * n + strands[i + 1]]
-        if each:
-            weights %= modulus
     if weights is not None:
         weights %= modulus
     return strands, weights

@@ -165,8 +165,8 @@ class LinearForm:
 
 
 def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
-    """R1 and R2 of a linear form as n x n int64 index tables, built one
-    output digit at a time so only (n, n) arrays are formed."""
+    """R1 and R2 of a linear form as read-only n x n int64 index tables,
+    built one output digit at a time so only (n, n) arrays are formed."""
     q, d = form.q, form.d
     # every value below fits in int32 (n <= 2^12 under the table cap),
     # which halves the traffic of the (n, n) steps
@@ -180,7 +180,9 @@ def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
         out = (in_x[:, rows[0], None] + in_y[:, rows[0]]) % q
         for r in rows[1:]:
             out = out * q + (in_x[:, r, None] + in_y[:, r]) % q
-        return out.astype(np.int64)
+        out = out.astype(np.int64)
+        out.setflags(write=False)
+        return out
 
     return table(range(d)), table(range(d, 2 * d))
 
@@ -236,28 +238,6 @@ class BiquandleWitness:
     y_of: tuple[int, ...]
 
 
-class _FormTable:
-    """`r1` or `r2` of a set with a declared form, which holds no tables
-    until one is read.  The first read of either computes both from the
-    form and stores them on the set; as this descriptor defines no
-    __set__, later reads find the stored arrays first and never reach it.
-    A table-given set stores its own tables and never reaches it either.
-    There is no lock: threads that race on the first read may each
-    compute the tables, which are equal, and the last store is kept."""
-
-    def __init__(self, which: int):
-        self.which = which
-
-    def __get__(self, made, owner=None):
-        if made is None:
-            return self
-        tables = _linear_tables(made._linear)
-        for table in tables:
-            table.setflags(write=False)
-        made.r1, made.r2 = tables
-        return tables[self.which]
-
-
 class FiniteYBSet:
     """Lookup-table map R on {0..n-1}^2.
 
@@ -271,9 +251,6 @@ class FiniteYBSet:
     there is one), the inverse tables of the maps R has inverses of (with
     their `BirackReport`) and the biquandle witness.
     """
-
-    r1 = _FormTable(0)
-    r2 = _FormTable(1)
 
     def __init__(self, r1, r2, label: str | None = None):
         r1 = _integers(r1, "table entries")
@@ -313,6 +290,20 @@ class FiniteYBSet:
     @property
     def linear(self) -> LinearForm | None:
         return self._linear
+
+    @cached_property
+    def _form_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """R1 and R2 of the declared form; a table-given set stores its
+        tables on construction and never reads this."""
+        return _linear_tables(self._linear)
+
+    @cached_property
+    def r1(self) -> np.ndarray:
+        return self._form_tables[0]
+
+    @cached_property
+    def r2(self) -> np.ndarray:
+        return self._form_tables[1]
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return int(self.r1[x, y]), int(self.r2[x, y])

@@ -331,6 +331,12 @@ def test_cohomology_cell_cap_env(capsys, monkeypatch):
                      "--arity", "2", "--modulus", "3")
     assert rc == 2
     assert "cap" in err
+    monkeypatch.setenv("YBK_MAX_CELLS", "abc")
+    rc, _, err = run(capsys, "cohomology", "--affine", "3,1,2,2",
+                     "--arity", "2", "--modulus", "3")
+    assert rc == 2
+    assert err == ("error: YBK_MAX_CELLS must be an integer cell cap, "
+                   "got 'abc'\n")
 
 
 def test_obstruct_text(capsys, tmp_path):

@@ -78,6 +78,20 @@ def test_kernel_and_solve_match_the_list_core(m):
         assert solve_mod(A, b, m) == oracle.solve(entries, A.cols, b, m)
 
 
+@pytest.mark.parametrize("m", MODULI + (4 * (2 ** 61 - 1),))
+def test_kernel_orders_from_the_smith_run_are_the_generator_orders(m):
+    # the Smith run gives each generator's order as gcd(d_i, m); it must
+    # be the order m // gcd(m, *g) read off the generator g itself
+    rng = random.Random(f"orders/{m}")
+    for _ in range(30):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 7)
+        A = IntegerMatrix(_random_matrix(rng, rows, cols, m))
+        gens, orders = modalg._smith_kernel(A, m)
+        assert gens == kernel_mod(A, m)
+        assert orders == _orders(gens, m)
+    assert modalg._smith_kernel(IntegerMatrix.zeros(3, 0), m) == ([], [])
+
+
 @pytest.mark.parametrize("X,n,m", [
     (make_affine(4, 1, 3), 2, 4),
     (make_affine(6, 5, 1), 2, 6),

@@ -14,6 +14,8 @@ from ybknots import (
     solve_mod,
 )
 
+from ybknots.errors import ModulusMismatch
+
 import smith_oracle as oracle
 
 
@@ -287,6 +289,11 @@ def test_group_ring_laws(m):
         assert (f * g).coefficient_sum() == (
             f.coefficient_sum() * g.coefficient_sum())
         assert 3 * f == f + f + f
+    with pytest.raises(TypeError, match="^cannot combine with int$"):
+        one + 1
+    with pytest.raises(ModulusMismatch,
+                       match=f"^moduli differ: {m} vs {m + 1}$"):
+        one + GroupRingElement.term(1, 0, m + 1)
 
 
 def test_group_ring_scalars_pass_the_integer_gate():

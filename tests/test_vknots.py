@@ -25,6 +25,7 @@ from ybknots import (
     cli,
     cocycle_space,
     ColoringSet,
+    coboundary,
     colorings,
     count_colorings,
     equivalent_words,
@@ -104,6 +105,12 @@ def test_generator_and_word_objects():
     assert v.inverse() == v
     with pytest.raises(IndexOutOfRange):
         BraidWord(2, (BraidGenerator("positive", 2),))
+    with pytest.raises(ValueError, match="^unknown generator kind 'x'$"):
+        BraidGenerator("x", 1)
+    with pytest.raises(ValueError, match="^generator index is 1-based$"):
+        BraidGenerator("positive", 0)
+    with pytest.raises(ValueError, match="^need at least one strand$"):
+        BraidWord(0, ())
     w = parse_braid("s1 v1")
     assert parse_braid(w.text()).generators == w.generators
 
@@ -116,6 +123,8 @@ def test_apply_word_fixed_pair():
     for bad in ((-1, 0), (0, 4)):
         with pytest.raises(ValueError, match="outside 0..3"):
             apply_word(X, parse_braid("s1"), bad)
+    with pytest.raises(ArityMismatch, match="^2 strands but 1 colors$"):
+        apply_word(X, parse_braid("s1"), (0,))
 
 
 def test_apply_word_inverse_cancels():
@@ -316,6 +325,28 @@ def test_invariance_spot_checks():
             for Y in (z4, z4_table):
                 assert state_sum(Y, psi, w).value == reference_value, \
                     w.text()
+
+
+def test_state_sums_ignore_an_added_coboundary():
+    # psi and psi + delta(phi) are cohomologous, so every closed braid has
+    # one state sum under both, on the declared form and on its table copy
+    words = [parse_braid(text) for _, text in word_corpus()]
+    moved_any = False
+    for X, psi in ((z4_biquandle(), z4_cocycle()),
+                   (z3_biquandle(), z3_cocycle(1, 0, 0)),
+                   (z3_biquandle(), z3_cocycle(2, 1, 1))):
+        n, m = X.size, psi.modulus
+        rng = random.Random(f"coboundary/{psi.values.tolist()}")
+        for _ in range(10):
+            phi = CochainTable(1, n, m, [rng.randrange(m) for _ in range(n)])
+            moved = CochainTable(2, n, m,
+                                 psi.values + coboundary(X, phi).values)
+            moved_any |= moved != psi
+            for Y in (X, FiniteYBSet(X.r1, X.r2)):
+                for w in words:
+                    assert state_sum(Y, moved, w) == state_sum(Y, psi, w), \
+                        (Y.label, phi.values.tolist(), w.text())
+    assert moved_any
 
 
 def test_stabilization_breaks_without_type_one():
@@ -1265,16 +1296,6 @@ def test_trace_reduces_the_weights_once_or_at_every_letter():
     # m = 5: 10 letters times m is far below 2^62, one reduction at the end
     psi = np.array([[rng.randrange(5) for _ in range(5)] for _ in range(5)])
     _assert_trace_matches(X, word, rows, psi, 5)
-    # m = 2^61: the terms, each near m, would pass int64 after four
-    # positive crossings, so the weights are reduced at every letter.  A
-    # wrapped int64 sum is still right mod 2^61, which divides 2^64, so
-    # the odd modulus 2^61 - 1 is what shows a missed reduction.
-    for m in (2 ** 61, 2 ** 61 - 1):
-        psi = np.array([[m - 1 - rng.randrange(1000) for _ in range(5)]
-                        for _ in range(5)], dtype=np.int64)
-        assert sum(g.kind == "positive" for g in word.generators) \
-            * (m - 1000) > 2 ** 63
-        _assert_trace_matches(X, word, rows, psi, m)
 
 
 def test_reproduce_table1_parses_each_word_once(monkeypatch, capsys):

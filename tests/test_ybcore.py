@@ -238,6 +238,8 @@ def test_constructors_cap_table_size():
         extend(swap_set(64), 65, CochainTable.zero(2, 64, 65))
     with pytest.raises(ResourceBound, match="swap_set"):
         swap_set(4097)
+    with pytest.raises(ValueError, match="^need at least one element$"):
+        swap_set(0)
     assert swap_set(4096).size == 4096
 
 
@@ -248,6 +250,8 @@ def test_linear_form_refuses_bad_parameters():
                          (2, 0, ())):
         with pytest.raises(ValueError, match="need q >= 2 and d >= 1"):
             LinearForm(q, d, matrix)
+    with pytest.raises(ValueError, match="^need a 2 x 2 matrix$"):
+        LinearForm(3, 1, ((1, 0, 0), (0, 1, 0)))
 
 
 def test_linear_form_codec_stays_in_int64():
@@ -584,6 +588,10 @@ def test_identity_map_has_no_witness():
     assert X.verify_ybe()
     with pytest.raises(NotBiquandle):
         X.biquandle_witness()
+    # every column has one fixed pair, but row 0 has two
+    Y = FiniteYBSet([[0, 0], [0, 0]], [[0, 1], [0, 0]])
+    with pytest.raises(NotBiquandle, match=r"\(2 fixed pairs \(0, \*\)\)"):
+        Y.biquandle_witness()
 
 
 def test_derived_values_are_computed_once(monkeypatch):
@@ -655,6 +663,9 @@ def test_tables_accept_integer_types_and_refuse_huge_entries():
     assert X.r1.tolist() == [[1, 0], [1, 0]]
     with pytest.raises(ValueError, match="must lie in 0..n-1"):
         FiniteYBSet([[2 ** 70, 0], [0, 0]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="^empty carrier$"):
+        FiniteYBSet(np.zeros((0, 0), dtype=np.int64),
+                    np.zeros((0, 0), dtype=np.int64))
 
 
 @pytest.mark.parametrize("value", [0.6, 2.0, False, "1", None])
@@ -694,6 +705,11 @@ def test_set_json_round_trip():
     Y = FiniteYBSet.from_json(data)
     assert np.array_equal(X.r1, Y.r1)
     assert np.array_equal(X.r2, Y.r2)
+    with pytest.raises(ValueError, match="^malformed YB-set data: 'R1'$"):
+        FiniteYBSet.from_json({"size": 2})
+    with pytest.raises(ValueError, match="^declared size 3 does not match "
+                       "tables of size 2$"):
+        FiniteYBSet.from_json({**swap_set(2).to_json(), "size": 3})
 
 
 def test_cochain_table_basics():
@@ -717,6 +733,9 @@ def test_cochain_table_basics():
     data = f.to_json()
     assert sorted(data) == ["arity", "modulus", "set_size", "values"]
     assert np.array_equal(CochainTable.from_json(data).values, f.values)
+    with pytest.raises(ValueError, match="^malformed cochain data: "
+                       "'set_size'$"):
+        CochainTable.from_json({"arity": 1})
 
 
 def test_extend_with_zero_cochains_is_product():
@@ -854,6 +873,8 @@ def test_cochain_length_mismatch_is_refused_from_the_bit_length():
         CochainTable(10 ** 9, 1, 2, [0, 1])
     with pytest.raises(ValueError, match=r"^need 4 values, got 0$"):
         CochainTable(2, 2, 2, [])
+    with pytest.raises(ValueError, match="^need arity >= 0, set_size >= 1$"):
+        CochainTable(-1, 3, 2, [0])
     # a power of two is its own length, not refused by the bound
     assert CochainTable(3, 4, 2, [1] * 64).values.shape == (64,)
     assert list(CochainTable(10 ** 9, 1, 2, [3]).values) == [1]

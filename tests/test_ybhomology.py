@@ -37,6 +37,7 @@ from ybknots import (
     ybhomology,
 )
 from ybknots.errors import (
+    ArityMismatch,
     ColoringInconsistent,
     NotACocycle,
     ResourceBound,
@@ -201,6 +202,11 @@ def test_square_coloring_frozen():
     assert face_tuple(col, 2, 1) == (2,)
     with pytest.raises(ValueError, match="not an edge of the 2-cube"):
         col.color(3, 0)
+    with pytest.raises(ValueError,
+                       match="^axis 3 out of range for dimension 2$"):
+        face_tuple(col, 3, 0)
+    with pytest.raises(ValueError, match="^side must be 0 or 1$"):
+        face_tuple(col, 1, 2)
 
 
 def test_cube_coloring_consistency_check():
@@ -268,6 +274,8 @@ def test_formal_chain_render_and_json():
     assert {"coefficient": 1, "tuple": [0]} in data["terms"]
     assert boundary(X, (1, 2)).to_json() == {"arity": 1, "terms": []}
     assert (ch - ch).is_zero()
+    with pytest.raises(ArityMismatch, match="^chain arities differ: 1 vs 2$"):
+        ch + boundary(X, (0, 1, 2))
 
 
 def test_printed_cocycles_are_cocycles():
@@ -424,6 +432,8 @@ def test_cohomology_guards():
         cohomology_group(z3_biquandle(), 1, 3, max_cells=5)
     with pytest.raises(ValueError):
         cohomology_group(z3_biquandle(), 0, 3)
+    with pytest.raises(ValueError, match="^arity must be non-negative$"):
+        coboundary_matrix(z3_biquandle(), -1)
 
 
 def test_absurd_arities_are_refused_without_the_power(monkeypatch):
