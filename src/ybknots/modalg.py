@@ -369,33 +369,33 @@ def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
     return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m)
 
 
-def _smith_kernel(A: IntegerMatrix, m: int) -> tuple[list, list]:
-    """Generators of {x in Z_m^cols : A @ x == 0 mod m} and their orders.
+def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
+    """Generators of {x in Z_m^cols : A @ x == 0 mod m}.
 
     Lifts the problem to Z by stacking m*I below A; if U @ B @ V == D for
     the stack B, then x = V @ w solves the system exactly when each
     d_i * w_i vanishes mod m, so column i of V scaled by m / gcd(d_i, m)
-    generates the kernel.  V mod m is invertible, so that column has
-    order m and the generator order gcd(d_i, m); the generators span a
-    direct sum of cyclic groups, in the chain order of the factors.
-    Only V mod m is needed, so V is kept mod m.
+    generates the kernel.  Exact for composite m, where plain row
+    reduction over a field is unavailable.  Only V mod m is needed, so V
+    is kept mod m.  With no columns, the stack has no factors.
+
+    Because V is unimodular, the generators span a direct sum of cyclic
+    groups, so the order of the kernel is the product of the generators'
+    orders (`_orders`), which run in the chain order of the factors.
     """
     m = _integer(m, "modulus", 2)
     run = _stacked_smith(A, m, v=True)
-    gens, orders = [], []
+    gens = []
     for i, d in enumerate(run.factors):
-        order = gcd(d, m)
-        if order > 1:
-            gens.append([x * (m // order) % m for x in run.v[:, i].tolist()])
-            orders.append(order)
-    return gens, orders
+        mult = m // gcd(d, m)
+        if mult % m:
+            gens.append([x * mult % m for x in run.v[:, i].tolist()])
+    return gens
 
 
-def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
-    """Generators of {x in Z_m^cols : A @ x == 0 mod m}, exact for
-    composite m, where plain row reduction over a field is unavailable
-    (see `_smith_kernel`)."""
-    return _smith_kernel(A, m)[0]
+def _orders(gens, m: int) -> list[int]:
+    """The order m // gcd(m, *g) of each generator g of kernel_mod."""
+    return [m // gcd(m, *g) for g in gens]
 
 
 def solve_mod(A: IntegerMatrix, b, m: int):

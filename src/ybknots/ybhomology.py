@@ -32,8 +32,8 @@ from .errors import (
     check_power_cap,
 )
 from . import ybcore
-from .modalg import (IntegerMatrix, _invariant_form, _smith_kernel,
-                     _stacked_smith, kernel_mod, solve_mod)
+from .modalg import (IntegerMatrix, _invariant_form, _orders, _stacked_smith,
+                     kernel_mod, solve_mod)
 from .ybcore import (_INT64_MAX, MAX_ENTRIES, CochainTable, FiniteYBSet,
                      _check_colors, _decode, _encode, _integer,
                      check_modulus)
@@ -396,7 +396,8 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     if n < 1:
         raise ValueError("arity must be at least 1")
     m = check_modulus(m)
-    kernel, orders = _smith_kernel(coboundary_matrix(X, n), m)
+    kernel = kernel_mod(coboundary_matrix(X, n), m)
+    orders = _orders(kernel, m)
     traded = [f for f in _stacked_smith(coboundary_matrix(X, n - 1), m).factors
               if f < m]
     kept = len(orders) - len(traded)

@@ -79,17 +79,18 @@ def test_kernel_and_solve_match_the_list_core(m):
 
 
 @pytest.mark.parametrize("m", MODULI + (4 * (2 ** 61 - 1),))
-def test_kernel_orders_from_the_smith_run_are_the_generator_orders(m):
-    # the Smith run gives each generator's order as gcd(d_i, m); it must
-    # be the order m // gcd(m, *g) read off the generator g itself
+def test_kernel_orders_are_the_gcds_of_the_smith_factors(m):
+    # V mod m is invertible, so each kernel_mod generator's order
+    # m // gcd(m, *g) is gcd(d_i, m) for the factor d_i of the Smith run
+    # of A stacked over m*I that built it, in the same order
     rng = random.Random(f"orders/{m}")
     for _ in range(30):
         rows, cols = rng.randint(1, 9), rng.randint(1, 7)
         A = IntegerMatrix(_random_matrix(rng, rows, cols, m))
-        gens, orders = modalg._smith_kernel(A, m)
-        assert gens == kernel_mod(A, m)
-        assert orders == _orders(gens, m)
-    assert modalg._smith_kernel(IntegerMatrix.zeros(3, 0), m) == ([], [])
+        factors = modalg._stacked_smith(A, m).factors
+        assert modalg._orders(kernel_mod(A, m), m) == [
+            gcd(d, m) for d in factors if gcd(d, m) > 1]
+    assert kernel_mod(IntegerMatrix.zeros(3, 0), m) == []
 
 
 @pytest.mark.parametrize("X,n,m", [
