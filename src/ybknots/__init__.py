@@ -6,7 +6,6 @@ from . import reference
 from .errors import (
     ArityMismatch,
     BraidSyntaxError,
-    ColoringIncomplete,
     ColoringInconsistent,
     IndexOutOfRange,
     ModulusMismatch,

@@ -160,15 +160,17 @@ def _cmd_cocycles(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    X = _load_set(args)
-    cap = args.max_cells
+    cap, source = args.max_cells, "--max-cells"
     if cap is None and "YBK_MAX_CELLS" in os.environ:
-        text = os.environ["YBK_MAX_CELLS"]
+        text, source = os.environ["YBK_MAX_CELLS"], "YBK_MAX_CELLS"
         try:
             cap = int(text)
         except ValueError:
             raise ValueError(f"YBK_MAX_CELLS must be an integer cell cap, "
                              f"got {text!r}") from None
+    if cap is not None and cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    X = _load_set(args)
     report = ybhomology.cohomology_group(X, args.arity, args.modulus,
                                          max_cells=cap)
     if args.json:

@@ -46,10 +46,6 @@ class ColoringInconsistent(YBKError):
         self.edge = edge
 
 
-class ColoringIncomplete(YBKError):
-    """Propagation reached a fixpoint with uncolored edges left."""
-
-
 class NotACocycle(YBKError):
     """The given cochain is not a cocycle."""
 

@@ -139,7 +139,7 @@ class LinearForm:
         q, d = _integer(self.q, "q"), _integer(self.d, "d")
         if q < 2 or d < 1:
             raise ValueError(f"need q >= 2 and d >= 1, got q = {q}, d = {d}")
-        check_cap("LinearForm", "q^d", q ** d, _INT64_MAX)
+        check_power_cap("LinearForm", "q^d", q, d, _INT64_MAX)
         matrix = tuple(tuple([_integer(e, "matrix entry") % q for e in row])
                        for row in self.matrix)
         if len(matrix) != 2 * d or any(len(row) != 2 * d for row in matrix):
@@ -504,7 +504,7 @@ def make_block(q: int, s: int, t: int) -> FiniteYBSet:
     """
     q = _integer(q, "q", 2)
     s, t = _integer(s, "s") % q, _integer(t, "t") % q
-    check_cap("make_block", "n^2", q ** 4, MAX_ENTRIES)
+    check_power_cap("make_block", "n^2", q, 4, MAX_ENTRIES)
     # columns x1 x2 y1 y2; rows R1 = (y1 + s(y2 - x2), y2),
     # R2 = (x1 + t(x2 - y2), x2)
     form = LinearForm(q, 2, ((0, -s, 1, s),
@@ -526,7 +526,7 @@ def make_omega(q: int, h: int, k: int) -> FiniteYBSet:
     if q < 2 or h < 1 or k < 1:
         raise ValueError("need q >= 2 and h, k >= 1")
     d = h + k - 1
-    check_cap("make_omega", "n^2", q ** (2 * d), MAX_ENTRIES)
+    check_power_cap("make_omega", "n^2", q, 2 * d, MAX_ENTRIES)
     # digit positions of 1, a, ..., a^(h-1) and of 1, b, ..., b^(k-1)
     a_chain, b_chain = list(range(h)), [0, *range(h, d)]
     # multiplying by a or b shifts the digits one step along its chain
@@ -757,39 +757,40 @@ def omega_extension_check(q: int, h: int, k: int) -> bool:
     twisted product.
 
     The ring with degrees (h+1, k+1) maps onto the (h, k) ring by dropping
-    top coefficients; the dropped pair lives in Z_q x Z_q and the big
-    solution must equal the extension of the small one by the cochain pair
+    the top coefficients a^h and b^k; the dropped pair lives in Z_q x Z_q
+    and the big solution must equal the extension of the small one by the
+    cochain pair
 
-        psi1(x, y) = (x_a(h-1) - y_a(h-1), 0),
-        psi2(x, y) = (0, y_b(k-1) - x_b(k-1)),
+        psi1(x, y) = (psi_a(x, y), 0),  psi_a(x, y) = x_a(h-1) - y_a(h-1),
+        psi2(x, y) = (0, psi_b(x, y)),  psi_b(x, y) = y_b(k-1) - x_b(k-1),
 
     where x_a(d), x_b(d) are the degree-d coefficients (degree 0 meaning
-    the constant).  Returns True when every pair matches.
+    the constant).  That extension is two cyclic ones through `extend`:
+    by the pair (psi_a, 0), then by (0, psi_b) read off each pair's base
+    part.  Both cochains are linear, so the tower declares its form, and
+    the check compares it with the big ring's; neither builds a table.
+    Returns True when the two forms agree.
     """
     big = make_omega(q, h + 1, k + 1)
     small = make_omega(q, h, k)
-    # digit positions in the big ring: a^(h-1) and a^h are h-1 and h, b^k
-    # is the last, h+k, and b^(k-1) the one before it or the constant
-    low_a, a_top = h - 1, h
-    low_b, b_top = h + k - 1 if k > 1 else 0, h + k
-    digit = big.linear.digits(np.arange(big.size)).T
-    bar = small.linear.index(np.delete(digit, [a_top, b_top], 0).T)
-    # the elements whose two top coefficients vanish, in index order, are
-    # the small ring in its own order
-    lift = np.flatnonzero((digit[a_top] == 0) & (digit[b_top] == 0))
-    x = np.arange(big.size).reshape(-1, 1)
-    y = x.reshape(1, -1)
-    psi1 = (digit[low_a][x] - digit[low_a][y]) % q
-    psi2 = (digit[low_b][y] - digit[low_b][x]) % q
-    w = big.linear.weights
-    want1 = (lift[small.r1[bar[x], bar[y]]]
-             + (digit[a_top][y] + psi1) % q * w[a_top]
-             + digit[b_top][y] * w[b_top])
-    want2 = (lift[small.r2[bar[x], bar[y]]]
-             + digit[a_top][x] * w[a_top]
-             + (digit[b_top][x] + psi2) % q * w[b_top])
-    return bool(np.array_equal(big.r1, want1)
-                and np.array_equal(big.r2, want2))
+    n = small.size
+    coefficient = small.linear.digits(np.arange(n))
+    # psi_a reads a^(h-1), digit h-1
+    low_a = coefficient[:, h - 1]
+    upper = extend(small, q, CochainTable(2, n, q, low_a[:, None] - low_a),
+                   CochainTable.zero(2, n, q))
+    # psi_b reads b^(k-1), the last digit or the constant; upper's pair
+    # (c, x) is indexed c * n + x, so its base part repeats every n
+    low_b = np.tile(coefficient[:, -1 if k > 1 else 0], q)
+    tower = extend(upper, q, CochainTable.zero(2, q * n, q),
+                   CochainTable(2, q * n, q, low_b - low_b[:, None]))
+    # the tower's digits are b^k, a^h, then the small ring's; the big ring
+    # has a^h after a^(h-1) and b^k last: big digit i is tower digit order[i]
+    d = h + k + 1
+    order = [*range(2, h + 2), 1, *range(h + 2, d), 0]
+    order += [d + i for i in order]
+    return tower.linear is not None and np.array_equal(
+        np.array(tower.linear.matrix)[np.ix_(order, order)], big.linear.matrix)
 
 
 def swap_set(n: int) -> FiniteYBSet:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
-    ColoringIncomplete,
     ColoringInconsistent,
     NotACocycle,
     check_cap,
@@ -106,10 +105,11 @@ def _schedule(n: int) -> _Schedule:
     later ones 0) holds the i-th color.  On the square face (i, j, base),
     i < j, the input edges are (i, base) and (j, base + 2^(i-1)) and the
     outputs are (j, base) = R1 and (i, base + 2^(j-1)) = R2 of the input
-    pair.  The faces are swept in order until none is left that can fire;
-    a face fires once both inputs are colored, assigning each uncolored
-    output and comparing each colored one.  Sweeping again only repeats
-    a fired face's steps on the same colors, so each face fires once.
+    pair.  The faces are swept in order until every face has fired, and
+    a sweep that fires none raises RuntimeError; a face fires once both
+    inputs are colored, assigning each uncolored output and comparing
+    each colored one.  Sweeping again only repeats a fired face's steps
+    on the same colors, so each face fires once.
     Edges are (direction, corner) pairs, whose corners have their own
     bit zeroed as a CubeEdge's have; the sweep's index of them is `slots`
     and its keys in slot order are `edges`, so no CubeEdge is built here.
@@ -135,10 +135,9 @@ def _schedule(n: int) -> _Schedule:
                     index[edge] = len(index)
                     assign.append((index[edge], in1, in2, part))
         if len(waiting) == len(pending):
-            break
+            raise RuntimeError(f"_schedule: the sweep of the {n}-cube stalls "
+                               f"with {len(pending)} faces unfired")
         pending = waiting
-    if len(index) < n << (n - 1):
-        raise ColoringIncomplete(f"{len(index)} of {n << (n - 1)} edges colored")
     # the edges that face_tuple reads
     facets = [[index[d, (1 << (d - 1)) - 1 & ~(1 << (axis - 1))
                      | side << (axis - 1)]
@@ -189,9 +188,8 @@ def color_cube(X: FiniteYBSet, initial) -> CubeColoring:
     """Propagate the initial-path colors over the whole n-cube.  Raises
     ColoringInconsistent on a conflict, which only a failure of the
     Yang-Baxter equation on X can give.  The schedule colors every edge
-    of each dimension the gate admits, whatever X is; its
-    ColoringIncomplete guards the schedule itself and no call reaches
-    it."""
+    of each dimension the gate admits, whatever X is, so no coloring is
+    left incomplete."""
     initial = _check_colors(X.size, initial)
     _cube("color_cube", len(initial))
     row = _edge_table(X, np.array([initial], dtype=np.int64).reshape(1, -1))
@@ -385,14 +383,15 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
     its factors below m are the summands that replace a Z_m.
 
     Assembling delta^n enumerates |X|^(n+1) cube colorings; max_cells
-    (default 200000) caps that count and ResourceBound reports overruns.
+    (default 200000, at least 1) caps that count and ResourceBound
+    reports overruns.
     A modulus no CochainTable can hold raises ValueError before any
     matrix is built.
     """
     n = _integer(n, "arity")
     check_power_cap("cohomology_group", "|X|^(n+1)", X.size, n + 1,
                     DEFAULT_MAX_CELLS if max_cells is None
-                    else _integer(max_cells, "max_cells"))
+                    else _integer(max_cells, "max_cells", 1))
     if n < 1:
         raise ValueError("arity must be at least 1")
     m = check_modulus(m)

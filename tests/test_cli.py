@@ -193,6 +193,13 @@ def test_absurd_arity_exits_2_fast(capsys):
     assert (rc, out) == (2, "")
     assert err == ("error: cohomology_group: |X|^(n+1) = 2^15849626 or more "
                    "exceeds the cap 200000\n")
+    # likewise an absurd truncation degree, before 3^(2*10^7)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify", "--omega", "3,10000000,1")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == ("error: make_omega: n^2 = 2^31699250 or more exceeds the "
+                   "cap 16777216\n")
 
 
 def test_moduli_past_int64_exit_2(capsys, tmp_path):
@@ -337,6 +344,23 @@ def test_cohomology_cell_cap_env(capsys, monkeypatch):
     assert rc == 2
     assert err == ("error: YBK_MAX_CELLS must be an integer cell cap, "
                    "got 'abc'\n")
+    # a cap below 1 would refuse every input: it is a usage error that
+    # names its source, the flag before the variable
+    for env, flag, source, cap in (("-5", (), "YBK_MAX_CELLS", -5),
+                                   ("0", (), "YBK_MAX_CELLS", 0),
+                                   ("abc", ("--max-cells", "0"),
+                                    "--max-cells", 0),
+                                   ("5", ("--max-cells", "-1"),
+                                    "--max-cells", -1)):
+        monkeypatch.setenv("YBK_MAX_CELLS", env)
+        rc, out, err = run(capsys, "cohomology", "--affine", "3,1,2,2",
+                           "--arity", "2", "--modulus", "3", *flag)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {source} must be at least 1, got {cap}\n"
+    # the flag overrides the variable, and a cap of 27 admits 3^3 cells
+    rc, out, _ = run(capsys, "cohomology", "--affine", "3,1,2,2",
+                     "--arity", "2", "--modulus", "3", "--max-cells", "27")
+    assert rc == 0 and out.startswith("H^2 mod 3: Z3 x Z3 x Z3 ")
 
 
 def test_obstruct_text(capsys, tmp_path):
@@ -520,6 +544,36 @@ def test_closed_stdout_is_no_error():
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (0, b"")
+    # `ybk ... | head -n 1`: the reader takes one line, then closes; the
+    # two lines leave in one flush, so this checks the exit, not the branch
+    with subprocess.Popen(
+            [sys.executable, "-m", "ybknots.cli", "cohomology", "--block",
+             "3,1,1", "--arity", "2", "--modulus", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0 and err == b""
+    assert first.startswith(b"H^2 mod 3: Z3 x ")
+    # the same exit in this process: the flush breaks the pipe, and main
+    # points stdout's descriptor at the null device before returning 0
+    read, write = os.pipe()
+    os.close(read)
+
+    class BrokenPipe(io.StringIO):
+        def fileno(self):
+            return write
+
+        def flush(self):
+            raise BrokenPipeError
+
+    try:
+        with contextlib.redirect_stdout(BrokenPipe()):
+            assert cli.main(["verify", "--affine", "3,1,2,2"]) == 0
+        # a write to the closed pipe would raise BrokenPipeError
+        assert os.write(write, b"x") == 1
+    finally:
+        os.close(write)
 
 
 def test_silencing_leaves_a_stdout_without_descriptor():

@@ -140,6 +140,7 @@ def test_matrix_ops():
     assert Z != IntegerMatrix.zeros(0, 5)
     with pytest.raises(ValueError, match="shape mismatch"):
         A @ IntegerMatrix.zeros(3, 2)
+    assert repr(B) == "IntegerMatrix(2x3)"
 
 
 def test_kernel_frozen_examples():
@@ -289,6 +290,9 @@ def test_group_ring_laws(m):
         assert (f * g).coefficient_sum() == (
             f.coefficient_sum() * g.coefficient_sum())
         assert 3 * f == f + f + f
+        assert -f == GroupRingElement.zero(m) - f and -(-f) == f
+        assert hash(f + g) == hash(g + f)
+        assert bool(f) == any(f.coefficients) and not f - f
     with pytest.raises(TypeError, match="^cannot combine with int$"):
         one + 1
     with pytest.raises(ModulusMismatch,
@@ -320,6 +324,8 @@ def test_group_ring_render():
     assert GroupRingElement.term(3, 1, 4).render() == "3*x"
     assert GroupRingElement(4, (2, -1, 0, 0)).render() == "2 - 1*x"
     assert GroupRingElement(4, (5, 0, 0, 0)).render() == "5"
+    assert repr(GroupRingElement(4, (2, -1, 0, 0))) == \
+        "GroupRingElement(mod 4: 2 - 1*x)"
 
 
 def test_group_ring_json_round_trip():

@@ -1247,6 +1247,18 @@ def test_an_unpickled_word_hashes_afresh():
     word = pickle.loads(data)
     assert hash(word) == hash(parse_braid(text))
     assert {parse_braid(text): 1}[word] == 1
+    # and the other way: a word pickled here is rebuilt and hashed afresh
+    # in a process with another hash seed
+    code = ("import pickle, sys; from ybknots import parse_braid; "
+            "word = pickle.loads(sys.stdin.buffer.read()); "
+            f"fresh = parse_braid({text!r}); "
+            "assert word == fresh and hash(word) == hash(fresh) == "
+            "hash((word.strands, word.generators)); print('ok')")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(env, PYTHONHASHSEED="2"),
+                          input=pickle.dumps(parse_braid(text)),
+                          capture_output=True, check=True)
+    assert done.stdout == b"ok\n"
 
 
 def _assert_trace_matches(X, word, rows, psi=None, m=None):

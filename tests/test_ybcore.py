@@ -193,8 +193,18 @@ def test_omega_family(q, h, k):
             q, alpha, _omega_mul(q, h, b, _omega_add(q, beta, alpha, -1)))
 
 
-def test_omega_extension_tower_smoke():
-    assert omega_extension_check(2, 1, 1)
+def test_omega_extension_tower_smoke(monkeypatch):
+    # every tower with q in 2..5, h, k in 1..3 and at most 2^22 table
+    # entries; the prediction is two `extend`s on declared forms, so no
+    # table is built
+    def refuse(form):
+        raise AssertionError("omega_extension_check built a table")
+
+    monkeypatch.setattr(ybcore, "_linear_tables", refuse)
+    towers = [(q, h, k) for q in range(2, 6) for h in range(1, 4)
+              for k in range(1, 4) if q ** (2 * (h + k + 1)) <= 2 ** 22]
+    assert len(towers) == 26
+    assert all(omega_extension_check(q, h, k) for q, h, k in towers)
 
 
 @pytest.mark.parametrize("q,h,k", [(3, 1, 1), (3, 2, 1)])
@@ -230,7 +240,8 @@ def test_omega_extension_check_catches_flipped_psi1(monkeypatch, q, h, k):
 def test_constructors_cap_table_size():
     with pytest.raises(ResourceBound, match="make_affine"):
         make_affine(4097, 1, 1)
-    with pytest.raises(ResourceBound, match="make_block"):
+    with pytest.raises(ResourceBound, match=r"^make_block: n\^2 = 17850625 "
+                       rf"exceeds the cap {ybcore.MAX_ENTRIES}$"):
         make_block(65, 1, 1)
     with pytest.raises(ResourceBound, match="make_omega"):
         make_omega(2, 40, 40)
@@ -241,6 +252,25 @@ def test_constructors_cap_table_size():
     with pytest.raises(ValueError, match="^need at least one element$"):
         swap_set(0)
     assert swap_set(4096).size == 4096
+    with pytest.raises(ResourceBound, match=r"^LinearForm: q\^d = "
+                       rf"{2 ** 63} exceeds the cap {2 ** 63 - 1}$"):
+        LinearForm(2, 63, ())
+    # q^(2*10^7) and 3^(10^7) would take seconds to compute; each power
+    # is refused from exponent * log2(q) instead
+    start = time.perf_counter()
+    for make, want in (
+            (lambda: make_omega(3, 10 ** 7, 1),
+             r"make_omega: n\^2 = 2\^31699250 or more exceeds the cap "
+             rf"{ybcore.MAX_ENTRIES}"),
+            (lambda: LinearForm(3, 10 ** 7, ()),
+             r"LinearForm: q\^d = 2\^15849625 or more exceeds the cap "
+             rf"{2 ** 63 - 1}"),
+            (lambda: make_block(2 ** 20000, 1, 1),
+             r"make_block: n\^2 = 2\^79999 or more exceeds the cap "
+             rf"{ybcore.MAX_ENTRIES}")):
+        with pytest.raises(ResourceBound, match=rf"^{want}$"):
+            make()
+    assert time.perf_counter() - start < 1
 
 
 def test_linear_form_refuses_bad_parameters():
@@ -730,6 +760,7 @@ def test_cochain_table_basics():
         f.as_array()[0, 0] = 1  # read-only view
     assert CochainTable.zero(2, 3, 3).is_zero()
     assert not f.is_zero()
+    assert repr(f) == "CochainTable(arity=2, set_size=3, modulus=3)"
     data = f.to_json()
     assert sorted(data) == ["arity", "modulus", "set_size", "values"]
     assert np.array_equal(CochainTable.from_json(data).values, f.values)

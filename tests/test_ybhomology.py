@@ -430,6 +430,11 @@ def test_cohomology_guards():
         cohomology_group(swap_set(25), 3, 2)
     with pytest.raises(ResourceBound, match="cohomology_group: "):
         cohomology_group(z3_biquandle(), 1, 3, max_cells=5)
+    # a cap below 1 would refuse every input
+    for cap in (0, -5):
+        with pytest.raises(ValueError,
+                           match=f"^max_cells must be at least 1, got {cap}$"):
+            cohomology_group(z3_biquandle(), 1, 3, max_cells=cap)
     with pytest.raises(ValueError):
         cohomology_group(z3_biquandle(), 0, 3)
     with pytest.raises(ValueError, match="^arity must be non-negative$"):
@@ -442,8 +447,9 @@ def test_absurd_arities_are_refused_without_the_power(monkeypatch):
     def no_power(*args):
         raise AssertionError("computed the power")
 
-    monkeypatch.setattr(errors, "check_cap", no_power)
+    # built first: its LinearForm sizes q^d through check_cap too
     X = make_affine(3, 2, 1)
+    monkeypatch.setattr(errors, "check_cap", no_power)
     cases = [
         (lambda: CochainTable.zero(10 ** 7, 3, 2),
          r"CochainTable.zero: set_size\^arity = 2\^15849625 or more "
