@@ -2,16 +2,20 @@
 
 Dense integer matrices, Smith normal form with transform matrices,
 kernels and solutions of linear systems over Z_m, and the group ring
-Z[Z_m] used to value state sums.  Everything here is exact: arrays hold
-int64 only while a bound shows no entry can overflow, and Python ints
-past it; never floats.  In the Smith core only the eliminated matrix
-can move to Python ints part way; each transform's dtype is fixed when
-the elimination starts.
+Z[Z_m] used to value state sums.  Everything here is exact; never
+floats.  The Smith core holds each array on the narrowest rung of a
+ladder that a bound on its entries allows: int16, int32, int64, then
+Python ints (dtype=object).  Only the eliminated matrix can widen part
+way, when a step's bound reaches its rung's guard; each transform's
+rung is fixed when the elimination starts.  A rung changes the dtype,
+never a value, so every result is that of the same run on Python ints.
 
-An `IntegerMatrix` is one such 2-d array, int64 while every entry is
-below 2^62 and dtype=object past it; the coboundary matrices arrive in
-it and the Smith core starts from a copy of it.  Its `entries` is a
-fresh list of lists, so changing that list leaves the matrix alone.
+An `IntegerMatrix` is one 2-d array, int64 while every entry is below
+2^62 and dtype=object past it; the coboundary matrices arrive in it, the
+Smith core starts from a copy of it on a rung of its own, and the
+matrices `smith_normal_form` returns are IntegerMatrix again.  Its
+`entries` is a fresh list of lists, so changing that list leaves the
+matrix alone.
 
 Both eliminations follow one Smith rule: the pivot is the first entry
 of least absolute value in the trailing block, and the entries below and
@@ -30,11 +34,13 @@ Both stay.  Only the Z path yields a pinned basis, which
 `smith_normal_form`, `kernel_mod` and `solve_mod` return.  Over Z the
 entries can grow far past m, and over Z/m they cannot: one braids_affine
 pass at seed 0 eliminates 108 braid kernels, 2 x 2 to 9 x 9 and 54 of
-them 3 x 3 over Z_15, in 2.2-3.6 ms through `_cyclic_kernel`, against
-21-35 ms through `kernel_mod` on the same matrices, of a 19-31 ms pass
-(medians of 7 rounds, two runs, 2-core Xeon, Python 3.11, numpy 2.4).
-In one run there, a random 14 x 14 matrix mod 15 (`random.Random(2)`)
-took 0.5 ms through `_cyclic_kernel` and 29 s through `kernel_mod`.
+them 3 x 3 over Z_15, in 1.8-1.9 ms through `_cyclic_kernel`, against
+15.9-16.3 ms through `kernel_mod` on the same matrices (with its int16
+rung; 15.2-15.3 ms on int64 alone), of a 14.5-16.9 ms pass (medians of
+7 rounds, four runs, 2-core host, Python 3.11, numpy 2.4, October
+2026).  In four runs there, a random 14 x 14 matrix mod 15
+(`random.Random(2)`) took 0.4 ms through `_cyclic_kernel` and 21-23 s
+through `kernel_mod`.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .ybcore import _integer, _integers
 
 class IntegerMatrix:
     """Dense matrix over Z with exact arithmetic, held as the 2-d `array`
-    that the Smith core eliminates on: int64 while every entry is below
+    that the Smith core starts from: int64 while every entry is below
     the guard, dtype=object (Python ints) past it.  An int64 array given
     to the constructor is held as it is, not copied."""
 
@@ -128,6 +134,21 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 # could reach it first moves the eliminated array to Python ints
 _INT64_GUARD = 2 ** 62
 
+# the rungs below int64, each with the guard its entries stay below: 2^14
+# for 16 bits and 2^30 for 32, as 2^62 for 64, so a remainder step's
+# q * p, under twice the guard, still fits
+_NARROW = ((np.int16, 2 ** 14), (np.int32, 2 ** 30))
+
+
+def _rung(bound: int) -> tuple:
+    """(dtype, guard) of the narrowest rung whose guard exceeds bound:
+    int16, int32, int64, then dtype=object with no guard.  A narrow rung
+    counts only while its guard is at most _INT64_GUARD."""
+    for dtype, guard in _NARROW + ((np.int64, _INT64_GUARD),):
+        if bound < guard <= _INT64_GUARD:
+            return dtype, guard
+    return object, None
+
 
 def _peak(x) -> int:
     """Largest absolute entry of the array x, 0 when it is empty."""
@@ -172,27 +193,53 @@ class _Smith:
     The order of operations, and so every transform, is a deterministic
     function of the input.
 
-    Only a changes dtype during a run: each step first bounds the entries
-    it will write in a, and when a bound reaches the guard, a moves to
-    dtype=object for this and all later steps.  Each transform's dtype is
-    fixed on creation: Python ints when it is exact (no m) or when 2 m^2
-    reaches the guard, int64 residues otherwise.
+    Each array is held on a rung: int16, int32 or int64 while its entries
+    stay below the rung's guard (2^14, 2^30, `_INT64_GUARD`), and
+    dtype=object (Python ints) past int64.  a starts on the narrowest
+    rung whose guard exceeds both its largest entry and m, since `_mod`
+    reduces a's quotients mod m in a's dtype.  Only a changes rung during
+    a run: each step first bounds the entries it will write in a, and
+    when the bound reaches the guard of a's rung, a moves to the
+    narrowest rung above the bound for this and all later steps (`_fit`).
+    Each transform's rung is fixed on creation: Python ints when it is
+    exact (no m), else the narrowest rung whose guard exceeds 2 m^2, as
+    residues.  A rung changes the dtype, never a value, so the pivots,
+    the order of operations and every transform are those of the same
+    run on Python ints.
     """
 
     def __init__(self, a, u=None, v=None, m=None):
-        self.a, self.m = a, m
+        self.m = m
+        # `_mod` reduces a's quotients mod m in a's dtype, so m must fit
+        dtype, self.guard = _rung(max(_peak(a), m or 0))
+        self.a = a.astype(dtype, copy=False)
         # u and v kept mod m stay in [0, m) and their multipliers are
         # reduced mod m, so every step on them stays under 2 m^2
-        wide = m is None or 2 * m * m >= _INT64_GUARD
-        dtype = object if wide else np.int64
+        dtype = object if m is None else _rung(2 * m * m)[0]
         self.u = None if u is None else u.astype(dtype, copy=False)
         self.v = None if v is None else v.astype(dtype, copy=False)
         self.factors = self._run()
 
     def _fit(self, bound: int):
-        """Move a to Python ints when an entry may reach the guard."""
-        if bound >= _INT64_GUARD and self.a.dtype != object:
-            self.a = self.a.astype(object)
+        """Move a to the narrowest rung whose guard exceeds bound, when
+        bound reaches the guard of the rung a is on.
+
+        Every write into a is bounded first: a row step by `bound`, which
+        grows by peak(q) * peak(pivot row) with each step; a remainder by
+        the pivot, and its q * p by twice the bound, which each guard's
+        two spare bits hold; `_col_axpy` and `_combine` by their own
+        bounds, which exceed each Python int multiplier they take, since
+        in `_chain` every column and row pair they read holds a non-zero
+        diagonal entry; `_first_least`'s top + 1 by the guard.  So on
+        NumPy 2, where a Python int operand takes the array's dtype and
+        must fit it, every such operand fits, and every result fits a's
+        dtype.  On NumPy 1.24, value-based casting may compute a step in
+        a wider dtype than a's, never a narrower one, and the write back
+        into a casts a value the bound shows fits; the values are the
+        same on both."""
+        if self.guard is not None and bound >= self.guard:
+            dtype, self.guard = _rung(bound)
+            self.a = self.a.astype(dtype)
 
     def _mod(self, x):
         return x if self.m is None else x % self.m
@@ -348,14 +395,21 @@ def smith_normal_form(A: IntegerMatrix) -> SmithForm:
 def _reduced_rows(a: np.ndarray, m: int) -> np.ndarray:
     """Rows of a reduced to the symmetric range mod m, with zero and
     repeated rows dropped; the solution set mod m is unchanged.  The rows
-    kept stay in first-occurrence order, which the pivot tie-break sees."""
-    a = a % m
+    kept stay in first-occurrence order, which the pivot tie-break sees,
+    on the rung of max(a's largest entry, m), where `%` can take m."""
+    a = a.astype(_rung(max(_peak(a), m))[0], copy=False) % m
     a[a > m // 2] -= m
-    key = tuple if a.dtype == object else bytes
-    first: dict = {}
-    for i in np.flatnonzero(a.any(axis=1)):
-        first.setdefault(key(a[i]), i)
-    return a[list(first.values())]
+    live = np.ascontiguousarray(a[a.any(axis=1)])
+    if not live.size:
+        return live
+    if a.dtype == object:
+        kept = dict.fromkeys(map(tuple, live.tolist()))
+        return np.array(list(kept), dtype=object)
+    # one bytes key per row, from a void view of the contiguous rows
+    row = np.dtype((np.void, live.itemsize * live.shape[1]))
+    kept = dict.fromkeys(live.view(row).ravel().tolist())
+    return np.frombuffer(bytearray().join(kept),
+                         dtype=a.dtype).reshape(len(kept), -1)
 
 
 def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
@@ -364,7 +418,7 @@ def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
     factors are gcd(d_i, m) for the invariant factors d_i of A, then m
     for each column past A's rank."""
     c = A.cols
-    work = _reduced_rows(_array(A.array, m), m)
+    work = _reduced_rows(A.array, m)
     work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
     return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m)
 

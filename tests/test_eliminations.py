@@ -10,6 +10,7 @@ by universal coefficients, is compared with the list core's quotient of
 the cocycle span by the coboundary span.
 """
 
+import json
 import random
 from itertools import product
 from math import gcd, prod
@@ -303,6 +304,153 @@ def test_smith_transforms_come_back_in_int64_under_the_guard():
         assert sf.D.array.dtype == np.int64
         U, D, V, _ = oracle.smith(entries)
         assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+
+
+# An upper bidiagonal matrix whose next unit pivot always sits in the
+# row just reduced: its entries grow as B, B^2, ..., B^5 = 2^65, so one
+# Smith run crosses 2^14, 2^30 and 2^62 in turn
+B = 2 ** 13
+LADDER = [[1, B] + [0] * 5] + [[0] * i + [B, 1] + [0] * (5 - i)
+                               for i in range(1, 6)]
+RUNGS = [np.dtype(t) for t in (np.int16, np.int32, np.int64, object)]
+
+
+def test_the_eliminated_array_climbs_every_rung(monkeypatch):
+    # at the real guards, a starts on int16 and each move is one rung up
+    moves = []
+    original = modalg._Smith._fit
+
+    def spy(self, bound):
+        dtype = self.a.dtype
+        original(self, bound)
+        if self.a.dtype != dtype:
+            moves.append((dtype, self.a.dtype))
+
+    monkeypatch.setattr(modalg._Smith, "_fit", spy)
+    sf = smith_normal_form(IntegerMatrix(LADDER))
+    U, D, V, factors = oracle.smith(LADDER)
+    assert (sf.U.entries, sf.D.entries, sf.V.entries) == (U, D, V)
+    assert sf.invariant_factors == factors
+    assert moves == list(zip(RUNGS, RUNGS[1:]))
+    assert max(abs(e) for row in U + V for e in row) >= 2 ** 62
+    cols, b = len(LADDER[0]), list(range(1, len(LADDER) + 1))
+    for m in (12, 2 ** 40 + 15, 3 ** 50):
+        A = IntegerMatrix(LADDER)
+        assert kernel_mod(A, m) == oracle.kernel(LADDER, cols, m)
+        assert solve_mod(A, b, m) == oracle.solve(LADDER, cols, b, m)
+
+
+@pytest.mark.parametrize("m,rung", [(5, np.int16), (100, np.int32),
+                                    (1000, np.int32),
+                                    (2 ** 20, np.int64),
+                                    (2 ** 40 + 15, object)])
+def test_transforms_kept_mod_m_start_on_the_rung_of_2m2(monkeypatch, m, rung):
+    # V in kernel_mod, and the right-hand side and V in solve_mod, start on
+    # the narrowest rung whose guard exceeds 2 m^2; exact transforms on
+    # Python ints; at m = 100, 2 m^2 passes 2^14 where m^2 does not
+    started = []
+    original = modalg._Smith._run
+
+    def spy(self):
+        started.append(tuple(None if x is None else x.dtype
+                             for x in (self.u, self.v)))
+        return original(self)
+
+    monkeypatch.setattr(modalg._Smith, "_run", spy)
+    rng = random.Random(f"transforms/{m}")
+    for _ in range(10):
+        entries = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5),
+                                 36)
+        A = IntegerMatrix(entries)
+        b = [rng.randrange(m) for _ in range(A.rows)]
+        started.clear()
+        assert kernel_mod(A, m) == oracle.kernel(entries, A.cols, m)
+        assert solve_mod(A, b, m) == oracle.solve(entries, A.cols, b, m)
+        smith_normal_form(A)
+        rung = np.dtype(rung)
+        assert started == [(None, rung), (rung, rung),
+                           (np.dtype(object), np.dtype(object))]
+
+
+def _outputs(entries, m, b) -> str:
+    """smith_normal_form (with the dtypes of U, D and V), kernel_mod and
+    solve_mod of entries as JSON text, which a numpy scalar would fail."""
+    A = IntegerMatrix(entries)
+    sf = smith_normal_form(A)
+    return json.dumps([[(str(M.array.dtype), M.entries)
+                        for M in (sf.U, sf.D, sf.V)],
+                       sf.invariant_factors, kernel_mod(A, m),
+                       solve_mod(A, b, m)])
+
+
+def _cohomology_outputs(m) -> str:
+    return json.dumps([
+        (H.invariant_factors, H.cocycle_order, H.coboundary_order,
+         [g.values.tolist() for g in H.generators])
+        for H in (cohomology_group(X, n, m) for X, n in (
+            (make_affine(3, 1, 2, 2), 2), (make_affine(4, 1, -1, -1), 2),
+            (make_block(2, 1, 1), 2), (make_affine(6, 5, 1), 1),
+            (make_affine(5, 2, 1), 2)))])
+
+
+@pytest.mark.parametrize("m", (4, 6, 12, 36, 2 ** 40 + 15, 3 ** 50))
+def test_narrow_rungs_change_no_output(monkeypatch, m):
+    # the same runs with the int16 and int32 rungs taken away; past int16,
+    # a must not start on int16 just because its entries are small
+    rng = random.Random(f"rungs/{m}")
+    cases = [LADDER] + [
+        _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                       rng.choice((6, 36, m)))
+        for _ in range(30)]
+    runs = {}
+    for narrow in (True, False):
+        with monkeypatch.context() as patch:
+            if not narrow:
+                patch.setattr(modalg, "_NARROW", ())
+            rng = random.Random(m)
+            runs[narrow] = [_outputs(entries, m,
+                                     [rng.randrange(m) for _ in entries])
+                            for entries in cases]
+            # cochain values are int64, so H^n takes m below 2^63
+            if m < 2 ** 63:
+                runs[narrow].append(_cohomology_outputs(m))
+    assert runs[True] == runs[False]
+
+
+def _dict_of_bytes_rows(a, m):
+    """`_reduced_rows` as it ran on int64: one dict lookup per live row,
+    keyed on the row's bytes (on tuples when a is dtype=object)."""
+    a = modalg._array(a, m) % m
+    a[a > m // 2] -= m
+    key = tuple if a.dtype == object else bytes
+    first = {}
+    for i in np.flatnonzero(a.any(axis=1)):
+        first.setdefault(key(a[i]), i)
+    return a[list(first.values())]
+
+
+@pytest.mark.parametrize("m", (2, 3, 12, 40000, 2 ** 31 + 11,
+                               2 ** 40 + 15, 3 ** 50))
+def test_reduced_rows_match_the_dict_of_bytes_loop(m):
+    rng = random.Random(f"reduced/{m}")
+    cases = [np.zeros((0, 4), np.int64), np.zeros((3, 0), np.int64),
+             np.zeros((4, 3), np.int64), np.zeros((2, 3), object),
+             np.array([[1, 2, 3], [1 + m, 2 - m, 3], [0, 0, 0], [1, 2, 3],
+                       [3, 2, 1]], dtype=object),
+             np.array([[2 ** 70, 1], [0, 0], [2 ** 70 + m, 1 - m]],
+                      dtype=object)]
+    for _ in range(30):
+        entries = _random_matrix(rng, rng.randint(1, 9), rng.randint(1, 6),
+                                 rng.choice((6, m)))
+        if rng.random() < 0.3:
+            entries[0][0] += 2 ** 64
+        cases.append(IntegerMatrix(entries).array)
+    assert {a.dtype for a in cases} == {np.dtype(np.int64), np.dtype(object)}
+    for a in cases:
+        before = a.copy()
+        got, want = modalg._reduced_rows(a, m), _dict_of_bytes_rows(a, m)
+        assert got.shape == want.shape and got.tolist() == want.tolist()
+        assert np.array_equal(a, before)
 
 
 def _oracle_cohomology(X, n, m):
