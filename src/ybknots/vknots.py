@@ -62,6 +62,7 @@ array is allocated and on held rows as arcs times rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import weakref
@@ -210,40 +211,54 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     virtual crossings are self-inverse, so an exponent on `v` means
     |exponent| copies.  The strand count defaults to one more than the
     largest index used.
+
+    The text is split once, and each distinct token is matched once.
+    Equal letters are one object, whichever tokens spell them.  An error
+    gives the offset of its token in the text.
     """
     generators: list[BraidGenerator] = []
-    # one generator per distinct letter, so equal letters are one object
     letters: dict[tuple[str, int], BraidGenerator] = {}
-    max_index = 0
-    for match in re.finditer(r"\S+", text):
-        token = match.group()
-        parsed = _TOKEN.match(token)
-        if parsed is None:
-            raise BraidSyntaxError(f"bad token {token!r}", match.start())
-        kind_char, index_text, exp_text = parsed.groups()
-        index = int(index_text)
-        if index < 1:
-            raise BraidSyntaxError(
-                f"index must be at least 1 in {token!r}", match.start())
-        exponent = 1 if exp_text is None else int(exp_text)
-        check_cap("parse_braid", "letters", len(generators) + abs(exponent),
+    # each distinct token's letter and copy count
+    parsed: dict[str, tuple[BraidGenerator, int]] = {}
+    for at, token in enumerate(text.split()):
+        entry = parsed.get(token)
+        if entry is None:
+            match = _TOKEN.match(token)
+            if match is None:
+                raise BraidSyntaxError(f"bad token {token!r}",
+                                       _offset(text, at))
+            kind_char, index_text, exp_text = match.groups()
+            index = int(index_text)
+            if index < 1:
+                raise BraidSyntaxError(
+                    f"index must be at least 1 in {token!r}", _offset(text, at))
+            exponent = 1 if exp_text is None else int(exp_text)
+            if kind_char == "v":
+                kind = VIRTUAL
+            else:
+                kind = POSITIVE if exponent >= 0 else NEGATIVE
+            letter = letters.get((kind, index))
+            if letter is None:
+                letter = letters[kind, index] = BraidGenerator(kind, index)
+            entry = parsed[token] = letter, abs(exponent)
+        letter, copies = entry
+        check_cap("parse_braid", "letters", len(generators) + copies,
                   MAX_LETTERS)
-        max_index = max(max_index, index)
-        if kind_char == "v":
-            kind = VIRTUAL
-        else:
-            kind = POSITIVE if exponent >= 0 else NEGATIVE
-        letter = letters.get((kind, index))
-        if letter is None:
-            letter = letters[kind, index] = BraidGenerator(kind, index)
-        generators.extend([letter] * abs(exponent))
-    needed = max_index + 1 if max_index else 1
+        generators.extend([letter] * copies)
+    max_index = max([index for _, index in letters], default=0)
+    needed = max_index + 1
     strands = needed if strands is None else _integer(strands, "strands")
     if strands < needed:
         raise IndexOutOfRange(
             f"word uses index {max_index}, needs {needed} strands, "
             f"got {strands}")
     return BraidWord(strands, tuple(generators))
+
+
+def _offset(text: str, at: int) -> int:
+    """Where token `at` of text.split() starts in text: the runs of
+    non-whitespace are the same tokens."""
+    return next(itertools.islice(re.finditer(r"\S+", text), at, None)).start()
 
 
 def _needs_inverse(word: BraidWord) -> bool:
@@ -420,7 +435,10 @@ def _plan(n_arcs: int, top, crossings, rules) -> tuple:
     each unknown top arc would end the search.  An arc is taken only if
     that many more branches would still keep the total within one per
     top arc, and so the rows within |X|^(top arcs); failing that, the
-    best unknown top arc is taken.
+    best unknown top arc is taken.  A candidate is tried by `gain`, which
+    only counts what propagation would make known; the scan stops at the
+    first one allowed that makes every unknown arc known, since the
+    earliest best candidate wins.
 
     The tuples are built from lists, not generators: CPython sizes a
     tuple(generator) by a guess and resizes it, so as entries churned,
@@ -435,10 +453,9 @@ def _plan(n_arcs: int, top, crossings, rules) -> tuple:
     pairs = [[(r, arcs[_PAIRS[r][0]], arcs[_PAIRS[r][1]]) for r in rules]
              for arcs in crossings]
 
-    def propagate(known, done, fresh, steps=None) -> int:
-        """Fire every crossing a known pair fixes, to a fixpoint; the
-        number of arcs that became known."""
-        gained = 0
+    def propagate(known, done, fresh, steps):
+        """Fire every crossing a known pair fixes, to a fixpoint, and
+        append its cross steps."""
         while fresh:
             for c in touching[fresh.pop()]:
                 if done[c]:
@@ -460,27 +477,58 @@ def _plan(n_arcs: int, top, crossings, rules) -> tuple:
                         known[a] = True
                         writes.append(slot)
                         fresh.append(a)
+                for slot in writes:
+                    order[arcs[slot]] = len(order)
+                steps.append(("cross", rule, tuple([order[a] for a in arcs]),
+                              tuple(writes), tuple(checks)))
+
+    def gain(arc) -> tuple[int, int]:
+        """(arcs, top arcs) that become known after a branch on arc: the
+        fixpoint `propagate` reaches, counted on copies, with no step
+        built."""
+        trial = known.copy()
+        trial[arc] = True
+        closed = done.copy()
+        fresh = [arc]
+        gained = top_gained = 0
+        while fresh:
+            for c in touching[fresh.pop()]:
+                if closed[c]:
+                    continue
+                for _, first, second in pairs[c]:
+                    if trial[first] and trial[second]:
+                        break
+                else:
+                    continue
+                closed[c] = True
+                # the pair's arcs are known, so only the others count
+                for a in crossings[c]:
+                    if not trial[a]:
+                        trial[a] = True
+                        fresh.append(a)
                         gained += 1
-                if steps is not None:
-                    for slot in writes:
-                        order[arcs[slot]] = len(order)
-                    steps.append(("cross", rule,
-                                  tuple([order[a] for a in arcs]),
-                                  tuple(writes), tuple(checks)))
-        return gained
+                        top_gained += is_top[a]
+        return gained, top_gained
 
     def best(candidates):
+        # every candidate is unknown; one that makes every other unknown
+        # arc known can be beaten by no later one under the strict >
+        unknown = known.count(False) - 1
+        unknown_tops = sum([not known[a] for a in tops])
         chosen, most = None, -1
         for arc in candidates:
-            trial = known.copy()
-            trial[arc] = True
-            gained = propagate(trial, done.copy(), [arc])
-            left = sum(not trial[a] for a in tops)
+            gained, top_gained = gain(arc)
+            left = unknown_tops - is_top[arc] - top_gained
             if gained > most and branches + 1 + left <= len(tops):
                 chosen, most = arc, gained
+                if gained == unknown:
+                    break
         return chosen
 
     tops = sorted(set(top))
+    is_top = [False] * n_arcs
+    for a in tops:
+        is_top[a] = True
     known = [False] * n_arcs
     done = [False] * len(crossings)
     steps: list[tuple] = []

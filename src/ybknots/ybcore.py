@@ -367,25 +367,25 @@ class FiniteYBSet:
         """The report and the inverse tables R has, by property name."""
         n = self.size
         elements = np.arange(n)
-        packed = (self.r1 * n + self.r2).reshape(-1)
-        invertible = bool(np.array_equal(np.sort(packed), np.arange(n * n)))
-        left = bool((np.sort(self.r1, axis=1) == elements).all())
-        right = bool((np.sort(self.r2, axis=0)
-                      == elements.reshape(n, 1)).all())
+        # each map's inverse by one scatter into -1s: n^2 (or n per row)
+        # sources fill every entry exactly when the map is a bijection
+        inv = np.full(n * n, -1, dtype=np.int64)
+        inv[(self.r1 * n + self.r2).reshape(-1)] = np.arange(n * n)
+        # left_inverse[a, R1(a, b)] = b
+        left_inv = np.full((n, n), -1, dtype=np.int64)
+        left_inv[elements[:, None], self.r1] = elements
+        # right_inverse[b, R2(a, b)] = a
+        right_inv = np.full((n, n), -1, dtype=np.int64)
+        right_inv[elements, self.r2] = elements[:, None]
+        invertible, left, right = [bool(table.min() >= 0)
+                                   for table in (inv, left_inv, right_inv)]
         tables = {}
         if invertible:
-            inv = np.empty(n * n, dtype=np.int64)
-            inv[packed] = np.arange(n * n)
-            tables["rbar1"] = (inv // n).reshape(n, n)
-            tables["rbar2"] = (inv % n).reshape(n, n)
+            tables["rbar1"], tables["rbar2"] = np.divmod(inv.reshape(n, n), n)
         if left:
-            # left_inverse[a, R1(a, b)] = b
-            table = tables["left_inverse"] = np.empty((n, n), dtype=np.int64)
-            table[elements[:, None], self.r1] = elements
+            tables["left_inverse"] = left_inv
         if right:
-            # right_inverse[b, R2(a, b)] = a
-            table = tables["right_inverse"] = np.empty((n, n), dtype=np.int64)
-            table[elements, self.r2] = elements[:, None]
+            tables["right_inverse"] = right_inv
         for table in tables.values():
             table.setflags(write=False)
         return BirackReport(invertible, left, right), tables

@@ -43,6 +43,7 @@ from ybknots.errors import (
     BraidSyntaxError,
     IndexOutOfRange,
     ResourceBound,
+    YBKError,
 )
 from ybknots.reference import (
     BORROMEAN_VALUE,
@@ -60,6 +61,9 @@ from ybknots.reference import (
     z4_biquandle,
     z4_cocycle,
 )
+
+import parse_oracle
+import plan_oracle
 
 
 def test_parse_kishino_word():
@@ -89,12 +93,83 @@ def test_parse_errors():
     with pytest.raises(BraidSyntaxError) as err:
         parse_braid("x2")
     assert err.value.position == 0
-    with pytest.raises(BraidSyntaxError):
+    # a token past the first is placed by its offset in the text
+    with pytest.raises(BraidSyntaxError,
+                       match=r"^bad token 'q3' \(at position 3\)$") as err:
         parse_braid("s1 q3 s2")
+    assert err.value.position == 3
     with pytest.raises(BraidSyntaxError):
         parse_braid("s0")
+    with pytest.raises(BraidSyntaxError,
+                       match=r"^index must be at least 1 in 's0'") as err:
+        parse_braid("s1  s0")
+    assert err.value.position == 4
     with pytest.raises(IndexOutOfRange):
         parse_braid("s3", strands=3)
+
+
+def _parsed(parse, text, strands=None):
+    """The word `parse` makes of text, or its error as (type, message,
+    position)."""
+    try:
+        return parse(text, strands)
+    except (YBKError, ValueError) as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+def test_parse_splits_on_every_whitespace_the_oracle_does():
+    spaced = _parsed(parse_braid, "s1 v2^-3 s1^2")
+    for sep in ("\t", "\n", "\u00a0", "\u2003", "\x1c", "\r\n", " \t "):
+        text = sep + sep.join(["s1", "v2^-3", "s1^2"]) + sep
+        assert _parsed(parse_braid, text) == \
+            _parsed(parse_oracle.parse_braid, text) == spaced, repr(sep)
+        # a separator never hides a bad token's offset
+        bad = sep.join(["s1", "q3", "s2"])
+        assert _parsed(parse_braid, bad) == \
+            _parsed(parse_oracle.parse_braid, bad)
+        assert _parsed(parse_braid, bad)[2] == 2 + len(sep)
+
+
+def test_parse_matches_the_oracle():
+    # exponents, tokens repeated after an error or past the letter cap
+    # (each distinct token is matched once, the cap checked at every
+    # token), and strand counts the word does not fit
+    cap = vknots.MAX_LETTERS
+    cases = [(text, strands) for strands in (None, 4, 11) for text in (
+        "s1^0", "v2^-3", "s10^2", "s1^+2", "s1^-0", "v1^0 s3^0", "s1^",
+        "s^2", "S1", "s1^2^3", "s01^-02", "v2^-3 v2^3", "s1 s1^-1 s1^2 s1^-2",
+        "s1 q3 s2 q3", "s1 s2 s0 s1 s0", "v1  s1^x s1^x")]
+    cases += [(text, None) for text in (
+        f"s1^{cap}", f"s1^{cap + 1}", f"s1^{cap - 1} v1 s1",
+        f"s1^{cap} s1^0 s1^0", f"s1^{cap} s1 q3",
+        f"s1^{cap // 2} s1^{cap // 2} s1^{cap // 2}",
+        f"v1^-{cap // 2} s2 v1^-{cap // 2}",
+        " ".join(["s1 v1"] * (cap // 2)) + " s1^0 s1",
+        f"s1^{10 ** 30} q3", f"s0 s1^{cap + 1}")]
+    cases += [("s3", 3), ("s5^0", 3), ("", 0), ("s1", 0), ("s1", -2),
+              ("s1", "2"), ("s1", 2.0), ("s1", True), ("v1 s4^-1", 4),
+              ("", 1), ("s2", np.int64(3))]
+    rng = random.Random(29)
+    pieces = ("s1", "s2", "v1", "v3", "s1^-1", "s2^3", "v2^-2", "s1^0",
+              "s12", "q3", "s0", "s1^+2", "v", "s1^99")
+    seps = (" ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c")
+    for _ in range(600):
+        tokens = [rng.choice(pieces) for _ in range(rng.randint(0, 12))]
+        cases.append(("".join(rng.choice(seps) + t for t in tokens),
+                      rng.choice((None, None, 3, 14))))
+    for text, strands in cases:
+        assert _parsed(parse_braid, text, strands) == \
+            _parsed(parse_oracle.parse_braid, text, strands), \
+            (text[:40], strands)
+    assert parse_braid("s10^2").text() == "s10 s10"
+    assert parse_braid("s1^0").strands == 2
+    assert _parsed(parse_braid, "s1^+2")[:2] == (
+        BraidSyntaxError, "bad token 's1^+2' (at position 0)")
+    assert _parsed(parse_braid, f"s1^{cap // 2} " * 3) == (
+        ResourceBound,
+        f"parse_braid: letters = {3 * (cap // 2)} exceeds the cap {cap}", None)
+    assert _parsed(parse_braid, "s5^0", 3)[:2] == (
+        IndexOutOfRange, "word uses index 5, needs 6 strands, got 3")
 
 
 def test_generator_and_word_objects():
@@ -619,6 +694,25 @@ def _searched_words():
                           ("", 3), ("v1 v2", 3), ("v1 v1", 2),
                           ("v2 v1 v3", 4)):
         yield parse_braid(text, strands)
+
+
+def test_plans_match_the_planner_oracle():
+    # the planner's trial closures only count, and its scan of candidates
+    # stops early; its plans must be byte for byte the oracle's
+    rng = random.Random(29)
+    words = list(_searched_words()) + [
+        _random_word(rng, rng.randint(1, 9), rng.randint(0, 20))
+        for _ in range(400)]
+    for word in words:
+        arcs = vknots._arcs(word)
+        negative = any(g.kind == "negative" for g in word.generators)
+        for backward, left, right in itertools.product((0, 1), repeat=3):
+            if negative and not backward:
+                continue
+            rules = tuple(r for r, on in enumerate((1, backward, left, right))
+                          if on)
+            assert vknots._plan(*arcs, rules) == \
+                plan_oracle.plan(*arcs, rules), (word, rules)
 
 
 def test_plan_numbers_arcs_in_the_order_they_become_known():
