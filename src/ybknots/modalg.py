@@ -208,10 +208,13 @@ class _Smith:
     run on Python ints.
     """
 
-    def __init__(self, a, u=None, v=None, m=None):
+    def __init__(self, a, u=None, v=None, m=None, peak=None):
         self.m = m
-        # `_mod` reduces a's quotients mod m in a's dtype, so m must fit
-        dtype, self.guard = _rung(max(_peak(a), m or 0))
+        # `_mod` reduces a's quotients mod m in a's dtype, so m must fit;
+        # a caller that knows a's largest entry passes it as `peak`, and
+        # a is then not scanned for it
+        dtype, self.guard = _rung(max(_peak(a) if peak is None else peak,
+                                      m or 0))
         self.a = a.astype(dtype, copy=False)
         # u and v kept mod m stay in [0, m) and their multipliers are
         # reduced mod m, so every step on them stays under 2 m^2
@@ -420,7 +423,9 @@ def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
     c = A.cols
     work = _reduced_rows(A.array, m)
     work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
-    return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m)
+    # the reduced rows lie in the symmetric range, so m*I holds the peak
+    return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m,
+                  peak=m)
 
 
 def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:

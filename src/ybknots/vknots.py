@@ -10,7 +10,13 @@ passes through and collects the total in the group ring Z[Z_m].
 A solution with a declared linear form (`FiniteYBSet.linear`) has the
 word act as one matrix W on the stacked digit vectors of the strands,
 so its colorings are ker(W - I) over Z_q: they are counted from the
-kernel's generators and listed from them, never searched for.
+kernel's generators and listed from them, never searched for.  W is
+composed from the form's 2d x 2d matrix A and its inverse over Z_q
+alone (`_word_matrix`), which also records the map from the top digits
+to the pair each real crossing weighs.  The kernel's elements, as digit
+vectors, are checked fixed by W in one product, and their state-sum
+weights are one gather from the cochain per slab of crossings.  No table
+of the set is read or built, so nothing of |X|^2 entries is allocated.
 
 A solution given by its tables is searched over the arcs of the closed
 diagram.  Each real crossing is a relation R(x, y) = (z, w) on four
@@ -30,13 +36,13 @@ pair's flat index a*n + b; a check keeps the rows it passes, copying
 only their known arcs.  The entries of arcs not yet known are allocated
 but never read.
 
-Either way the rows found are traced through the word, which checks
-that each is fixed and gives the state-sum weights.  The trace holds
-one 1-D array per strand position, with every row's color there: a
-real letter gathers its pair's two new colors (and the weight term)
-from the flattened tables, and a virtual letter only swaps two arrays.
-The weights are summed exactly in int64 and reduced mod m once, after
-the last letter (see `_trace_word`).
+The rows a search found are traced through the word, which checks that
+each is fixed and gives the state-sum weights.  The trace holds one 1-D
+array per strand position, with every row's color there: a real letter
+gathers its pair's two new colors (and the weight term) from the
+flattened tables, and a virtual letter only swaps two arrays.  Either
+way the weights are summed exactly in int64 and reduced mod m once, at
+the end (see `_trace_word` and `_form_rows`).
 
 Two memos reuse what a closed braid needs.  Its arcs and search plan
 depend only on the word and the rule set, so `_compiled` keeps them in
@@ -50,10 +56,12 @@ ker(W - I) on a set with a form, or the read-only rows the trace
 checked fixed, with their arc count, on a table-given set.  The memo
 holds the set by a weak reference, lets the rows go before another
 search and goes with the set, so live sets hold one closure's rows
-between them.  A count or a listing of that
-closure then neither searches nor traces, and a state sum traces only
-for its weights.  A word hashes itself once, when it is built, so a
-lookup does not walk its letters.
+between them.  A count of that closure then neither searches nor
+composes, a listing of a table-given set's closure neither searches
+nor traces, and a state sum traces the held rows only for its weights.
+On a form a listing or a state sum composes W again, for the check and
+the weights, but eliminates nothing.  A word hashes itself once, when
+it is built, so a lookup does not walk its letters.
 
 The caps are checked on every call, outside both memos: MAX_TOP_ARCS
 and MAX_KERNEL_DIGITS before a memo is read, MAX_ENTRIES before each
@@ -74,7 +82,7 @@ import numpy as np
 from .errors import ArityMismatch, BraidSyntaxError, IndexOutOfRange, check_cap
 from .modalg import GroupRingElement, _cyclic_kernel
 from .ybcore import (MAX_ENTRIES, CochainTable, FiniteYBSet, _check_colors,
-                     _decode, _integer)
+                     _decode, _encode, _integer)
 
 # Most letters a parsed word expands to: the trace, the arcs and the
 # search plan all walk every letter.
@@ -321,38 +329,69 @@ def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
     return strands, weights
 
 
-def _word_matrix(X: FiniteYBSet, word: BraidWord) -> np.ndarray:
-    """W over Z_q: the word's action on the k strands' digit vectors,
-    stacked strand by strand.  R is linear, so column j of W is the
-    digits of the traced tuple whose digit vector is e_j."""
+def _word_matrix(X: FiniteYBSet, word: BraidWord):
+    """(W, pairs, signs) over Z_q, composed from the form's A and A^-1.
+
+    W is the word's action on the k strands' digit vectors, stacked
+    strand by strand.  It starts as the identity, and its d rows of
+    position p are that position's digits as a function of the top
+    digits: a positive letter maps its pair's 2d rows through A in
+    place, a negative one through A^-1, and a virtual letter swaps the
+    pair's two blocks.  Real crossing c weighs the pair whose digits are
+    P_c @ top digits, with sign_c: the incoming pair, +1, at s_i and the
+    pair Rbar pulls it back to, -1, at s_i^-1.  `pairs` lists the 2d x dk
+    maps P_c, at most MAX_LETTERS * 2d * dk entries in all, and `signs`
+    holds the signs.  ValueError when a negative letter meets an A with
+    no inverse mod q.
+    """
     form = X.linear
-    units = np.eye(form.d * word.strands, dtype=np.int64)
-    end, _ = _trace_word(
-        X, word, form.index(units.reshape(len(units), word.strands, form.d)),
-        None, None)
-    return form.digits(np.stack(end, axis=1)).reshape(len(units), -1).T
+    q, d = form.q, form.d
+    side = d * word.strands
+    forward = np.array(form.matrix, dtype=np.int64)
+    if _needs_inverse(word):
+        backward = X._form_inverse
+        if backward is None:
+            raise ValueError(f"{X.label}: R is not invertible")
+    W = np.eye(side, dtype=np.int64)
+    pairs, signs = [], []
+    for g in word.generators:
+        pair = W[(g.index - 1) * d:(g.index + 1) * d]
+        if g.kind == VIRTUAL:
+            pair[:] = np.concatenate((pair[d:], pair[:d]))
+        elif g.kind == POSITIVE:
+            pairs.append(pair.copy())
+            signs.append(1)
+            np.remainder(forward @ pair, q, out=pair)
+        else:
+            pair[:] = backward @ pair % q
+            pairs.append(pair.copy())
+            signs.append(-1)
+    return W, pairs, np.array(signs, dtype=np.int64)
 
 
-def _kernel(stage: str, X: FiniteYBSet, word: BraidWord) -> tuple[tuple, tuple]:
-    """Generators of ker(W - I) over Z_q and their orders, as tuples.
-    They span a direct sum, so each coloring is one combination
-    sum c_i g_i with 0 <= c_i < order_i."""
+def _kernel(stage: str, X: FiniteYBSet, word: BraidWord):
+    """(kernel, composed): the generators of ker(W - I) over Z_q and
+    their orders, as tuples, and `_word_matrix`'s result when this call
+    composed W to eliminate it, else None (the memo held the kernel).
+    The generators span a direct sum, so each coloring is one
+    combination sum c_i g_i with 0 <= c_i < order_i."""
     form = X.linear
     side = form.d * word.strands
     check_cap(stage, "kernel digits d*k", side, MAX_KERNEL_DIGITS)
-    kernel = _held(X, word)
+    kernel, composed = _held(X, word), None
     if kernel is None:
-        W = _word_matrix(X, word) - np.eye(side, dtype=np.int64)
+        composed = _word_matrix(X, word)
+        W = composed[0] - np.eye(side, dtype=np.int64)
         gens, orders = _cyclic_kernel(W.tolist(), form.q)
         kernel = tuple([tuple(g) for g in gens]), tuple(orders)
         _hold(X, word, kernel)
-    return kernel
+    return kernel, composed
 
 
 def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
-    """Every element of ker(W - I) as a strand tuple."""
+    """Every element of ker(W - I), as one row of d*k digits each."""
     q, d = X.linear.q, X.linear.d
-    gens, orders = _kernel(stage, X, word)
+    gens, orders = _kernel(stage, X, word)[0]
     total = math.prod(orders)
     check_cap(stage, "kernel entries colorings*d*k", total * d * word.strands,
               MAX_ENTRIES)
@@ -362,7 +401,44 @@ def _kernel_rows(stage: str, X: FiniteYBSet, word: BraidWord) -> np.ndarray:
     for g, order in zip(gens[::-1], orders[::-1]):
         vectors = (vectors + np.outer(index % order, g)) % q
         index //= order
-    return X.linear.index(vectors.reshape(total, word.strands, d))
+    return vectors
+
+
+def _form_rows(stage: str, X: FiniteYBSet, word: BraidWord, psi_array,
+               modulus):
+    """The kernel's elements as strand tuples, checked fixed by W, with
+    their weights mod `modulus` (None without `psi_array`).
+
+    Every entry below is a residue, so a product of dk terms stays under
+    dk*q^2 < 2^62: the word caps hold dk to 224 and every maker caps n^2,
+    so q <= 4096.  The weight of a row is sum_c sign_c psi(P_c @ digits),
+    gathered for a slab of crossings at once: the slab's maps are one
+    array, their pair digits one product, their indices one encoding and
+    their psi values one gather.  A slab holds as many crossings as keep
+    its maps, 2d*dk entries each, and its pair digits, rows*2d each,
+    within MAX_ENTRIES.  One crossing's 2d*dk is at most dk^2, and its
+    rows*2d at most the listing's rows*dk, which the kernel-entries cap
+    has bounded, so the slabs refuse nothing."""
+    form = X.linear
+    q, d = form.q, form.d
+    # W is composed once a call: by `_kernel` when it eliminates, else here
+    W, pairs, signs = _kernel(stage, X, word)[1] or _word_matrix(X, word)
+    digits = _kernel_rows(stage, X, word)
+    if not np.array_equal(digits @ W.T % q, digits):
+        raise RuntimeError(f"{stage}: a kernel element of W - I is not "
+                           f"fixed by {word!r} on {X.label}")
+    weights = None
+    if psi_array is not None:
+        psi = psi_array.reshape(-1)
+        rows, width = len(digits), 2 * d
+        weights = np.zeros(rows, dtype=np.int64)
+        slab = max(1, MAX_ENTRIES // (width * max(rows, d * word.strands)))
+        for c in range(0, len(signs), slab):
+            maps = np.concatenate(pairs[c:c + slab])
+            at = _encode((digits @ maps.T % q).reshape(rows, -1, width), q)
+            weights += psi[at] @ signs[c:c + slab]
+        weights %= modulus
+    return form.index(digits.reshape(len(digits), word.strands, d)), weights
 
 
 # The rules of a crossing R(x, y) = (z, w), whose arcs are slots 0..3
@@ -652,35 +728,33 @@ def _fixed_rows(stage: str, X: FiniteYBSet, word: BraidWord,
     """The colorings of the closed word as rows, in no set order, with
     their accumulated weights (None without a cochain).
 
-    On a table-given set the memo holds the rows of the last closure
+    On a set with a form they are the elements of ker(W - I), found and
+    weighed on the form (`_form_rows`).  On a table-given set the memo
+    holds the rows of the last closure
     searched, with their arc count, once the trace has checked them
     fixed, so a later call on that closure skips the search, and traces
     them again only for weights.  Held rows meet the caps as a search's
     would."""
     if X.linear is not None:
-        start = _kernel_rows(stage, X, word)
-        found = "a kernel element of W - I"
-    else:
-        _check_top_arcs(stage, word)
-        held = _held(X, word)
-        if held is not None:
-            n_arcs, start = held
-            check_cap(stage, "search entries arcs*rows",
-                      n_arcs * len(start), MAX_ENTRIES)
-            if psi_array is None:
-                return start, None
-            return start, _trace_word(X, word, start, psi_array, modulus)[1]
-        # another closure's rows are let go before the search allocates
-        _hold(None)
-        n_arcs, start = _searched_rows(stage, X, word)
-        found = "a searched coloring"
+        return _form_rows(stage, X, word, psi_array, modulus)
+    _check_top_arcs(stage, word)
+    held = _held(X, word)
+    if held is not None:
+        n_arcs, start = held
+        check_cap(stage, "search entries arcs*rows",
+                  n_arcs * len(start), MAX_ENTRIES)
+        if psi_array is None:
+            return start, None
+        return start, _trace_word(X, word, start, psi_array, modulus)[1]
+    # another closure's rows are let go before the search allocates
+    _hold(None)
+    n_arcs, start = _searched_rows(stage, X, word)
     end, weights = _trace_word(X, word, start, psi_array, modulus)
     if not np.array_equal(end, start.T):
-        raise RuntimeError(
-            f"{stage}: {found} is not fixed by {word!r} on {X.label}")
-    if X.linear is None:
-        start.setflags(write=False)
-        _hold(X, word, (n_arcs, start))
+        raise RuntimeError(f"{stage}: a searched coloring is not fixed by "
+                           f"{word!r} on {X.label}")
+    start.setflags(write=False)
+    _hold(X, word, (n_arcs, start))
     return start, weights
 
 
@@ -708,7 +782,7 @@ def count_colorings(X: FiniteYBSet, word: BraidWord) -> int:
     """Number of colorings; with a linear form, the order of ker(W - I),
     which enumerates nothing and so is not capped by MAX_ENTRIES."""
     if X.linear is not None:
-        return math.prod(_kernel("count_colorings", X, word)[1])
+        return math.prod(_kernel("count_colorings", X, word)[0][1])
     return len(_fixed_rows("count_colorings", X, word)[0])
 
 

@@ -187,6 +187,47 @@ def _linear_tables(form: LinearForm) -> tuple[np.ndarray, np.ndarray]:
     return table(range(d)), table(range(d, 2 * d))
 
 
+def _inverse_mod(matrix, q: int) -> list[list[int]] | None:
+    """The inverse over Z_q of a square matrix of residues, as a list of
+    rows, or None when it has none.
+
+    Gauss-Jordan on Python ints, [A | I] reduced to [I | A^-1].  Column
+    t's entries on and below the diagonal are reduced by Euclid until one
+    of them is a unit mod q: while none is, the row of the least one is
+    swapped in and reduces the others to their remainders.  Every step
+    is invertible over Z, so when a single non-unit is left, the column
+    generates no unit and A is not invertible.  The unit's row is scaled
+    to a pivot of 1 and clears its column in every other row.
+    """
+    size = len(matrix)
+    rows = [[*row, *(int(i == j) for j in range(size))]
+            for i, row in enumerate(matrix)]
+    for t in range(size):
+        while True:
+            live = [i for i in range(t, size) if rows[i][t]]
+            p = next((i for i in live if gcd(rows[i][t], q) == 1), None)
+            if p is not None:
+                break
+            if len(live) < 2:
+                return None
+            p = min(live, key=lambda i: rows[i][t])
+            rows[t], rows[p] = rows[p], rows[t]
+            pivot = rows[t]
+            for i in range(t + 1, size):
+                f = rows[i][t] // pivot[t]
+                if f:
+                    rows[i] = [(x - f * y) % q
+                               for x, y in zip(rows[i], pivot)]
+        rows[t], rows[p] = rows[p], rows[t]
+        unit = pow(rows[t][t], -1, q)
+        rows[t] = pivot = [x * unit % q for x in rows[t]]
+        for i in range(size):
+            f = rows[i][t]
+            if i != t and f:
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], pivot)]
+    return [row[size:] for row in rows]
+
+
 def _linear_ybe_failure(form: LinearForm):
     """The first failing triple of a linear solution, read off one
     3d x 3d matrix identity over Z_q.
@@ -296,6 +337,19 @@ class FiniteYBSet:
         """R1 and R2 of the declared form; a table-given set stores its
         tables on construction and never reads this."""
         return _linear_tables(self._linear)
+
+    @cached_property
+    def _form_inverse(self) -> np.ndarray | None:
+        """A^-1 over Z_q of the declared form's matrix, read-only int64,
+        or None when R is not invertible: it maps the digits of (x, y) to
+        those of Rbar(x, y), and is found from the 2d x 2d matrix alone,
+        with no table read."""
+        inverse = _inverse_mod(self._linear.matrix, self._linear.q)
+        if inverse is None:
+            return None
+        inverse = np.array(inverse, dtype=np.int64)
+        inverse.setflags(write=False)
+        return inverse
 
     @cached_property
     def r1(self) -> np.ndarray:

@@ -22,6 +22,7 @@ from ybknots import (
     FiniteYBSet,
     IntegerMatrix,
     coboundary_matrix,
+    cocycle_space,
     cohomology_group,
     kernel_mod,
     make_affine,
@@ -370,6 +371,43 @@ def test_transforms_kept_mod_m_start_on_the_rung_of_2m2(monkeypatch, m, rung):
         rung = np.dtype(rung)
         assert started == [(None, rung), (rung, rung),
                            (np.dtype(object), np.dtype(object))]
+
+
+def test_stacked_runs_start_on_the_rung_a_scan_would_pick(monkeypatch):
+    # `_stacked_smith` gives the Smith core m as the stack's peak instead
+    # of a scan of the stack; each run must still start on the rung and
+    # guard of _rung(max(largest entry, m)), the rule a scan applies, on
+    # the matrices of the cohomology workload's sets and on random ones
+    started = []
+    original = modalg._Smith._run
+
+    def spy(self):
+        dtype, guard = modalg._rung(max(modalg._peak(self.a), self.m or 0))
+        started.append((self.a.dtype, self.guard) == (np.dtype(dtype), guard))
+        return original(self)
+
+    monkeypatch.setattr(modalg._Smith, "_run", spy)
+    rng = random.Random("stacked rungs")
+    cases = [(make_block(3, 1, 1), 2, 3), (make_affine(3, 1, 2, 2), 2, 3),
+             (make_affine(4, 1, 3, 3), 2, 4)]
+    for q in (3, 4, 5, 5):
+        units = [v for v in range(1, q) if gcd(v, q) == 1]
+        s, t = rng.choice([(s, t) for s in units for t in units
+                           if (1 - s) * (1 - t) % q == 0 and (s, t) != (1, 1)])
+        X = make_affine(q, s, t, rng.choice(units))
+        cases += [(X, 1, q), (X, 2, q)]
+    for X, n, m in cases:
+        cohomology_group(X, n, m)
+        cocycle_space(X, n, m, type_one=n == 2)
+    for _ in range(200):
+        m = rng.choice(MODULI + (2, 15, 2 ** 13 + 1, 2 ** 40 + 15, 3 ** 50))
+        entries = [[rng.randint(-3 * m, 3 * m) for _ in range(rng.randint(1, 5))]
+                   for _ in range(rng.randint(1, 5))]
+        width = max(map(len, entries))
+        entries = [row + [0] * (width - len(row)) for row in entries]
+        assert kernel_mod(IntegerMatrix(entries), m) == \
+            oracle.kernel(entries, width, m)
+    assert len(started) > 200 and all(started)
 
 
 def _outputs(entries, m, b) -> str:

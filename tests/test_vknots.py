@@ -517,7 +517,7 @@ def test_linear_path_matches_brute_force(X):
         word = _random_word(rng, strands, rng.randint(0, 12))
         # apply_word and the traced W against a W built from A and A^-1
         W = word_matrix(word)
-        assert np.array_equal(vknots._word_matrix(X, word), W), word
+        assert np.array_equal(vknots._word_matrix(X, word)[0], W), word
         starts = np.array([[tuple_rng.randrange(X.size)
                             for _ in range(strands)] for _ in range(8)])
         ends = np.array([apply_word(X, word, t) for t in starts])
@@ -796,7 +796,7 @@ def test_long_word_count_matches_the_list_oracle():
 
     X = make_affine(15, 4, 11, 2)
     word = _random_word(random.Random(0), 24, 240)
-    W = vknots._word_matrix(X, word) - np.eye(24, dtype=np.int64)
+    W = vknots._word_matrix(X, word)[0] - np.eye(24, dtype=np.int64)
     gens = kernel(W.tolist(), 24, 15)
     count = 1
     for g in gens:
@@ -950,6 +950,60 @@ def test_linear_path_needs_invertible_r_for_negative_crossings():
             count_colorings(Y, parse_braid("s1^-1"))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_affine(15, 4, 11, 2), lambda: make_block(3, 1, 2),
+    lambda: make_omega(3, 2, 2),
+    lambda: extend(make_affine(4, 1, 3), 4,
+                   CochainTable.from_function(2, 4, 4, lambda x, y: y - x))],
+    ids=["affine", "block", "omega", "extend"])
+def test_form_path_builds_no_table(make):
+    # every letter kind runs on the form's A and A^-1: a table or an
+    # inverse table would sit in the set's __dict__ once built
+    X = make()
+    assert X.linear is not None
+    word = parse_braid("s1 s2^-1 v1 s2 v2 s1^-1 s1")
+    psi = CochainTable(2, X.size, 3, [(x + 2 * y) % 3 for x in range(X.size)
+                                      for y in range(X.size)])
+    for call in (lambda: state_sum(X, psi, word),
+                 lambda: count_colorings(X, word),
+                 lambda: colorings(X, word)):
+        call()
+        assert not {"r1", "r2", "_form_tables", "_birack"} & set(X.__dict__)
+    table = _table_twin(X)
+    assert colorings(X, word) == colorings(table, word)
+    assert state_sum(X, psi, word).value == state_sum(table, psi, word).value
+
+
+def test_form_path_counts_a_large_affine_set_at_once():
+    # 4096 elements: its n x n tables and inverse tables would take about
+    # 1 GB and over a second to build; the form needs neither
+    start = time.perf_counter()
+    X = make_affine(4096, 1, 4095)
+    assert count_colorings(X, parse_braid("s1 s2^-1 v1 s2")) == 4096
+    assert time.perf_counter() - start < 1
+    assert not {"r1", "r2", "_form_tables", "_birack"} & set(X.__dict__)
+
+
+@pytest.mark.parametrize("X", [make_affine(15, 4, 11, 2), make_block(3, 1, 2)],
+                         ids=lambda X: X.label)
+def test_weights_gathered_in_slabs_match_the_oracle(monkeypatch, X):
+    # with MAX_ENTRIES at the kernel listing's rows*dk, a slab holds
+    # k // 2 = 1 crossing of rows*2d pair digits, so each of the word's
+    # real crossings is its own slab
+    word = parse_braid("s1 s2^-1 v1 s2 s1 v2 s2^-1 s1^-1", strands=3)
+    rng = random.Random(X.label)
+    psi = CochainTable(2, X.size, 5, [rng.randrange(5)
+                                      for _ in range(X.size ** 2)])
+    want = state_sum(_table_twin(X), psi, word).value
+    found, coefficients = _oracle(X, word, psi)
+    assert list(want.coefficients) == coefficients
+    monkeypatch.setattr(vknots, "MAX_ENTRIES",
+                        len(found) * X.linear.d * word.strands)
+    slabs = _spy(monkeypatch, "_encode")
+    assert state_sum(X, psi, word).value == want
+    assert len(slabs) == 6
+
+
 def test_unfixed_kernel_row_is_an_error(monkeypatch):
     X = make_affine(5, 2, 1)
     monkeypatch.setattr(vknots, "_kernel_rows",
@@ -1061,21 +1115,27 @@ def test_relabelled_tables_share_a_plan_and_keep_their_rows(monkeypatch):
 
 
 def test_state_sum_then_count_traces_the_kernel_once(monkeypatch):
-    traced = _spy(monkeypatch, "_word_matrix")
+    eliminated = _spy(monkeypatch, "_cyclic_kernel")
+    composed = _spy(monkeypatch, "_word_matrix")
     word = parse_braid(KISHINO_WORDS["K3"])
     X, Y = make_affine(15, 4, 11, 2), make_affine(15, 4, 11, 2)
     assert X is not Y and X.linear == Y.linear
     psi = CochainTable.zero(2, 15, 2)
     assert state_sum(X, psi, word).colorings == TABLE1_COUNTS[2][2]
+    # the state sum composes W once, for its kernel and its weights
+    assert len(composed) == 1
     assert count_colorings(X, word) == TABLE1_COUNTS[2][2]
+    assert len(composed) == 1
+    # a listing checks the held kernel's elements fixed by W again
     assert colorings(X, word).count == TABLE1_COUNTS[2][2]
-    assert len(traced) == 1
+    assert len(composed) == 2
+    assert len(eliminated) == 1
     # the memo is keyed on the set, so an equal form is traced afresh
     assert count_colorings(Y, word) == TABLE1_COUNTS[2][2]
-    assert len(traced) == 2
+    assert len(eliminated) == 2
     assert count_colorings(make_affine(15, 4, 11, 4), word) == \
         TABLE1_COUNTS[4][2]
-    assert len(traced) == 3
+    assert len(eliminated) == 3
 
 
 def test_caps_are_checked_on_cached_words(monkeypatch):

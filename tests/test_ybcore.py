@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 from math import gcd
 
@@ -469,6 +470,58 @@ def test_linear_ybe_failure_reports_the_last_nonzero_column():
     X = FiniteYBSet._from_linear(LinearForm(3, 1, ((2, 0), (0, 1))), "scale")
     assert X.ybe_failure() == (0, 1, 0) == _brute_force(X)
     assert not X.verify_ybe()
+
+
+def _det(rows):
+    """The determinant over Z, by expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:]
+                                               for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def test_form_inverse_matches_the_determinant_and_the_tables():
+    # A^-1 over Z_q against two oracles: A is invertible mod q exactly
+    # when its determinant is a unit, and then column j of A^-1 is the
+    # digits of Rbar at the pair whose only nonzero digit is a 1 in digit
+    # j.  verify_birack builds the n x n tables, 2 s at n = 4096, so the
+    # tables are read for the sets of at most 1000 elements
+    rng = random.Random("form inverse")
+    moduli = (2, 4, 6, 8, 9, 12, 15, 16)
+    kinds = {True: 0, False: 0}
+    for case in range(300):
+        q, d = moduli[case % 8], case // 8 % 3 + 1
+        size = 2 * d
+        if rng.random() < 0.5:
+            A = np.array([[rng.randrange(q) for _ in range(size)]
+                          for _ in range(size)])
+        else:
+            # row operations from I, and one row scaled by any residue
+            A = np.eye(size, dtype=np.int64)
+            for _ in range(3 * size):
+                i, j = rng.sample(range(size), 2)
+                A[i] += rng.randrange(q) * A[j]
+            A[rng.randrange(size)] *= rng.randrange(1, q)
+            A %= q
+        X = FiniteYBSet._from_linear(LinearForm(q, d, A.tolist()), "random")
+        inverse = X._form_inverse
+        invertible = gcd(_det(A.tolist()), q) == 1
+        kinds[invertible] += 1
+        assert (inverse is not None) == invertible, (q, A.tolist())
+        if invertible:
+            assert not inverse.flags.writeable
+            assert np.array_equal(A @ inverse % q, np.eye(size))
+            assert np.array_equal(inverse @ A % q, np.eye(size))
+        if q ** d > 1000:
+            continue
+        assert X.verify_birack().invertible == invertible
+        if invertible:
+            units = q ** np.arange(d - 1, -1, -1)
+            pairs = [(u, 0) for u in units] + [(0, u) for u in units]
+            rbar = X.linear.digits(np.array([X.rbar(x, y) for x, y in pairs]))
+            assert np.array_equal(rbar.reshape(size, size).T, inverse)
+    assert min(kinds.values()) >= 60
 
 
 @pytest.mark.parametrize("base", [
