@@ -173,11 +173,11 @@ def _array(x: np.ndarray, top: int = 0) -> np.ndarray:
 class _Smith:
     """One Smith elimination over Z of the 2-d array a, run on creation.
 
-    Every row operation is also applied to u (as many rows as a) and every
-    column operation to v (as many columns as a): if U @ a @ V is the
-    diagonal form, u becomes U @ u and v becomes v @ V.  With a modulus m,
-    u and v are kept mod m, which every operation commutes with.
-    `factors` is the non-zero diagonal.
+    Every column operation is also applied to v (as many columns as a),
+    which every run keeps, and every row operation to u (as many rows as
+    a) when one is given: if U @ a @ V is the diagonal form, v becomes
+    v @ V and u becomes U @ u.  With a modulus m, u and v are kept mod m,
+    which every operation commutes with.  `factors` is the non-zero diagonal.
 
     Pivot rule: smallest non-zero absolute value in the trailing block,
     first such entry in row-major order.  The search takes the first unit
@@ -208,7 +208,7 @@ class _Smith:
     run on Python ints.
     """
 
-    def __init__(self, a, u=None, v=None, m=None, peak=None):
+    def __init__(self, a, u, v, m=None, peak=None):
         self.m = m
         # `_mod` reduces a's quotients mod m in a's dtype, so m must fit;
         # a caller that knows a's largest entry passes it as `peak`, and
@@ -220,7 +220,7 @@ class _Smith:
         # reduced mod m, so every step on them stays under 2 m^2
         dtype = object if m is None else _rung(2 * m * m)[0]
         self.u = None if u is None else u.astype(dtype, copy=False)
-        self.v = None if v is None else v.astype(dtype, copy=False)
+        self.v = v.astype(dtype, copy=False)
         self.factors = self._run()
 
     def _fit(self, bound: int):
@@ -259,9 +259,8 @@ class _Smith:
         """cols sel -= q * col t, in a and in v.  Column t of a holds only
         the pivot by now, so in a just row t changes, to the remainders."""
         self.a[t, sel] = rem
-        if self.v is not None:
-            self.v[:, sel] = self._mod(
-                self.v[:, sel] - self.v[:, t, None] * self._mod(q))
+        self.v[:, sel] = self._mod(
+            self.v[:, sel] - self.v[:, t, None] * self._mod(q))
 
     def _swap_rows(self, i: int, j: int):
         for x in (self.a, self.u):
@@ -272,10 +271,9 @@ class _Smith:
 
     def _swap_cols(self, i: int, j: int):
         for x in (self.a, self.v):
-            if x is not None:
-                col = x[:, i].copy()
-                x[:, i] = x[:, j]
-                x[:, j] = col
+            col = x[:, i].copy()
+            x[:, i] = x[:, j]
+            x[:, j] = col
 
     def _reduce(self, t: int, line, below: bool):
         """Reduce `line`, the entries below (or right of) the pivot, in
@@ -365,9 +363,7 @@ class _Smith:
         """col i -= q * col j, in a and v."""
         self._fit(_peak(self.a[:, i]) + abs(q) * _peak(self.a[:, j]))
         self.a[:, i] -= q * self.a[:, j]
-        if self.v is not None:
-            self.v[:, i] = self._mod(
-                self.v[:, i] - self._mod(q) * self.v[:, j])
+        self.v[:, i] = self._mod(self.v[:, i] - self._mod(q) * self.v[:, j])
 
     def _combine(self, i: int, x: int, y: int, z: int, w: int):
         """Rows i and i + 1 become x ri + y rj and z ri + w rj, in a and u."""
@@ -415,17 +411,16 @@ def _reduced_rows(a: np.ndarray, m: int) -> np.ndarray:
                          dtype=a.dtype).reshape(len(kept), -1)
 
 
-def _stacked_smith(A: IntegerMatrix, m: int, v: bool = False) -> _Smith:
+def _stacked_smith(A: IntegerMatrix, m: int) -> _Smith:
     """The Smith run of A's rows reduced mod m stacked over m*I, with V
-    kept mod m when v is set.  The stack has full column rank, and its
-    factors are gcd(d_i, m) for the invariant factors d_i of A, then m
-    for each column past A's rank."""
+    kept mod m, as every run keeps it.  The stack has full column rank,
+    and its factors are gcd(d_i, m) for the invariant factors d_i of A,
+    then m for each column past A's rank."""
     c = A.cols
     work = _reduced_rows(A.array, m)
     work = np.concatenate([work, m * np.eye(c, dtype=work.dtype)])
     # the reduced rows lie in the symmetric range, so m*I holds the peak
-    return _Smith(work, v=np.eye(c, dtype=np.int64) if v else None, m=m,
-                  peak=m)
+    return _Smith(work, None, np.eye(c, dtype=np.int64), m, peak=m)
 
 
 def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
@@ -435,15 +430,15 @@ def kernel_mod(A: IntegerMatrix, m: int) -> list[list[int]]:
     the stack B, then x = V @ w solves the system exactly when each
     d_i * w_i vanishes mod m, so column i of V scaled by m / gcd(d_i, m)
     generates the kernel.  Exact for composite m, where plain row
-    reduction over a field is unavailable.  Only V mod m is needed, so V
-    is kept mod m.  With no columns, the stack has no factors.
+    reduction over a field is unavailable.  V is kept mod m, all that is
+    read of it.  With no columns, the stack has no factors.
 
     Because V is unimodular, the generators span a direct sum of cyclic
     groups, so the order of the kernel is the product of the generators'
     orders (`_orders`), which run in the chain order of the factors.
     """
     m = _integer(m, "modulus", 2)
-    run = _stacked_smith(A, m, v=True)
+    run = _stacked_smith(A, m)
     gens = []
     for i, d in enumerate(run.factors):
         mult = m // gcd(d, m)

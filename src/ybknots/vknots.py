@@ -279,14 +279,18 @@ def apply_word(X: FiniteYBSet, word: BraidWord, colors) -> tuple[int, ...]:
         raise ArityMismatch(
             f"{word.strands} strands but {len(colors)} colors")
     colors = _check_colors(X.size, colors)
+    if X.linear is not None:
+        digits = X.linear.digits(colors)
+        end = _word_matrix(X, word, digits.reshape(-1, 1))[0]
+        return tuple(X.linear.index(end.reshape(digits.shape)).tolist())
     end, _ = _trace_word(X, word, np.array([colors], dtype=np.int64),
                          None, None)
     return tuple([int(strand[0]) for strand in end])
 
 
 def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
-    """Run the rows of `start` through the word at once; returns (end,
-    weights mod `modulus`, or None without `psi_array`).
+    """Run the rows of `start` through the word on a table-given set, at
+    once; returns (end, weights mod `modulus`, or None without `psi_array`).
 
     `end` is the strand positions as a list of 1-D arrays, one per
     position, each holding that position's color in every row.  A real
@@ -329,11 +333,12 @@ def _trace_word(X: FiniteYBSet, word: BraidWord, start, psi_array, modulus):
     return strands, weights
 
 
-def _word_matrix(X: FiniteYBSet, word: BraidWord):
+def _word_matrix(X: FiniteYBSet, word: BraidWord, start=None):
     """(W, pairs, signs) over Z_q, composed from the form's A and A^-1.
 
     W is the word's action on the k strands' digit vectors, stacked
-    strand by strand.  It starts as the identity, and its d rows of
+    strand by strand, applied to `start`: by default the identity, or one
+    tuple's digits as a column, which end as its image's.  Its d rows of
     position p are that position's digits as a function of the top
     digits: a positive letter maps its pair's 2d rows through A in
     place, a negative one through A^-1, and a virtual letter swaps the
@@ -346,13 +351,12 @@ def _word_matrix(X: FiniteYBSet, word: BraidWord):
     """
     form = X.linear
     q, d = form.q, form.d
-    side = d * word.strands
     forward = np.array(form.matrix, dtype=np.int64)
     if _needs_inverse(word):
         backward = X._form_inverse
         if backward is None:
             raise ValueError(f"{X.label}: R is not invertible")
-    W = np.eye(side, dtype=np.int64)
+    W = np.eye(d * word.strands, dtype=np.int64) if start is None else start
     pairs, signs = [], []
     for g in word.generators:
         pair = W[(g.index - 1) * d:(g.index + 1) * d]
@@ -635,9 +639,12 @@ def _compiled(word: BraidWord, rules: tuple[int, ...]) -> tuple:
 
 
 def _check_top_arcs(stage: str, word: BraidWord):
-    # a strand has one top arc at most, so only a word with more strands
-    # than the cap needs its arcs counted before the plan is read
+    # at most one top arc per strand, and one on each position no letter
+    # touches: both bound the count before `_arcs` walks every strand
     if word.strands > MAX_TOP_ARCS:
+        touched = {p for g in word.generators for p in (g.index, g.index + 1)}
+        check_cap(stage, "top arcs", word.strands - len(touched),
+                  MAX_TOP_ARCS)
         check_cap(stage, "top arcs", len(set(_arcs(word)[1])), MAX_TOP_ARCS)
 
 

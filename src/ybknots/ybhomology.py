@@ -31,8 +31,8 @@ from .errors import (
     check_power_cap,
 )
 from . import ybcore
-from .modalg import (IntegerMatrix, _invariant_form, _orders, _stacked_smith,
-                     kernel_mod, solve_mod)
+from .modalg import (IntegerMatrix, _invariant_form, _orders, kernel_mod,
+                     solve_mod)
 from .ybcore import (_INT64_MAX, MAX_ENTRIES, CochainTable, FiniteYBSet,
                      _check_colors, _decode, _encode, _integer,
                      check_modulus)
@@ -372,44 +372,40 @@ def cohomology_group(X: FiniteYBSet, n: int, m: int,
                      max_cells: int | None = None) -> CohomologyReport:
     """Invariant factors of ker(delta^n) / im(delta^(n-1)) over Z_m.
 
-    By the universal coefficient theorem H^n(X; Z_m) is
-    Hom(H_n, Z_m) + Ext(H_(n-1), Z_m), so no quotient of spans is
-    taken.  The cocycles are Hom(H_n, Z_m) + Z_m^r, r the rank of
-    delta^(n-1), so the orders of `kernel_mod`'s generators, in chain
-    order, end in at least r copies of m.  Each invariant factor d of
-    delta^(n-1) adds Z_gcd(d, m) to Ext(H_(n-1), Z_m) and bounds one of
-    those Z_m; the Smith run of delta^(n-1) stacked over m*I has one
-    factor gcd(d, m) for each d and m for each column past the rank, so
-    its factors below m are the summands that replace a Z_m.
+    H^n comes from the two cocycle kernels, with no quotient of spans.
+    With c = |X|^(n-1), B^n = C^(n-1) / Z^(n-1), so |B^n| = m^c / |Z^(n-1)|;
+    by the universal coefficient theorem and the cancellation of free
+    Z_m summands, H^n + Z_m^c = Z^n + Z^(n-1).  `kernel_mod` gives each
+    kernel as a direct sum of cyclic groups of orders dividing m, so the
+    Z_m summands of both sort last, and there are at least c; H^n is the
+    sum left once c are taken out, in invariant form.
 
     Assembling delta^n enumerates |X|^(n+1) cube colorings; max_cells
     (default 200000, at least 1) caps that count and ResourceBound
-    reports overruns.
-    A modulus no CochainTable can hold raises ValueError before any
-    matrix is built.
+    reports overruns.  An arity below 1, and then a modulus no
+    CochainTable can hold, raise ValueError before any matrix is built.
     """
     n = _integer(n, "arity")
+    if n < 1:
+        raise ValueError("arity must be at least 1")
     check_power_cap("cohomology_group", "|X|^(n+1)", X.size, n + 1,
                     DEFAULT_MAX_CELLS if max_cells is None
                     else _integer(max_cells, "max_cells", 1))
-    if n < 1:
-        raise ValueError("arity must be at least 1")
     m = check_modulus(m)
     kernel = kernel_mod(coboundary_matrix(X, n), m)
     orders = _orders(kernel, m)
-    traded = [f for f in _stacked_smith(coboundary_matrix(X, n - 1), m).factors
-              if f < m]
-    kept = len(orders) - len(traded)
-    if orders[kept:] != [m] * len(traded):
-        raise RuntimeError(
-            f"cohomology_group: the cocycles of arity {n} mod {m} lack the "
-            f"{len(traded)} summands Z_{m} that delta^{n - 1} bounds")
+    below = _orders(kernel_mod(coboundary_matrix(X, n - 1), m), m)
+    c = X.size ** (n - 1)
+    both = sorted(orders + below)
+    if both[-c:] != [m] * c:
+        raise RuntimeError(f"cohomology_group: the cocycles of arity {n} and "
+                           f"{n - 1} mod {m} hold fewer than {c} Z_{m}")
     return CohomologyReport(
         arity=n,
         modulus=m,
-        invariant_factors=_invariant_form(orders[:kept] + traded),
+        invariant_factors=_invariant_form(both[:-c]),
         cocycle_order=prod(orders),
-        coboundary_order=prod(m // f for f in traded),
+        coboundary_order=m ** c // prod(below),
         generators=tuple(CochainTable(n, X.size, m, g) for g in kernel),
     )
 

@@ -202,6 +202,14 @@ def test_absurd_arity_exits_2_fast(capsys):
                    "cap 16777216\n")
 
 
+def test_negative_arity_with_many_digits_exits_2(capsys):
+    # the arity is checked before the cell cap, which would otherwise
+    # take |X|^(n+1) of a 401-digit negative n as a float
+    rc, out, err = run(capsys, "cohomology", "--affine", "3,1,2,2",
+                       "--arity", "-1" + "0" * 400, "--modulus", "3")
+    assert (rc, out, err) == (2, "", "error: arity must be at least 1\n")
+
+
 def test_moduli_past_int64_exit_2(capsys, tmp_path):
     rc, out, err = run(capsys, "cohomology", "--affine", "3,1,2,2",
                        "--arity", "1", "--modulus", str(2 ** 70))

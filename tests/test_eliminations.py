@@ -5,9 +5,9 @@ used before.  The numpy core keeps its pivot rule and order of
 operations, so transforms and generators must agree entry for entry.
 The list elimination over Z/m (`modalg._eliminate`) returns no basis
 anyone pins, so its kernels are compared as sets or, where listing is
-too large, by order.  H^n, which `cohomology_group` reads off Smith runs
-by universal coefficients, is compared with the list core's quotient of
-the cocycle span by the coboundary span.
+too large, by order.  H^n, which `cohomology_group` reads off the
+kernels of delta^n and delta^(n-1), is compared with the list core's
+quotient of the cocycle span by the coboundary span.
 """
 
 import json
@@ -32,7 +32,7 @@ from ybknots import (
     solve_mod,
     swap_set,
 )
-from ybknots import modalg
+from ybknots import modalg, ybhomology
 
 import smith_oracle as oracle
 
@@ -540,6 +540,61 @@ def test_quotient_of_cohomology_spans_matches_the_list_core():
     for m in (4, 6, 12):
         assert cohomology_group(X, 2, m).invariant_factors == \
             _oracle_cohomology(X, 2, m)[0]
+
+
+# cases at n = 1-3 past the small ones that every modulus takes, on sets
+# whose size shares a prime with 6, 12 and 36 or not
+COMPOSITE_CASES = [
+    (make_affine(6, 5, 1), 1), (make_affine(6, 1, 5, 5), 1),
+    (make_affine(9, 4, 7), 1), (make_affine(6, 5, 1), 2),
+    (make_affine(4, 1, 3), 2), (make_block(2, 1, 1), 2),
+    (make_affine(3, 2, 1), 3), (make_affine(4, 1, 3), 3),
+    (make_block(2, 1, 1), 3)]
+
+
+@pytest.mark.parametrize("m", (6, 12, 36))
+def test_two_kernels_match_the_list_core_on_composite_moduli(m):
+    # H^n from the kernels of delta^n and delta^(n-1) against the list
+    # core's quotient of spans, where Z_m has more than one prime part
+    for X, n in COMPOSITE_CASES:
+        H = cohomology_group(X, n, m)
+        factors, cocycle_order, kernel = _oracle_cohomology(X, n, m)
+        assert H.invariant_factors == factors, (X.label, n)
+        assert H.cocycle_order == cocycle_order
+        assert H.coboundary_order * H.order == cocycle_order
+        assert [g.values.tolist() for g in H.generators] == kernel
+
+
+def test_cohomology_takes_two_kernels_and_keeps_v_in_every_run(monkeypatch):
+    # H^n reads kernel_mod of delta^n, then of delta^(n-1), and nothing
+    # else eliminates; each Smith run keeps its V, one column per column
+    # of the stack
+    kernels, runs = [], []
+    original_kernel = ybhomology.kernel_mod
+    original_run = modalg._Smith._run
+
+    def kernel_spy(A, m):
+        kernels.append((A.rows, A.cols, m))
+        return original_kernel(A, m)
+
+    def run_spy(self):
+        cols = self.a.shape[1]
+        runs.append(isinstance(self.v, np.ndarray)
+                    and self.v.shape == (cols, cols))
+        return original_run(self)
+
+    monkeypatch.setattr(ybhomology, "kernel_mod", kernel_spy)
+    monkeypatch.setattr(modalg._Smith, "_run", run_spy)
+    for X, n, m in ((make_affine(3, 1, 2, 2), 2, 6),
+                    (make_block(2, 1, 1), 1, 4),
+                    (make_affine(6, 5, 1), 2, 12), (swap_set(2), 3, 8)):
+        kernels.clear()
+        runs.clear()
+        cohomology_group(X, n, m)
+        q = X.size
+        assert kernels == [(q ** (n + 1), q ** n, m),
+                           (q ** n, q ** (n - 1), m)]
+        assert runs == [True, True]
 
 
 def test_moduli_with_large_prime_factors_are_not_factored():

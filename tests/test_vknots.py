@@ -467,7 +467,8 @@ def _table_twin(X):
     return _TWINS.get(id(X)) or FiniteYBSet(X.r1, X.r2)
 
 
-@pytest.mark.parametrize("X", [
+# sets the makers declare a form for
+FORMS = [
     make_affine(15, 4, 11, 2), make_affine(12, 5, 1, 5),
     make_block(2, 1, 1), make_block(3, 1, 2),
     make_omega(2, 2, 2), make_omega(3, 2, 1),
@@ -476,8 +477,10 @@ def _table_twin(X):
                CochainTable.from_function(2, 4, 2, lambda x, y: y - x)),
     _extension(make_affine(4, 1, 3), 4,
                CochainTable.from_function(2, 4, 4, lambda x, y: 2 * (y - x)),
-               CochainTable.from_function(2, 4, 4, lambda x, y: 2 * x))],
-    ids=lambda X: X.label)
+               CochainTable.from_function(2, 4, 4, lambda x, y: 2 * x))]
+
+
+@pytest.mark.parametrize("X", FORMS, ids=lambda X: X.label)
 def test_linear_path_matches_brute_force(X):
     # the same tables without a declared form take the search; an
     # extension's are broadcast from its base's tables instead
@@ -920,6 +923,43 @@ def test_word_caps_raise_before_the_work(monkeypatch):
     assert len(parse_braid(f"s1^{vknots.MAX_LETTERS}")) == vknots.MAX_LETTERS
 
 
+def test_untouched_strands_refuse_a_word_before_its_arcs(monkeypatch):
+    # each position no letter touches is a top arc of its own, so a word
+    # whose untouched positions alone pass the cap is refused before
+    # `_arcs` walks its strands; one within that count is counted exactly
+    built = []
+    original = vknots._arcs
+
+    def spy(word):
+        built.append(word.strands)
+        return original(word)
+
+    monkeypatch.setattr(vknots, "_arcs", spy)
+    X = make_affine(15, 4, 11, 2)
+    table = FiniteYBSet(X.r1, X.r2)
+    psi = CochainTable.zero(2, 15, 3)
+    cap = vknots.MAX_TOP_ARCS
+    for stage, call in (
+            ("count_colorings", lambda w: count_colorings(table, w)),
+            ("colorings", lambda w: colorings(table, w)),
+            ("state_sum", lambda w: state_sum(table, psi, w))):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBound,
+                           match=rf"^{stage}: top arcs = {10 ** 7 - 2} "
+                           rf"exceeds the cap {cap}$"):
+            call(parse_braid("s1", strands=10 ** 7))
+        assert time.perf_counter() - start < 1
+        assert built == []
+        # 10 touched positions leave the cap's 320 untouched; s1 s3 .. s9
+        # keeps the 10 top arcs apart, so the exact count is 330
+        with pytest.raises(ResourceBound,
+                           match=rf"^{stage}: top arcs = {cap + 10} "
+                           rf"exceeds the cap {cap}$"):
+            call(parse_braid("s1 s3 s5 s7 s9", strands=cap + 10))
+        assert built == [cap + 10]
+        built.clear()
+
+
 def test_words_within_the_caps_still_run():
     X = make_affine(3, 2, 1)
     table = FiniteYBSet(X.r1, X.r2)
@@ -964,14 +1004,56 @@ def test_form_path_builds_no_table(make):
     word = parse_braid("s1 s2^-1 v1 s2 v2 s1^-1 s1")
     psi = CochainTable(2, X.size, 3, [(x + 2 * y) % 3 for x in range(X.size)
                                       for y in range(X.size)])
+    colors = tuple(range(3))
     for call in (lambda: state_sum(X, psi, word),
                  lambda: count_colorings(X, word),
-                 lambda: colorings(X, word)):
+                 lambda: colorings(X, word),
+                 lambda: apply_word(X, word, colors)):
         call()
         assert not {"r1", "r2", "_form_tables", "_birack"} & set(X.__dict__)
+    moved = apply_word(X, word, colors)
     table = _table_twin(X)
+    assert moved == apply_word(table, word, colors)
     assert colorings(X, word) == colorings(table, word)
     assert state_sum(X, psi, word).value == state_sum(table, psi, word).value
+
+
+@pytest.mark.parametrize("X", FORMS, ids=lambda X: X.label)
+def test_apply_word_on_a_form_matches_the_table_twin(X):
+    # the form moves digits through A, A^-1 and swaps; the twin traces
+    # the same tuples through R and Rbar's tables
+    rng = random.Random(f"apply/{X.label}")
+    table = _table_twin(X)
+    kinds = set()
+    for _, text in word_corpus():
+        word = parse_braid(text)
+        kinds.update(g.kind for g in word.generators)
+        for _ in range(4):
+            colors = tuple(rng.randrange(X.size) for _ in range(word.strands))
+            assert apply_word(X, word, colors) == \
+                apply_word(table, word, colors), text
+    assert kinds == {"positive", "negative", "virtual"}
+
+
+def test_apply_word_on_a_form_needs_invertible_r_for_negative_crossings():
+    # R(x, y) = (x + y, x + y) on Z_3 is linear but not invertible
+    X = FiniteYBSet._from_linear(LinearForm(3, 1, ((1, 1), (1, 1))), "flat")
+    assert apply_word(X, parse_braid("s1 v1"), (1, 2)) == (0, 0)
+    with pytest.raises(ValueError, match="^flat: R is not invertible$"):
+        apply_word(X, parse_braid("s1 s1^-1"), (1, 2))
+    assert not {"r1", "r2", "_form_tables", "_birack"} & set(X.__dict__)
+    table = FiniteYBSet(X.r1, X.r2)
+    assert apply_word(table, parse_braid("s1 v1"), (1, 2)) == (0, 0)
+
+
+def test_apply_word_on_a_large_affine_set_at_once():
+    # 4096 elements: the tables and inverse tables a trace would read
+    # take about 1 GB and over a second to build
+    start = time.perf_counter()
+    X = make_affine(4096, 1, 4095)
+    assert apply_word(X, parse_braid("s1 s2^-1 v1 s2"), (1, 2, 3)) == (3, 3, 4)
+    assert time.perf_counter() - start < 1
+    assert not {"r1", "r2", "_form_tables", "_birack"} & set(X.__dict__)
 
 
 def test_form_path_counts_a_large_affine_set_at_once():
