@@ -5,7 +5,10 @@ crossing s_i maps the pair at positions (i, i+1) through R, a negative
 crossing through the inverse map, and a virtual crossing v_i transposes
 the positions.  Colorings of the closure are the fixed tuples of that
 action; the cocycle state sum weights each coloring by the crossings it
-passes through and collects the total in the group ring Z[Z_m].
+passes through and collects the total in the group ring Z[Z_m].  A word
+is written as whitespace-separated tokens ('s'|'v') INDEX ('^'
+EXPONENT)?, where INDEX is ASCII digits and EXPONENT is ASCII digits
+after an optional '-' (`parse_braid`).
 
 A solution with a declared linear form (`FiniteYBSet.linear`) has the
 word act as one matrix W on the stacked digit vectors of the strands,
@@ -44,28 +47,38 @@ flattened tables, and a virtual letter only swaps two arrays.  Either
 way the weights are summed exactly in int64 and reduced mod m once, at
 the end (see `_trace_word` and `_form_rows`).
 
-Two memos reuse what a closed braid needs.  Its arcs and search plan
-depend only on the word and the rule set, so `_compiled` keeps them in
-an LRU cache of `_CACHE_SIZE` = 16 tuples, shared by every set.  Over
-one braids_table pass 37 of its 108 lookups hit, 36 of them Table 1's
-words on its relabelled sets; a word job looks its plan up once, since
-the count after its state sum reads the closure memo.  What
-the tables give, the colorings, is kept for one closure only: the last
-(set, word) any call found, with the generators and orders of
-ker(W - I) on a set with a form, or the read-only rows the trace
-checked fixed, with their arc count, on a table-given set.  The memo
-holds the set by a weak reference, lets the rows go before another
+Three memos reuse what a closed braid needs.  The token table `_token`
+keeps, for the last `_TABLE_SIZE` tokens any call met, each one's letter
+and copy count or its syntax error's message, and `_letter` keeps one
+letter per (kind, index).  So a parse matches only the tokens new to the
+process: warm, an 11-letter word parses in about 6.5 us, against 20 us
+when every call matched its own tokens, and cold, the first parse in a
+fresh process costs no more than it did (63-77 us here, against 66-92
+us).  A word's arcs and search plan depend only on the word and the rule
+set, so `_compiled` keeps them in an LRU cache of `_CACHE_SIZE` = 16
+tuples, shared by every set.  Over one braids_table pass 37 of its 108
+lookups hit, 36 of them Table 1's words on its relabelled sets; a word
+job looks its plan up once, since the count after its state sum reads
+the closure memo.  A miss plans in 35 us on average over that pass,
+against 51 us when each trial worked on copies of the planner's state
+and the chosen branch was propagated again to build its steps (see
+`_plan`).  What the tables give, the colorings, is kept for one closure
+only: the last (set, word) any call found, with the generators and
+orders of ker(W - I) on a set with a form, or the read-only rows the
+trace checked fixed, with their arc count, on a table-given set.  The
+memo holds the set by a weak reference, lets the rows go before another
 search and goes with the set, so live sets hold one closure's rows
 between them.  A count of that closure then neither searches nor
-composes, a listing of a table-given set's closure neither searches
-nor traces, and a state sum traces the held rows only for its weights.
-On a form a listing or a state sum composes W again, for the check and
-the weights, but eliminates nothing.  A word hashes itself once, when
-it is built, so a lookup does not walk its letters.
+composes, a listing of a table-given set's closure neither searches nor
+traces, and a state sum traces the held rows only for its weights.  On a
+form a listing or a state sum composes W again, for the check and the
+weights, but eliminates nothing.  A word hashes itself once, when it is
+built, so a lookup does not walk its letters.
 
-The caps are checked on every call, outside both memos: MAX_TOP_ARCS
-and MAX_KERNEL_DIGITS before a memo is read, MAX_ENTRIES before each
-array is allocated and on held rows as arcs times rows.
+The caps are checked on every call, outside the plan cache and the
+closure memo: MAX_TOP_ARCS and MAX_KERNEL_DIGITS before a memo is read,
+MAX_ENTRIES before each array is allocated and on held rows as arcs
+times rows.
 """
 
 from __future__ import annotations
@@ -209,51 +222,72 @@ class BraidWord:
         return f"BraidWord({self.strands}, {self.text()!r})"
 
 
-_TOKEN = re.compile(r"([sv])(\d+)(?:\^(-?\d+))?\Z")
+# A token's index and exponent are ASCII digits only: `\d` would also take
+# any Unicode decimal digit, which int() reads as its value.
+_TOKEN = re.compile(r"([sv])([0-9]+)(?:\^(-?[0-9]+))?\Z")
+
+# Most entries the token table and the letter table each keep.  One
+# braids_table pass (seed 0) reads 877 tokens, 39 of them distinct, and
+# 22 distinct letters.  A token's entry takes about 200 bytes, so the two
+# tables stay within 0.5 MB together.
+_TABLE_SIZE = 1024
+
+# The one letter of each (kind, index) while the table holds it, so equal
+# letters are one object whichever tokens or calls spell them.
+_letter = lru_cache(maxsize=_TABLE_SIZE)(BraidGenerator)
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _token(token: str) -> tuple[BraidGenerator, int] | str:
+    """One token's letter and copy count, or its syntax error's message
+    (the caller adds the position, which differs between texts)."""
+    match = _TOKEN.match(token)
+    if match is None:
+        return f"bad token {token!r}"
+    kind_char, index_text, exp_text = match.groups()
+    index = int(index_text)
+    if index < 1:
+        return f"index must be at least 1 in {token!r}"
+    exponent = 1 if exp_text is None else int(exp_text)
+    if kind_char == "v":
+        kind = VIRTUAL
+    else:
+        kind = POSITIVE if exponent >= 0 else NEGATIVE
+    return _letter(kind, index), abs(exponent)
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
-    """Parse whitespace-separated tokens ('s'|'v') INDEX ('^' EXPONENT)?.
+    """Parse whitespace-separated tokens ('s'|'v') INDEX ('^' EXPONENT)?,
+    where INDEX is ASCII digits and EXPONENT is ASCII digits with an
+    optional leading '-'.
 
     `s1^-1` is the inverse crossing and `s1^3` expands to three copies;
     virtual crossings are self-inverse, so an exponent on `v` means
     |exponent| copies.  The strand count defaults to one more than the
-    largest index used.
+    largest index used, also by a token of no copies (`s5^0`).
 
-    The text is split once, and each distinct token is matched once.
-    Equal letters are one object, whichever tokens spell them.  An error
-    gives the offset of its token in the text.
+    The text is split once, and each token is read from the token table
+    `_token`, which matches a token the first time any call meets it.
+    An error gives the offset of its token in this text.
     """
     generators: list[BraidGenerator] = []
-    letters: dict[tuple[str, int], BraidGenerator] = {}
-    # each distinct token's letter and copy count
-    parsed: dict[str, tuple[BraidGenerator, int]] = {}
-    for at, token in enumerate(text.split()):
-        entry = parsed.get(token)
-        if entry is None:
-            match = _TOKEN.match(token)
-            if match is None:
-                raise BraidSyntaxError(f"bad token {token!r}",
-                                       _offset(text, at))
-            kind_char, index_text, exp_text = match.groups()
-            index = int(index_text)
-            if index < 1:
-                raise BraidSyntaxError(
-                    f"index must be at least 1 in {token!r}", _offset(text, at))
-            exponent = 1 if exp_text is None else int(exp_text)
-            if kind_char == "v":
-                kind = VIRTUAL
-            else:
-                kind = POSITIVE if exponent >= 0 else NEGATIVE
-            letter = letters.get((kind, index))
-            if letter is None:
-                letter = letters[kind, index] = BraidGenerator(kind, index)
-            entry = parsed[token] = letter, abs(exponent)
+    size = max_index = 0
+    tokens = text.split()
+    for token in tokens:
+        entry = _token(token)
+        if entry.__class__ is str:
+            # an earlier token spelled the same would have raised already
+            raise BraidSyntaxError(entry, _offset(text, tokens.index(token)))
         letter, copies = entry
-        check_cap("parse_braid", "letters", len(generators) + copies,
-                  MAX_LETTERS)
-        generators.extend([letter] * copies)
-    max_index = max([index for _, index in letters], default=0)
+        size += copies
+        if size > MAX_LETTERS:
+            check_cap("parse_braid", "letters", size, MAX_LETTERS)
+        if copies == 1:
+            generators.append(letter)
+        else:
+            generators += [letter] * copies
+        if letter.index > max_index:
+            max_index = letter.index
     needed = max_index + 1
     strands = needed if strands is None else _integer(strands, "strands")
     if strands < needed:
@@ -450,6 +484,8 @@ def _form_rows(stage: str, X: FiniteYBSet, word: BraidWord, psi_array,
 # other two.
 _FORWARD, _BACKWARD, _LEFT, _RIGHT = range(4)
 _PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3))
+# the slots each rule fixes, in slot order
+_OTHERS = ((2, 3), (0, 1), (1, 3), (0, 2))
 
 
 def _arcs(word: BraidWord):
@@ -470,15 +506,16 @@ def _arcs(word: BraidWord):
     crossings = []
     for g in word.generators:
         i = g.index - 1
-        upper = (position[i], position[i + 1])
+        left, right = position[i], position[i + 1]
         if g.kind == VIRTUAL:
-            position[i], position[i + 1] = upper[1], upper[0]
+            position[i], position[i + 1] = right, left
             continue
-        lower = (len(parent), len(parent) + 1)
-        parent.extend(lower)
-        position[i], position[i + 1] = lower
-        crossings.append(upper + lower if g.kind == POSITIVE
-                         else lower + upper)
+        lower = len(parent)
+        parent += (lower, lower + 1)
+        position[i], position[i + 1] = lower, lower + 1
+        crossings.append((left, right, lower, lower + 1)
+                         if g.kind == POSITIVE
+                         else (lower, lower + 1, left, right))
 
     def root(a):
         while parent[a] != a:
@@ -488,11 +525,19 @@ def _arcs(word: BraidWord):
     for top, bottom in enumerate(position):
         a, b = root(top), root(bottom)
         parent[max(a, b)] = min(a, b)
-    number: dict[int, int] = {}
-    arc = [number.setdefault(root(a), len(number))
-           for a in range(len(parent))]
-    return (len(number), tuple([arc[a] for a in range(k)]),
-            tuple([tuple([arc[a] for a in c]) for c in crossings]))
+    # a parent is never above its arc, so one pass in arc order numbers
+    # every arc by its root, the roots in the order they come
+    arc: list[int] = []
+    roots = 0
+    for a, p in enumerate(parent):
+        if p == a:
+            arc.append(roots)
+            roots += 1
+        else:
+            arc.append(arc[p])
+    return (roots, tuple(arc[:k]),
+            tuple([(arc[x], arc[y], arc[z], arc[w])
+                   for x, y, z, w in crossings]))
 
 
 def _plan(n_arcs: int, top, crossings, rules) -> tuple:
@@ -515,93 +560,78 @@ def _plan(n_arcs: int, top, crossings, rules) -> tuple:
     each unknown top arc would end the search.  An arc is taken only if
     that many more branches would still keep the total within one per
     top arc, and so the rows within |X|^(top arcs); failing that, the
-    best unknown top arc is taken.  A candidate is tried by `gain`, which
-    only counts what propagation would make known; the scan stops at the
+    best unknown top arc is taken.  The scan of candidates stops at the
     first one allowed that makes every unknown arc known, since the
     earliest best candidate wins.
 
-    The tuples are built from lists, not generators: CPython sizes a
-    tuple(generator) by a guess and resizes it, so as entries churned,
-    freed tuples kept filling its per-size free lists and peak RSS
-    climbed for the whole run (+1.6 MB over 25 s on braids_table).
+    A candidate is tried by `trial`, which fires crossings on the plan's
+    own `known` and `done`, records each with its rule, and then unmarks
+    what it marked, so a trial costs what it reaches, not a copy of the
+    state.  It fires in the order propagation from the chosen arc would,
+    so the chosen trial's record is replayed into the cross steps and no
+    crossing is searched for twice.  Before the first branch no arc is
+    known, so a top arc fires a crossing only if it fills both slots of
+    one of the crossing's pairs.  When no crossing has one arc in two
+    slots of any of the four pairs, every top arc would gain nothing, and
+    the first is taken untried.
+
+    The tuples are built from lists or displays, not generators: CPython
+    sizes a tuple(generator) by a guess and resizes it, so as entries
+    churned, freed tuples kept filling its per-size free lists and peak
+    RSS climbed for the whole run (+1.6 MB over 25 s on braids_table).
     """
+    # each arc's crossings, one entry per slot the arc holds: a crossing
+    # met again is done, or has no more known pairs than the first time
     touching: list[list[int]] = [[] for _ in range(n_arcs)]
     for c, arcs in enumerate(crossings):
-        for a in set(arcs):
+        for a in arcs:
             touching[a].append(c)
-    # each crossing's rules as (rule, the two arcs of its pair)
-    pairs = [[(r, arcs[_PAIRS[r][0]], arcs[_PAIRS[r][1]]) for r in rules]
-             for arcs in crossings]
+    # each rule with the two slots of its pair
+    slots = [(r,) + _PAIRS[r] for r in rules]
 
-    def propagate(known, done, fresh, steps):
-        """Fire every crossing a known pair fixes, to a fixpoint, and
-        append its cross steps."""
+    def trial(arc):
+        """(the arcs a branch on arc makes known, arc first; the crossings
+        it fires as (crossing, rule), in firing order), found by firing
+        every crossing a known pair fixes, to a fixpoint."""
+        known[arc] = True
+        made, fresh, fired = [arc], [arc], []
         while fresh:
             for c in touching[fresh.pop()]:
                 if done[c]:
                     continue
-                for rule, first, second in pairs[c]:
-                    if known[first] and known[second]:
+                arcs = crossings[c]
+                for rule, i, j in slots:
+                    if known[arcs[i]] and known[arcs[j]]:
                         break
                 else:
                     continue
                 done[c] = True
-                arcs = crossings[c]
-                writes, checks = [], []
-                for slot, a in enumerate(arcs):
-                    if slot in _PAIRS[rule]:
-                        continue
-                    if known[a]:
-                        checks.append(slot)
-                    else:
+                fired.append((c, rule))
+                # the pair's arcs are known, so only the others are new
+                for a in arcs:
+                    if not known[a]:
                         known[a] = True
-                        writes.append(slot)
+                        made.append(a)
                         fresh.append(a)
-                for slot in writes:
-                    order[arcs[slot]] = len(order)
-                steps.append(("cross", rule, tuple([order[a] for a in arcs]),
-                              tuple(writes), tuple(checks)))
-
-    def gain(arc) -> tuple[int, int]:
-        """(arcs, top arcs) that become known after a branch on arc: the
-        fixpoint `propagate` reaches, counted on copies, with no step
-        built."""
-        trial = known.copy()
-        trial[arc] = True
-        closed = done.copy()
-        fresh = [arc]
-        gained = top_gained = 0
-        while fresh:
-            for c in touching[fresh.pop()]:
-                if closed[c]:
-                    continue
-                for _, first, second in pairs[c]:
-                    if trial[first] and trial[second]:
-                        break
-                else:
-                    continue
-                closed[c] = True
-                # the pair's arcs are known, so only the others count
-                for a in crossings[c]:
-                    if not trial[a]:
-                        trial[a] = True
-                        fresh.append(a)
-                        gained += 1
-                        top_gained += is_top[a]
-        return gained, top_gained
+        for a in made:
+            known[a] = False
+        for c, _ in fired:
+            done[c] = False
+        return made, fired
 
     def best(candidates):
         # every candidate is unknown; one that makes every other unknown
         # arc known can be beaten by no later one under the strict >
-        unknown = known.count(False) - 1
-        unknown_tops = sum([not known[a] for a in tops])
         chosen, most = None, -1
         for arc in candidates:
-            gained, top_gained = gain(arc)
-            left = unknown_tops - is_top[arc] - top_gained
-            if gained > most and branches + 1 + left <= len(tops):
-                chosen, most = arc, gained
-                if gained == unknown:
+            made, fired = trial(arc)
+            gained = len(made) - 1
+            if gained <= most:
+                continue
+            left = unknown_tops - sum([is_top[a] for a in made])
+            if branches + 1 + left <= len(tops):
+                chosen, most = (arc, made, fired), gained
+                if gained == unknown - 1:
                     break
         return chosen
 
@@ -615,20 +645,46 @@ def _plan(n_arcs: int, top, crossings, rules) -> tuple:
     # each known arc's id, in the order it became known
     order: dict[int, int] = {}
     branches = 0
-    while not all(known):
-        arc = best(sorted({
-            b if known[a] else a for c in range(len(crossings))
-            if not done[c] for _, a, b in pairs[c] if known[a] != known[b]}))
-        if arc is None:
-            arc = best([a for a in tops if not known[a]])
+    unknown, unknown_tops = n_arcs, len(tops)
+    while unknown:
+        if branches:
+            chosen = best(sorted({
+                arcs[j] if known[arcs[i]] else arcs[i]
+                for c, arcs in enumerate(crossings) if not done[c]
+                for _, i, j in slots if known[arcs[i]] != known[arcs[j]]}))
+        elif any([x == y or z == w or x == z or y == w
+                  for x, y, z, w in crossings]):
+            chosen = None
+        else:
+            chosen = tops[0], [tops[0]], []
+        if chosen is None:
+            chosen = best([a for a in tops if not known[a]])
+        arc, made, fired = chosen
         branches += 1
+        unknown -= len(made)
+        unknown_tops -= sum([is_top[a] for a in made])
         order[arc] = len(order)
         if steps and steps[-1][0] == "branch":
             steps[-1] = ("branch", steps[-1][1] + (order[arc],))
         else:
             steps.append(("branch", (order[arc],)))
         known[arc] = True
-        propagate(known, done, [arc], steps)
+        for c, rule in fired:
+            done[c] = True
+            arcs = crossings[c]
+            writes, checks = [], []
+            for slot in _OTHERS[rule]:
+                a = arcs[slot]
+                if known[a]:
+                    checks.append(slot)
+                else:
+                    known[a] = True
+                    writes.append(slot)
+                    order[a] = len(order)
+            x, y, z, w = arcs
+            steps.append(("cross", rule,
+                          (order[x], order[y], order[z], order[w]),
+                          tuple(writes), tuple(checks)))
     return n_arcs, tuple([order[a] for a in top]), tuple(steps)
 
 

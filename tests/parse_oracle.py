@@ -7,14 +7,21 @@ the text, matches every token with `_TOKEN` and takes its position from
 the match.  It builds the library's own letters and words, so the two
 parsers' results compare with `==` and their errors by type, message
 and position.
+
+`_TOKEN` is the earlier pattern too, whose digit class takes any Unicode
+decimal digit.  The library's takes ASCII digits only, so the two differ
+on a token such as 's' followed by ARABIC-INDIC DIGIT ONE, which only the
+oracle reads as 's1'.
 """
 
 import re
 
 from ybknots.errors import BraidSyntaxError, IndexOutOfRange, check_cap
-from ybknots.vknots import (MAX_LETTERS, NEGATIVE, POSITIVE, VIRTUAL, _TOKEN,
+from ybknots.vknots import (MAX_LETTERS, NEGATIVE, POSITIVE, VIRTUAL,
                             BraidGenerator, BraidWord)
 from ybknots.ybcore import _integer
+
+_TOKEN = re.compile(r"([sv])(\d+)(?:\^(-?\d+))?\Z")
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:

@@ -52,6 +52,8 @@ from ybknots.reference import (
     KNOT_NAMES,
     MIRROR_TORUS_4_VALUE,
     TABLE1_COUNTS,
+    TABLE1_PARAMS,
+    TABLE1_U_VALUES,
     torus_value,
     twisted_torus_value,
     word_corpus,
@@ -106,6 +108,14 @@ def test_parse_errors():
     assert err.value.position == 4
     with pytest.raises(IndexOutOfRange):
         parse_braid("s3", strands=3)
+    # index and exponent take ASCII digits only: another Unicode decimal
+    # digit, which int() would read as its value, makes a bad token
+    for token in ("s\u0661", "s\uff11", "s1^-\u0661", "v\u0967^2",
+                  "s1\u0660"):
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(f"s1 {token} s2")
+        assert str(err.value) == f"bad token {token!r} (at position 3)"
+        assert err.value.position == 3
 
 
 def _parsed(parse, text, strands=None):
@@ -130,10 +140,10 @@ def test_parse_splits_on_every_whitespace_the_oracle_does():
         assert _parsed(parse_braid, bad)[2] == 2 + len(sep)
 
 
-def test_parse_matches_the_oracle():
-    # exponents, tokens repeated after an error or past the letter cap
-    # (each distinct token is matched once, the cap checked at every
-    # token), and strand counts the word does not fit
+def _parse_cases():
+    """(text, strands) pairs: exponents, tokens repeated after an error or
+    past the letter cap (each distinct token is matched once, the cap
+    checked at every token), and strand counts the word does not fit."""
     cap = vknots.MAX_LETTERS
     cases = [(text, strands) for strands in (None, 4, 11) for text in (
         "s1^0", "v2^-3", "s10^2", "s1^+2", "s1^-0", "v1^0 s3^0", "s1^",
@@ -157,7 +167,12 @@ def test_parse_matches_the_oracle():
         tokens = [rng.choice(pieces) for _ in range(rng.randint(0, 12))]
         cases.append(("".join(rng.choice(seps) + t for t in tokens),
                       rng.choice((None, None, 3, 14))))
-    for text, strands in cases:
+    return cases
+
+
+def test_parse_matches_the_oracle():
+    cap = vknots.MAX_LETTERS
+    for text, strands in _parse_cases():
         assert _parsed(parse_braid, text, strands) == \
             _parsed(parse_oracle.parse_braid, text, strands), \
             (text[:40], strands)
@@ -170,6 +185,52 @@ def test_parse_matches_the_oracle():
         f"parse_braid: letters = {3 * (cap // 2)} exceeds the cap {cap}", None)
     assert _parsed(parse_braid, "s5^0", 3)[:2] == (
         IndexOutOfRange, "word uses index 5, needs 6 strands, got 3")
+
+
+def _cold():
+    """Empty the token table and the letter table."""
+    vknots._token.cache_clear()
+    vknots._letter.cache_clear()
+
+
+def test_token_table_gives_the_same_words_cold_and_warm():
+    cases = _parse_cases()
+    cold = []
+    for text, strands in cases:
+        _cold()
+        cold.append(_parsed(parse_braid, text, strands))
+    # every token of the corpus is in the table now, unless evicted
+    warm = [_parsed(parse_braid, text, strands) for text, strands in cases]
+    assert cold == warm
+    assert vknots._token.cache_info().hits > 0
+    # both tables are bounded
+    for table in (vknots._token, vknots._letter):
+        assert table.cache_info().maxsize == vknots._TABLE_SIZE
+
+
+def test_a_tabled_bad_token_takes_this_calls_offset():
+    _cold()
+    for first, then, at in (("q3", "s1 s2  q3", 7), ("s0", "v1\ts0", 3),
+                            ("s1^x", "s1^x", 0), ("s\u0661", " s\u0661", 1)):
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(first)
+        assert err.value.position == 0
+        with pytest.raises(BraidSyntaxError) as err:
+            parse_braid(then)
+        assert err.value.position == at, then
+        assert str(err.value).endswith(f"(at position {at})")
+
+
+def test_calls_share_their_letters():
+    _cold()
+    first = parse_braid("s1 v2 s1^-1 s3")
+    again = parse_braid("s1^2 v2^-1 s01 s1^-3 s3^0 s3")
+    letters = {g: g for g in first.generators}
+    for g in again.generators:
+        assert letters[g] is g
+    # a token of no copies still sets the default strand count
+    word = parse_braid("s1 s5^0")
+    assert word.strands == 6 and word.generators[0] is first.generators[0]
 
 
 def test_generator_and_word_objects():
@@ -1544,6 +1605,21 @@ def test_trace_reduces_the_weights_once_or_at_every_letter():
     # m = 5: 10 letters times m is far below 2^62, one reduction at the end
     psi = np.array([[rng.randrange(5) for _ in range(5)] for _ in range(5)])
     _assert_trace_matches(X, word, rows, psi, 5)
+
+
+def test_table1_relabelled_sets_plan_each_word_once(monkeypatch):
+    # seven relabelled Table 1 sets share one rule set, so each Kishino
+    # word, parsed afresh for every set, is planned once
+    planned = _spy(monkeypatch, "_plan")
+    q, s, t = TABLE1_PARAMS
+    rng = random.Random(12)
+    for u in TABLE1_U_VALUES:
+        X = _relabelled(make_affine(q, s, t, u), rng)
+        assert tuple(count_colorings(X, parse_braid(KISHINO_WORDS[name]))
+                     for name in KNOT_NAMES) == TABLE1_COUNTS[u]
+    assert len(planned) == len(KNOT_NAMES) == 6
+    info = vknots._compiled.cache_info()
+    assert (info.misses, info.hits) == (6, 36)
 
 
 def test_reproduce_table1_parses_each_word_once(monkeypatch, capsys):
